@@ -178,18 +178,24 @@ class MatrixOrder:
         return vals + tuple(mono[i] for i in self.lex_tail)
 
     @classmethod
-    def grevlex(cls, ring: Ring, weights: Sequence[int] | None = None) -> "MatrixOrder":
+    def grevlex(cls, ring: Ring, weights: Sequence[int] | None = None,
+                last: str | None = None) -> "MatrixOrder":
         """Weighted graded reverse lexicographic order (top row by default).
 
-        A weight row with non-positive entries would not give a well-order,
-        so it falls back to total degree.
+        Among monomials of equal weight the one with the lower exponent of
+        `last` (default: the last ring variable) is larger, then the other
+        variables follow in reverse ring order.  A weight row with
+        non-positive entries would not give a well-order, so it falls back
+        to total degree.
         """
         w = tuple(weights) if weights is not None else ring.top
         if any(x <= 0 for x in w):
             w = (1,) * ring.nvars
         n = ring.nvars
+        v = ring.index[last] if last is not None else n - 1
+        rev = [v] + [i for i in range(n - 1, -1, -1) if i != v]
         rows = [w]
-        for i in range(n - 1, 0, -1):
+        for i in rev[:-1]:
             rows.append(tuple(-1 if j == i else 0 for j in range(n)))
         return cls(ring, rows)
 
@@ -508,6 +514,19 @@ def exact_divide(p: Polynomial, q: Polynomial) -> Polynomial:
             else:
                 work.pop(mm, None)
     return Polynomial(ring, quot, _clean=True)
+
+
+def divide_out(p: Polynomial, var: str) -> tuple[Polynomial, int]:
+    """(q, k) with p = var^k * q and k maximal."""
+    if p.is_zero():
+        return p, 0
+    v = p.ring.index[var]
+    k = min(m[v] for m in p.terms)
+    if k == 0:
+        return p, 0
+    return Polynomial(
+        p.ring, {m[:v] + (m[v] - k,) + m[v + 1:]: c for m, c in p.terms.items()}, _clean=True
+    ), k
 
 
 def divides(m1: Mono, m2: Mono) -> bool:

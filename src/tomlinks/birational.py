@@ -20,10 +20,10 @@ from typing import Iterable, Sequence
 from .algebra import (
     AlgebraError,
     BiDegree,
-    Mono,
     Polynomial,
     Ring,
     bidegree,
+    divide_out,
     exact_divide,
     mix_seed,
     substitute,
@@ -34,11 +34,10 @@ from .groebner import (
     Ideal,
     MatrixOrder,
     NotZeroDimensional,
-    affine_colength,
     buchberger,
-    hilbert_numerator,
     normal_form,
     projective_dim_degree,
+    saturate,
     zero_dim_degree,
 )
 from .pfaffian import (
@@ -200,20 +199,6 @@ def _pullback_maps(scroll: Scroll, case: FanoCase):
     return alpha, phi
 
 
-def _divide_t(p: Polynomial) -> tuple[Polynomial, int]:
-    """Strip the maximal power of t (slot 0 of the scroll ring)."""
-    if p.is_zero():
-        return p, 0
-    k = min(m[0] for m in p.terms)
-    if k == 0:
-        return p, 0
-    return Polynomial(
-        p.ring,
-        {tuple((e - k if i == 0 else e) for i, e in enumerate(m)): c for m, c in p.terms.items()},
-        _clean=True,
-    ), k
-
-
 @dataclass
 class BlowupData:
     generators: list[Polynomial]    # h_1..h_9 in the scroll ring
@@ -242,7 +227,7 @@ def blowup_ideal(res: UnprojectionResult, scroll: Scroll, case: FanoCase) -> Blo
     for pos, i in enumerate(order):
         pulled = substitute(pf[i - 1], alpha, S)
         raw.append(pulled)
-        h, k = _divide_t(pulled)
+        h, k = divide_out(pulled, "t")
         expected = 2 if pos == 0 else 1
         if k < expected:
             raise LinkError(
@@ -257,7 +242,7 @@ def blowup_ideal(res: UnprojectionResult, scroll: Scroll, case: FanoCase) -> Blo
         sy_exp = (case.r - a) + case.d[j] + 1
         pulled = (t ** sy_exp) * S.gen("s") * S.gen(Y_NAMES[j]) - f
         raw.append(pulled)
-        h, k = _divide_t(pulled)
+        h, k = divide_out(pulled, "t")
         if k != deltas[j]:
             raise LinkError(
                 f"unprojection pull-back {j + 1} divided by t^{k}, deltas predicted {deltas[j]}"
@@ -1450,15 +1435,22 @@ def trace_link(case: FanoCase, seed: int = 0, budget: int = DEFAULT_BUDGET,
 
 
 def verify_blowup_saturation(blow: BlowupData, budget: int = DEFAULT_BUDGET) -> bool:
-    """Oracle: the divided generators span the t-saturation of the pull-back."""
-    from .groebner import saturate
+    """Oracle: the divided generators h span the t-saturation of the pull-back.
 
+    The pull-back ideal I is bihomogeneous on the scroll, so it is
+    homogeneous for the positive grading w = 2*top + bottom, under which
+    t, s, x and y_j weigh 1, 2r+1, 2a|2b|2c and 2d_j-1.  Bayer's theorem
+    (Bayer-Stillman 1987, see `saturate`) then makes the t-divided basis of
+    I under the w-graded order with t smallest a Groebner basis of
+    I : t^inf, so (h) is contained in the saturation iff each h reduces to
+    0 against it; the converse inclusion reduces the saturation's elements
+    against a basis of (h) in the same order.
+    """
     ring = blow.pullback_ideal.ring
-    sat = saturate(blow.pullback_ideal, "t", budget)
-    order = MatrixOrder.grevlex(ring, weights=(1,) * ring.nvars)
-    gb_h = buchberger(Ideal(list(blow.generators), ring), order, budget)
-    ok = all(normal_form(g, gb_h, budget=budget).is_zero() for g in sat.generators)
-    if not ok:
+    w = tuple(2 * a + b for a, b in zip(ring.top, ring.bottom))
+    order = MatrixOrder.grevlex(ring, w, last="t")
+    sat = saturate(blow.pullback_ideal, "t", budget, w).generators
+    if not all(normal_form(h, sat, order, budget).is_zero() for h in blow.generators):
         return False
-    gb_sat = buchberger(Ideal(sat.generators, ring), order, budget)
-    return all(normal_form(h, gb_sat, budget=budget).is_zero() for h in blow.generators)
+    gb_h = buchberger(Ideal(list(blow.generators), ring), order, budget)
+    return all(normal_form(g, gb_h, budget=budget).is_zero() for g in sat)

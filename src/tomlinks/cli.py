@@ -155,7 +155,7 @@ def main(argv=None) -> int:
     p_st = sub.add_parser("selftest", help="run the acceptance battery")
     p_st.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_st.add_argument("--fast", action="store_true",
-                      help="skip the slow saturation-oracle criteria")
+                      help="skip the saturation-oracle criterion")
     p_st.set_defaults(func=cmd_selftest)
 
     p_ex = sub.add_parser("examples", help="list bundled case files")

@@ -1,9 +1,10 @@
 """Buchberger-based ideal computations under matrix monomial orders.
 
 Covers reduced Groebner bases, multivariate division / normal forms,
-saturation by a single variable (temporary-inverse trick with a block
-order), variable elimination, and the length of zero-dimensional loci in a
-weighted projective space (patchwise standard-monomial counts).
+saturation by a single variable (Bayer's revlex saturation of a
+homogeneous ideal), variable elimination, and the length of
+zero-dimensional loci in a weighted projective space (patchwise
+standard-monomial counts).
 
 Polynomials are the sparse exact-rational ones from `algebra`; inside the
 reduction loops we work on plain dicts with Fraction coefficients and a
@@ -26,6 +27,7 @@ from .algebra import (
     Mono,
     Polynomial,
     Ring,
+    divide_out,
     divides,
     substitute,
 )
@@ -361,73 +363,35 @@ def normal_form(p: Polynomial, basis, order: MatrixOrder | None = None,
                       _clean=True)
 
 
-def ideals_equal(I: Ideal, J: Ideal, order: MatrixOrder | None = None,
-                 budget: int = DEFAULT_BUDGET) -> bool:
-    """Mutual membership via normal forms against Groebner bases."""
-    if order is None:
-        order = MatrixOrder.grevlex(I.ring)
-    gb_i = buchberger(I, order, budget)
-    gb_j = buchberger(J, order, budget)
-    return all(normal_form(g, gb_j, budget=budget).is_zero() for g in I.generators) and \
-           all(normal_form(g, gb_i, budget=budget).is_zero() for g in J.generators)
-
-
 # ---------------------------------------------------------------------------
 # saturation and elimination
 
-def _extended_ring(ring: Ring, extra: str) -> Ring:
-    return Ring((extra,) + ring.names, ((1,) + ring.top,))
+def saturate(ideal: Ideal, var: str, budget: int = DEFAULT_BUDGET,
+             weights: Sequence[int] | None = None) -> Ideal:
+    """(I : var^inf) by Bayer's revlex saturation.
 
-
-def saturation_order(zring: Ring, base: Ring, var: str) -> MatrixOrder:
-    """Block order for (I : var^inf): z first, then s, then few-y monomials.
-
-    On the scroll-shaped ring with var = t this is the seven-row weight
-    matrix that ranks monomials with low t exponent highest: z and s
-    isolated, then the orbinate weights with the ideal weights shifted down
-    by one and t last, the y columns dropping out one per row; a lex tail
-    makes it total.
+    Theorem (Bayer-Stillman 1987; Eisenbud, Commutative Algebra, 15.10):
+    let I be homogeneous for a positive grading w and G a Groebner basis of
+    I under a w-graded order in which var is the smallest variable among
+    monomials of equal w-degree.  Then var divides the lead term of an
+    element of G only if it divides the element, so in(I : var^inf) =
+    in(I) : var^inf and the elements of G, each divided by its largest power
+    of var, form a Groebner basis of I : var^inf under the same order,
+    `MatrixOrder.grevlex(ring, w, last=var)`.  w defaults to the ring's top
+    weight row; a non-positive w or a generator that is not w-homogeneous
+    raises AlgebraError, since the theorem does not apply.
     """
-    names = zring.names
-    idx = {nm: i for i, nm in enumerate(names)}
-
-    def row(vals: dict) -> tuple:
-        return tuple(vals.get(nm, 0) for nm in names)
-
-    rows = [row({"z": 1})]
-    if "s" in idx and var != "s":
-        rows.append(row({"s": 1}))
-    scroll_names = ("t", "s", "x1", "x2", "x3", "y1", "y2", "y3", "y4")
-    if base.names == scroll_names and var == "t":
-        top = dict(zip(base.names, base.top))
-        weights = {nm: top[nm] for nm in ("x1", "x2", "x3")}
-        ys = ["y1", "y2", "y3", "y4"]
-        for nm in ys:
-            weights[nm] = top[nm] - 1
-        rows.append(row(weights | {"t": 1}))
-        rows.append(row(dict(weights)))
-        for k in (3, 2, 1):
-            weights = dict(weights)
-            weights[ys[k]] = 0
-            rows.append(row(weights))
-    else:
-        rows.append(row({nm: 1 for nm in names if nm not in ("z", var)}))
-        rows.append(row({var: 1}))
-    return MatrixOrder(zring, rows)
-
-
-def saturate(ideal: Ideal, var: str, budget: int = DEFAULT_BUDGET) -> Ideal:
-    """(I : var^inf) via the temporary variable z, var*z - 1, and z-elimination."""
     ring = ideal.ring
     if var not in ring.index:
         raise AlgebraError(f"{var!r} is not a ring variable")
-    zring = _extended_ring(ring, "z")
-    lift = {nm: zring.gen(nm) for nm in ring.names}
-    gens = [substitute(g, lift, zring) for g in ideal.generators]
-    gens.append(zring.gen(var) * zring.gen("z") - 1)
-    order = saturation_order(zring, ring, var)
-    gb = buchberger(Ideal(gens, zring), order, budget)
-    out = [substitute(g, {"z": 0}, ring) for g in gb.elements if g.max_degree_in("z") == 0]
+    w = tuple(weights) if weights is not None else ring.top
+    if len(w) != ring.nvars or any(x <= 0 for x in w):
+        raise AlgebraError(f"saturation needs a positive grading, got weights {w}")
+    for g in ideal.generators:
+        if len({sum(a * e for a, e in zip(w, m)) for m in g.terms}) > 1:
+            raise AlgebraError(f"generator is not homogeneous for weights {w}: {g}")
+    gb = buchberger(ideal, MatrixOrder.grevlex(ring, w, last=var), budget)
+    out = [divide_out(g, var)[0] for g in gb.elements]
     return Ideal(out, ring) if out else _trivial_ideal(ring)
 
 

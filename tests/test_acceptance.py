@@ -105,7 +105,6 @@ class TestCriterion3:
         assert c3["3e"][0].passed, c3["3e"][0].detail
 
 
-@pytest.mark.slow
 class TestCriterion4:
     def test_saturation_oracle(self):
         for r in criterion_4():

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from tomlinks.birational import (
     picard_report,
     rank_at_point,
     trace_link,
+    verify_blowup_saturation,
     wall_skip_expected,
     zero_dim_degree,
 )
@@ -137,6 +139,32 @@ class TestBlowup:
         assert blow.t_exponents[0] == 2
         assert blow.t_exponents[1:5] == [1, 1, 1, 1]
         assert tuple(blow.t_exponents[5:]) == blow.deltas
+
+
+class TestSaturationOracle:
+    @pytest.fixture(scope="class", params=["case_10985", "case_20652"])
+    def blow(self, request):
+        case = request.getfixturevalue(request.param)
+        res = build_unprojection(case.build_matrix(0), TomFormat(case.tom_k), case.r)
+        return blowup_ideal(res, kawamata_scroll(case), case)
+
+    def test_equations_span_saturation(self, blow):
+        assert verify_blowup_saturation(blow)
+
+    def test_rejects_extra_t_factor(self, blow):
+        # t*h_9 still lies in the saturation, but (h) no longer contains it
+        t = blow.generators[0].ring.gen("t")
+        gens = blow.generators[:8] + [t * blow.generators[8]]
+        assert not verify_blowup_saturation(dataclasses.replace(blow, generators=gens))
+
+    def test_rejects_dropped_equation(self, blow):
+        assert not verify_blowup_saturation(
+            dataclasses.replace(blow, generators=blow.generators[:8]))
+
+    def test_rejects_equation_outside_saturation(self, blow):
+        x1 = blow.generators[0].ring.gen("x1")
+        gens = blow.generators + [x1]
+        assert not verify_blowup_saturation(dataclasses.replace(blow, generators=gens))
 
 
 class TestFlops:

@@ -1,10 +1,20 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tomlinks.algebra import MatrixOrder, Polynomial, Ring, parse, random_general
+from tomlinks.algebra import (
+    AlgebraError,
+    MatrixOrder,
+    Polynomial,
+    Ring,
+    monomials_of_degree,
+    parse,
+    random_general,
+    substitute,
+)
 from tomlinks.groebner import (
     BudgetExceeded,
     Ideal,
@@ -108,6 +118,47 @@ class TestSaturate:
         assert all(normal_form(g, gb1).is_zero() for g in s2.generators)
         # saturation contains the input ideal
         assert all(normal_form(g, gb1).is_zero() for g in I.generators)
+
+    @given(st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)),
+           st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3),
+                              st.lists(st.integers(-3, 3), min_size=3, max_size=3)),
+                    min_size=1, max_size=3))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_z_trick(self, weights, specs):
+        # reference: I : t^inf = (I + (t*z - 1)) intersected with k[t, x1, y1]
+        R = Ring(("t", "x1", "y1"), [weights])
+        t = R.gen("t")
+        gens = []
+        for k, d, coeffs in specs:
+            monos = monomials_of_degree(R, d * lcm(*weights))
+            f = sum((R.monomial(monos[(7 * i) % len(monos)], c) for i, c in enumerate(coeffs)),
+                    R.zero())
+            gens.append(t ** k * f)
+        I = Ideal(gens, R)
+        sat = saturate(I, "t")
+        Z = Ring(("z",) + R.names, [(1,) + R.top])
+        lift = {nm: Z.gen(nm) for nm in R.names}
+        zgens = [substitute(g, lift, Z) for g in I.generators] + [Z.gen("t") * Z.gen("z") - 1]
+        ref = [substitute(g, {"z": 0}, R) for g in eliminate(Ideal(zgens, Z), ["z"]).generators]
+        # the saturation's generators are a Groebner basis in the documented order
+        order = MatrixOrder.grevlex(R, weights, last="t")
+        assert all(normal_form(g, sat.generators, order).is_zero() for g in ref)
+        if ref:
+            gb_ref = buchberger(Ideal(ref, R), order)
+            assert all(normal_form(g, gb_ref).is_zero() for g in sat.generators)
+        else:
+            assert sat.generators == []
+
+    def test_rejects_inhomogeneous_generator(self):
+        R = Ring(("t", "x1"), [(1, 1)])
+        with pytest.raises(AlgebraError, match="not homogeneous"):
+            saturate(Ideal([parse("t*x1 - x1", R)]), "t")
+
+    @pytest.mark.parametrize("weights", [(0, 1), (1, -1)])
+    def test_rejects_non_positive_weights(self, weights):
+        R = Ring(("t", "x1"), [(1, 1)])
+        with pytest.raises(AlgebraError, match="positive grading"):
+            saturate(Ideal([parse("t*x1", R)]), "t", weights=weights)
 
 
 class TestEliminate:
