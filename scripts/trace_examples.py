@@ -3,7 +3,7 @@
 Usage:  python scripts/trace_examples.py [--json] [--saturation-oracle]
 
 The saturation oracle re-derives the blow-up equations as the t-saturation
-of the raw pull-back via a Groebner basis; expect a few extra minutes.
+of the raw pull-back via a Groebner basis; it adds about a second per case.
 """
 
 from __future__ import annotations

@@ -294,7 +294,7 @@ def criterion_8(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
         both = Ideal(
             minors_ideal(fd.matrix_a, P2, 2).generators
             + minors_ideal(fd.matrix_a, P2, 3).generators, P2)
-        rank2_exact = zero_dim_degree(both, (1, 1, 1), budget) == 0
+        rank2_exact = zero_dim_degree(both, budget) == 0
         out.append(AcceptanceResult(
             "8", f"{name}: rank 3 at 20 sampled points off the nodes, rank exactly 2 "
             "on the whole node locus", ranks_ok and rank2_exact))
@@ -320,13 +320,12 @@ def criterion_9(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
     return out
 
 
-def run_acceptance(budget: int = DEFAULT_BUDGET, fast: bool = False) -> list[AcceptanceResult]:
+def run_acceptance(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
     results = []
     results += criterion_1(budget)
     results += criterion_2(budget)
     results += criterion_3(budget)
-    if not fast:
-        results += criterion_4(budget)
+    results += criterion_4(budget)
     results += criterion_5(budget)
     results += criterion_6(budget)
     results += criterion_7(budget)

@@ -474,16 +474,6 @@ def bidegree(p: Polynomial) -> BiDegree:
     return BiDegree(*degs)
 
 
-def is_homogeneous(p: Polynomial) -> bool:
-    if p.is_zero():
-        return True
-    try:
-        bidegree(p)
-        return True
-    except NotHomogeneous:
-        return False
-
-
 def exact_divide(p: Polynomial, q: Polynomial) -> Polynomial:
     """Return u with u*q == p, or raise NotDivisible.
 
@@ -531,6 +521,20 @@ def divide_out(p: Polynomial, var: str) -> tuple[Polynomial, int]:
 
 def divides(m1: Mono, m2: Mono) -> bool:
     return all(a <= b for a, b in zip(m1, m2))
+
+
+def det(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
+    """Determinant of a square matrix by Laplace expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    out = None
+    for k, a in enumerate(m[0]):
+        term = a * det([row[:k] + row[k + 1:] for row in m[1:]])
+        if out is None:
+            out = term
+        else:
+            out = out + term if k % 2 == 0 else out - term
+    return out
 
 
 def substitute(p: Polynomial, assignments: Mapping[str, "Polynomial | int | Fraction"],

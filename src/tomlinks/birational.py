@@ -20,9 +20,11 @@ from typing import Iterable, Sequence
 from .algebra import (
     AlgebraError,
     BiDegree,
+    NotDivisible,
     Polynomial,
     Ring,
     bidegree,
+    det,
     divide_out,
     exact_divide,
     mix_seed,
@@ -31,6 +33,7 @@ from .algebra import (
 )
 from .groebner import (
     DEFAULT_BUDGET,
+    BudgetExceeded,
     Ideal,
     MatrixOrder,
     NotZeroDimensional,
@@ -135,7 +138,6 @@ class FanoCase:
 @dataclass
 class Scroll:
     ring: Ring
-    irrelevant: tuple[tuple[str, ...], tuple[str, ...]] = (("t", "s"), X_NAMES + Y_NAMES)
 
 
 def kawamata_scroll(case: FanoCase) -> Scroll:
@@ -356,19 +358,8 @@ def minors_ideal(A: list[list[Polynomial]], ring: Ring, size: int = 3) -> Ideal:
     gens = []
     for rows in combinations(range(n), size):
         for cols in combinations(range(n), size):
-            gens.append(_det(A, rows, cols, ring))
+            gens.append(det([[A[r][c] for c in cols] for r in rows]))
     return Ideal([g for g in gens if not g.is_zero()], ring)
-
-
-def _det(A, rows, cols, ring) -> Polynomial:
-    if len(rows) == 1:
-        return A[rows[0]][cols[0]]
-    out = ring.zero()
-    for k, c in enumerate(cols):
-        minor = _det(A, rows[1:], cols[:k] + cols[k + 1:], ring)
-        term = A[rows[0]][c] * minor
-        out = out + (term if k % 2 == 0 else -term)
-    return out
 
 
 def count_flops(res: UnprojectionResult, case: FanoCase,
@@ -383,13 +374,14 @@ def count_flops(res: UnprojectionResult, case: FanoCase,
     into = {n: P2.gen(n) for n in X_NAMES} | {n: 0 for n in Y_NAMES}
     A2 = [[substitute(e, into, P2) for e in row] for row in A]
     ideal = minors_ideal(A2, P2, 3)
-    count = zero_dim_degree(ideal, (1, 1, 1), budget)
+    count = zero_dim_degree(ideal, budget)
     return FlopData(count, A2, case.declared_nodes)
 
 
 def rank_at_point(A2: list[list[Polynomial]], point: Sequence[Fraction]) -> int:
-    vals = [[_eval_xpoly(e, point) for e in row] for row in A2]
-    return _rank(vals)
+    rows = [{j: v for j, v in enumerate(_eval_xpoly(e, point) for e in row) if v}
+            for row in A2]
+    return len(_gauss_jordan(rows, range(len(A2[0]))))
 
 
 def _eval_xpoly(p: Polynomial, point: Sequence[Fraction]) -> Fraction:
@@ -402,28 +394,36 @@ def _eval_xpoly(p: Polynomial, point: Sequence[Fraction]) -> Fraction:
     return out
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0])
-    used = set()
-    for col in range(ncols):
-        piv = None
-        for i, r in enumerate(rows):
-            if i not in used and r[col] != 0:
-                piv = i
-                break
-        if piv is None:
+def _gauss_jordan(rows: list[dict], columns: Iterable) -> dict:
+    """Reduce sparse rows (column -> nonzero field element) in place.
+
+    Pivots are taken in `columns` order, each in the first row not yet used
+    that has the column, and cleared from every other row.  Returns pivot
+    column -> row index; each pivot row is then an invertible combination of
+    the original pivot rows with no other pivot column.  Works over any
+    field whose elements support + - * / and truth testing (Fraction,
+    QuadExt).
+    """
+    pivots: dict = {}
+    used: set[int] = set()
+    for col in columns:
+        hit = next((i for i, row in enumerate(rows) if i not in used and row.get(col)), None)
+        if hit is None:
             continue
-        used.add(piv)
-        rank += 1
-        pr = rows[piv]
-        for i, r in enumerate(rows):
-            if i != piv and r[col] != 0:
-                f = r[col] / pr[col]
-                for k in range(ncols):
-                    r[k] -= f * pr[k]
-    return rank
+        used.add(hit)
+        pivots[col] = hit
+        prow = rows[hit]
+        for i, row in enumerate(rows):
+            if i == hit or not row.get(col):
+                continue
+            f = row[col] / prow[col]
+            for k, v in prow.items():
+                nv = row.get(k, 0) - f * v
+                if nv:
+                    row[k] = nv
+                else:
+                    row.pop(k, None)
+    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -633,77 +633,21 @@ class _PointData:
 
 
 def _greedy_pivots(point: _PointData, ring: Ring, skip: set[int]):
-    """Gaussian elimination with the fixed variable priority.
+    """Gauss-Jordan elimination with the fixed variable priority.
 
     Returns (pivots: var slot -> row index, L: eliminated slot -> {survivor
-    slot: coefficient}) where L gives the linear part of the local solution.
+    slot: coefficient}) where L gives the linear part of the local solution,
+    read off the reduced pivot rows: row[v]*x_v + sum row[k]*x_k = 0.
     """
     priority = [ring.index[n] for n in _PRIORITY if ring.index[n] not in skip]
     rows = [dict(r) for r in point.rows]
-    used: set[int] = set()
-    pivots: dict[int, int] = {}
-    for var in priority:
-        hit = None
-        for ri, row in enumerate(rows):
-            if ri not in used and row.get(var):
-                hit = ri
-                break
-        if hit is None:
-            continue
-        used.add(hit)
-        pivots[var] = hit
-        prow = rows[hit]
-        pc = prow[var]
-        for ri, row in enumerate(rows):
-            if ri == hit or not row.get(var):
-                continue
-            f = row[var] / pc
-            for k, v in prow.items():
-                nv = row.get(k, 0) - f * v
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
-    # linear parts: solve the pivot system on the original rows
-    elim = sorted(pivots)
-    surv = [ring.index[n] for n in _PRIORITY if ring.index[n] not in skip and ring.index[n] not in pivots]
+    pivots = _gauss_jordan(rows, priority)
+    surv = [v for v in priority if v not in pivots]
     L: dict[int, dict[int, object]] = {}
-    if elim:
-        mat = []
-        rhs = []
-        for var in elim:
-            row = point.rows[pivots[var]]
-            mat.append([row.get(v, 0) for v in elim])
-            rhs.append([row.get(sv, 0) for sv in surv])
-        sol = _solve_linear(mat, rhs)
-        for k, var in enumerate(elim):
-            L[var] = {sv: -sol[k][j] for j, sv in enumerate(surv) if sol[k][j]}
+    for var in sorted(pivots):
+        row = rows[pivots[var]]
+        L[var] = {sv: -row[sv] / row[var] for sv in surv if row.get(sv)}
     return pivots, L
-
-
-def _solve_linear(mat, rhs):
-    """Solve mat . X = rhs for X (square system over a field)."""
-    n = len(mat)
-    m = [list(row) + list(rv) for row, rv in zip(mat, rhs)]
-    width = len(m[0]) if m else 0
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise LinkError("singular pivot system in wall analysis")
-        m[col], m[piv] = m[piv], m[col]
-        pc = m[col][col]
-        for k in range(width):
-            m[col][k] = m[col][k] / pc
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                for k in range(width):
-                    m[r][k] = m[r][k] - f * m[col][k]
-    return [row[n:] for row in m]
 
 
 def _composed_quad_coeff(point: _PointData, gi: int, t_slot: int, v_slot: int,
@@ -886,10 +830,6 @@ def _flip_at_point(gens, S: Ring, loc: Ring, point: dict[int, object], wall,
                 tuple(S.names[i] for i in sorted(pivots)), point_label, hyp_pair)
 
 
-def _raw_quad(pd: _PointData, gi: int, a: int, b: int, one):
-    return pd.quads[gi].get((min(a, b), max(a, b)), one * 0)
-
-
 def _project(p: Polynomial, ring: Ring) -> Polynomial:
     return Polynomial(ring, dict(p.terms), _clean=True)
 
@@ -954,9 +894,6 @@ class EndpointFano:
     fractional_weights: bool
     notes: list[str] = field(default_factory=list)
 
-    def identification_hints(self) -> tuple:
-        return (tuple(sorted(self.weights)), tuple(sorted(self.degrees)))
-
 
 def endpoint_fano(gens: Sequence[Polynomial], scroll: Scroll,
                   contraction_group: Sequence[str], contracted: str,
@@ -1005,7 +942,7 @@ def endpoint_fano(gens: Sequence[Polynomial], scroll: Scroll,
             # small step cap: redundancy pruning is cosmetic, so give up
             # early on systems whose bases balloon and report instead
             eqs = _minimalize_generators(eqs, ring_new, min(budget, 2_500))
-        except Exception as e:  # reported, not fatal
+        except BudgetExceeded as e:  # reported, not fatal
             minimal_certified = False
             notes.append(f"minimality not certified: {e}")
     degrees = tuple(bidegree(e).top for e in eqs)
@@ -1114,7 +1051,7 @@ def conic_discriminant(pf_gens: Sequence[Polynomial], scroll: Scroll,
             try:
                 for other in work:
                     exact_divide(other, cand)
-            except Exception:
+            except NotDivisible:
                 continue
             conic = cand
             break
@@ -1145,10 +1082,10 @@ def conic_discriminant(pf_gens: Sequence[Polynomial], scroll: Scroll,
                     gram[aa][bb] = coeff
                 else:
                     gram[aa][bb] = gram[bb][aa] = coeff * Fraction(1, 2)
-        det = _det(gram, (0, 1, 2), (0, 1, 2), U)
-        dets.append(det)
-        det_texts.append((patch, str(det)))
-        degrees.append(det.degree())
+        gram_det = det(gram)
+        dets.append(gram_det)
+        det_texts.append((patch, str(gram_det)))
+        degrees.append(gram_det.degree())
         free_names.append(free)
 
     overlap = _patch_overlap(dets[0], dets[1])

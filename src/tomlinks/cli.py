@@ -94,7 +94,7 @@ def cmd_trace(args) -> int:
     t0 = time.perf_counter()
     trace = trace_link(case, seed=args.seed, budget=args.budget)
     data = trace_dict(trace, args.seed)
-    if not args.skip_saturation_oracle:
+    if args.saturation_oracle:
         data["saturation_oracle"] = verify_blowup_saturation(trace.blowup, args.budget)
     if args.timings:
         data["timings"] = {"seconds": round(time.perf_counter() - t0, 3)}
@@ -106,7 +106,7 @@ def cmd_trace(args) -> int:
 def cmd_selftest(args) -> int:
     from .acceptance import run_acceptance
 
-    results = run_acceptance(budget=args.budget, fast=args.fast)
+    results = run_acceptance(budget=args.budget)
     worst = EXIT_OK
     for r in results:
         status = "pass" if r.passed else ("known-defect" if r.known_defect else "FAIL")
@@ -146,16 +146,12 @@ def main(argv=None) -> int:
 
     p_tr = sub.add_parser("trace", help="trace the full birational link")
     _common(p_tr)
-    p_tr.add_argument("--skip-saturation-oracle", action="store_true", default=True,
-                      help="skip the saturation oracle (default)")
-    p_tr.add_argument("--saturation-oracle", dest="skip_saturation_oracle",
-                      action="store_false", help="run the saturation oracle too")
+    p_tr.add_argument("--saturation-oracle", action="store_true",
+                      help="run the saturation oracle too")
     p_tr.set_defaults(func=cmd_trace)
 
     p_st = sub.add_parser("selftest", help="run the acceptance battery")
     p_st.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_st.add_argument("--fast", action="store_true",
-                      help="skip the saturation-oracle criterion")
     p_st.set_defaults(func=cmd_selftest)
 
     p_ex = sub.add_parser("examples", help="list bundled case files")

@@ -2,9 +2,9 @@
 
 Covers reduced Groebner bases, multivariate division / normal forms,
 saturation by a single variable (Bayer's revlex saturation of a
-homogeneous ideal), variable elimination, and the length of
-zero-dimensional loci in a weighted projective space (patchwise
-standard-monomial counts).
+homogeneous ideal), variable elimination, and the dimension and degree of
+a projective scheme read off the Hilbert series of one lead-term ideal,
+which for a zero-dimensional scheme is its length.
 
 Polynomials are the sparse exact-rational ones from `algebra`; inside the
 reduction loops we work on plain dicts with Fraction coefficients and a
@@ -16,7 +16,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Sequence
 
 from math import gcd
@@ -29,7 +28,6 @@ from .algebra import (
     Ring,
     divide_out,
     divides,
-    substitute,
 )
 
 
@@ -387,12 +385,16 @@ def saturate(ideal: Ideal, var: str, budget: int = DEFAULT_BUDGET,
     w = tuple(weights) if weights is not None else ring.top
     if len(w) != ring.nvars or any(x <= 0 for x in w):
         raise AlgebraError(f"saturation needs a positive grading, got weights {w}")
-    for g in ideal.generators:
-        if len({sum(a * e for a, e in zip(w, m)) for m in g.terms}) > 1:
-            raise AlgebraError(f"generator is not homogeneous for weights {w}: {g}")
+    _require_homogeneous(ideal, w)
     gb = buchberger(ideal, MatrixOrder.grevlex(ring, w, last=var), budget)
     out = [divide_out(g, var)[0] for g in gb.elements]
     return Ideal(out, ring) if out else _trivial_ideal(ring)
+
+
+def _require_homogeneous(ideal: Ideal, w: Sequence[int]) -> None:
+    for g in ideal.generators:
+        if len({sum(a * e for a, e in zip(w, m)) for m in g.terms}) > 1:
+            raise AlgebraError(f"generator is not homogeneous for weights {w}: {g}")
 
 
 def eliminate(ideal: Ideal, names: Iterable[str], budget: int = DEFAULT_BUDGET) -> Ideal:
@@ -415,66 +417,6 @@ def _trivial_ideal(ring: Ring) -> Ideal:
     ideal.generators = []
     ideal.ring = ring
     return ideal
-
-
-# ---------------------------------------------------------------------------
-# zero-dimensional degree
-
-def affine_colength(gens: Sequence[Polynomial], ring: Ring,
-                    budget: int = DEFAULT_BUDGET) -> int:
-    """Vector-space dimension of ring/(gens); raises NotZeroDimensional if infinite."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        raise NotZeroDimensional("zero ideal has infinite colength")
-    order = MatrixOrder.grevlex(ring, weights=(1,) * ring.nvars)
-    gb = buchberger(Ideal(gens, ring), order, budget)
-    keyf = order.key
-    leads = [_lead(g.terms, keyf) for g in gb.elements]
-    if any(not any(m) for m in leads):
-        return 0  # unit ideal: empty scheme
-    n = ring.nvars
-    bounds = []
-    for i in range(n):
-        pures = [m[i] for m in leads
-                 if m[i] and all(e == 0 for k, e in enumerate(m) if k != i)]
-        if not pures:
-            raise NotZeroDimensional(f"no pure power of {ring.names[i]} in the lead ideal")
-        bounds.append(min(pures))
-    count = 0
-    for cell in product(*(range(b) for b in bounds)):
-        if not any(divides(m, cell) for m in leads):
-            count += 1
-    return count
-
-
-def zero_dim_degree(ideal: Ideal, projective_weights: Sequence[int] | None = None,
-                    budget: int = DEFAULT_BUDGET) -> int:
-    """Length of a finite subscheme of weighted projective space.
-
-    Counted patchwise: the strata x_0 != 0; x_0 = 0, x_1 != 0; ... partition
-    the space and each point is counted in the chart where it first becomes
-    visible.  Points of earlier strata are removed from chart i by adjoining
-    x_j^N for j < i with N past every local length, which leaves stratum
-    multiplicities untouched (the x_j are nilpotent there).
-    """
-    ring = ideal.ring
-    weights = tuple(projective_weights) if projective_weights is not None else ring.top
-    if len(weights) != ring.nvars:
-        raise AlgebraError("projective weight count != variable count")
-    names = ring.names
-    total = 0
-    for i, nm in enumerate(names):
-        rest = names[:i] + names[i + 1:]
-        sub_ring = Ring(rest, ((1,) * len(rest),))
-        gens_i = [substitute(g, {nm: 1}, sub_ring) for g in ideal.generators]
-        chart = affine_colength(gens_i, sub_ring, budget)
-        if i == 0 or chart == 0:
-            total += chart
-            continue
-        N = chart + 1
-        cut = gens_i + [sub_ring.gen(names[j]) ** N for j in range(i)]
-        total += affine_colength(cut, sub_ring, budget)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -542,3 +484,22 @@ def projective_dim_degree(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> tuple[i
         num = out
         strips += 1
     return (ring.nvars - strips - 1, int(sum(num)))
+
+
+def zero_dim_degree(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> int:
+    """Length of a zero-dimensional subscheme of projective space.
+
+    Theorem (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, Ch. 9):
+    for an ideal generated by polynomials homogeneous in total degree, the
+    Hilbert polynomial of ring/ideal is the constant equal to the length of
+    the scheme when that scheme is zero-dimensional.  The length is then the
+    degree `projective_dim_degree` reads off one Groebner basis.  An empty
+    scheme has length 0; a positive-dimensional one raises
+    NotZeroDimensional and a generator that is not homogeneous in total
+    degree raises AlgebraError, since the theorem does not apply.
+    """
+    _require_homogeneous(ideal, (1,) * ideal.ring.nvars)
+    dim, deg = projective_dim_degree(ideal, budget)
+    if dim > 0:
+        raise NotZeroDimensional(f"the scheme has dimension {dim}")
+    return deg if dim == 0 else 0

@@ -26,6 +26,7 @@ from .algebra import (
     Polynomial,
     Ring,
     bidegree,
+    det,
     exact_divide,
     substitute,
 )
@@ -103,20 +104,15 @@ def _pfaffian_linear_rows(Mn: SkewMatrix5) -> list[Polynomial]:
     return maximal_pfaffians(Mn)[1:]
 
 
-def _cofactor_row(Q: list[list[Polynomial]], i: int, ring: Ring) -> list[Polynomial]:
+def _cofactor_row(Q: list[list[Polynomial]], i: int) -> list[Polynomial]:
     """(H_i)_j = (-1)^(i+j) det(Q with row i and column j removed); 1-based i, j."""
     out = []
     rows = [r for r in range(4) if r != i - 1]
     for j in range(1, 5):
         cols = [c for c in range(4) if c != j - 1]
-        det = _det3([[Q[r][c] for c in cols] for r in rows], ring)
-        out.append(det if (i + j) % 2 == 0 else -det)
+        minor = det([[Q[r][c] for c in cols] for r in rows])
+        out.append(minor if (i + j) % 2 == 0 else -minor)
     return out
-
-
-def _det3(m: list[list[Polynomial]], ring: Ring) -> Polynomial:
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def tom_normalising_permutation(k: int) -> dict[int, int]:
@@ -169,7 +165,7 @@ def build_unprojection(M: SkewMatrix5, fmt: TomFormat, s_weight: int) -> Unproje
         if recomb != lin_pf[i]:
             raise UnprojectionError(f"Q row {i + 1} does not recombine its pfaffian")
 
-    H = [_cofactor_row(Q, i, ring) for i in range(1, 5)]
+    H = [_cofactor_row(Q, i) for i in range(1, 5)]
 
     g: list[Polynomial] | None = None
     for i in range(4):

@@ -13,6 +13,7 @@ from tomlinks.algebra import (
     Polynomial,
     Ring,
     bidegree,
+    det,
     exact_divide,
     monomials_of_degree,
     parse,
@@ -110,6 +111,23 @@ class TestExactDivide:
         if q.is_zero():
             return
         assert exact_divide(p * q, q) == p
+
+
+class TestDet:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_3x3_formula(self, seed):
+        (a, b, c), (d, e, f), (g, h, i) = m = [
+            [rand_poly(R7, seed + 3 * r + k, degree=2) for k in range(3)] for r in range(3)]
+        expected = a * e * i + b * f * g + c * d * h - c * e * g - b * d * i - a * f * h
+        assert det(m) == expected
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=10, deadline=None)
+    def test_equal_rows_vanish(self, seed):
+        m = [[rand_poly(R7, seed + 4 * r + k, degree=2) for k in range(4)] for r in range(3)]
+        m.append(list(m[1]))
+        assert det(m).is_zero()
 
 
 class TestBidegree:

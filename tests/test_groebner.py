@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tomlinks.algebra import (
@@ -19,7 +19,6 @@ from tomlinks.groebner import (
     BudgetExceeded,
     Ideal,
     NotZeroDimensional,
-    affine_colength,
     buchberger,
     eliminate,
     hilbert_numerator,
@@ -181,18 +180,50 @@ class TestEliminate:
 
 class TestZeroDimDegree:
     def test_coordinate_point(self):
-        assert zero_dim_degree(Ideal([parse("x1", P2), parse("x2", P2)]), (1, 1, 1)) == 1
+        assert zero_dim_degree(Ideal([parse("x1", P2), parse("x2", P2)])) == 1
 
     def test_fat_point_at_coordinate_vertex(self):
-        assert zero_dim_degree(Ideal([parse("x1^2", P2), parse("x2", P2)]), (1, 1, 1)) == 2
+        assert zero_dim_degree(Ideal([parse("x1^2", P2), parse("x2", P2)])) == 2
 
-    def test_bezout(self):
+    @given(st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_bezout(self, data):
+        # two curves that are unions of a and b lines, with no line in
+        # common, meet in a scheme of length a*b (points counted with
+        # their intersection multiplicity)
+        coeffs = st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(any)
+        a = data.draw(st.integers(1, 3))
+        b = data.draw(st.integers(1, 3))
+        f_lines = data.draw(st.lists(coeffs, min_size=a, max_size=a))
+        g_lines = data.draw(st.lists(coeffs, min_size=b, max_size=b))
+        for u in f_lines:
+            for v in g_lines:
+                cross = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                         u[0] * v[1] - u[1] * v[0])
+                assume(any(cross))
+
+        def product(lines):
+            out = P2.one()
+            for u in lines:
+                out = out * sum((c * x for c, x in zip(u, P2.gens())), P2.zero())
+            return out
+
+        assert zero_dim_degree(Ideal([product(f_lines), product(g_lines)])) == a * b
+
+    def test_bezout_conics(self):
         I = Ideal([parse("x1^2 - x2*x3", P2), parse("x2^2 - x1*x3", P2)])
-        assert zero_dim_degree(I, (1, 1, 1)) == 4
+        assert zero_dim_degree(I) == 4
+
+    def test_rejects_inhomogeneous_generator(self):
+        with pytest.raises(AlgebraError, match="not homogeneous"):
+            zero_dim_degree(Ideal([parse("x1 - x2^2", P2), parse("x3", P2)]))
+
+    def test_empty_scheme(self):
+        assert zero_dim_degree(Ideal([parse("x1", P2), parse("x2", P2), parse("x3", P2)])) == 0
 
     def test_not_zero_dimensional(self):
         with pytest.raises(NotZeroDimensional):
-            zero_dim_degree(Ideal([parse("x1", P2)]), (1, 1, 1))
+            zero_dim_degree(Ideal([parse("x1", P2)]))
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=5, deadline=None)
@@ -201,7 +232,7 @@ class TestZeroDimDegree:
 
         rng = random.Random(seed)
         I = Ideal([parse("x1^2 - x2*x3", P2), parse("x2^3 - x3^2*x1", P2)])
-        base = zero_dim_degree(I, (1, 1, 1))
+        base = zero_dim_degree(I)
         while True:
             rows = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
             det = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
@@ -215,7 +246,7 @@ class TestZeroDimDegree:
         from tomlinks.algebra import substitute
 
         moved = Ideal([substitute(g, images, P2) for g in I.generators])
-        assert zero_dim_degree(moved, (1, 1, 1)) == base
+        assert zero_dim_degree(moved) == base
 
 
 class TestHilbert:
