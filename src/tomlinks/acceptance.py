@@ -5,23 +5,23 @@ Two sub-checks are tagged known_defect: the worked-example node count and
 the discriminant root positions recorded in the source data contradict the
 same source's displayed matrices, from which this implementation computes.
 The battery asserts the recorded values faithfully and reports the failure
-instead of silently retargeting; see the decisions ledger next to the
-repository for the full analysis.
+instead of silently retargeting; see the decisions ledger, DECISIONS.md at
+the repository root, for the full analysis.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Ring, parse
+from .algebra import AlgebraError, Ring, parse
 from .birational import (
-    Basket,
     DelPezzoFibration,
     DivisorialContractionToFano,
     Flip,
     Isomorphism,
+    LinkError,
     SimultaneousFlips,
     compute_deltas,
     count_flops,
@@ -35,7 +35,7 @@ from .birational import (
     zero_dim_degree,
 )
 from .casefile import load_bundled
-from .groebner import DEFAULT_BUDGET, Ideal
+from .groebner import DEFAULT_BUDGET, BudgetExceeded, Ideal
 from .pfaffian import TomFormat, build_general_tom, maximal_pfaffians
 from .unprojection import build_unprojection, verify_unprojection
 
@@ -217,7 +217,7 @@ def criterion_5(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
                     bad.append(f"{name}/{seed}: M.Pf != 0")
             res = build_unprojection(M, TomFormat(case.tom_k), case.r)
             rep = verify_unprojection(res, case.d, budget=budget)
-            if not (rep.degrees_ok and rep.ph_identity_ok and rep.consistency_ok):
+            if not rep.ok():
                 bad.append(f"{name}/{seed}: {rep}")
     return [AcceptanceResult(
         "5", f"unprojection identity suite on {total} seeded general members",
@@ -264,7 +264,7 @@ def criterion_7(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
             res = build_unprojection(M, TomFormat(case.tom_k), case.r)
             try:
                 deltas = compute_deltas(res.g, case)
-            except Exception as e:
+            except LinkError as e:
                 bad.append(f"{name}/{seed}: {e}")
                 continue
             if any(dl < dj for dl, dj in zip(deltas, case.d)):
@@ -314,7 +314,7 @@ def criterion_9(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
             rep = picard_report(case, trace, endpoint_quasismooth=True)
             ok = rep.determined and rep.rho == 1
             detail = "" if ok else "; ".join(rep.chain)
-        except Exception as e:
+        except (AlgebraError, BudgetExceeded) as e:
             ok, detail = False, str(e)
         out.append(AcceptanceResult("9", f"{name}: rho = 1 derivation chain", ok, detail))
     return out

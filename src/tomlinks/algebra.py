@@ -13,12 +13,11 @@ so values can be shared freely.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Mono = tuple  # tuple[int, ...], one exponent per ring variable
 
@@ -590,52 +589,6 @@ def substitute(p: Polynomial, assignments: Mapping[str, "Polynomial | int | Frac
                 term = term * power(i, e)
         out = out + term
     return out
-
-
-# ---------------------------------------------------------------------------
-# rank-2 ring manipulation
-
-def well_form(ring: Ring, pivot: str | None = None) -> tuple[Ring, tuple]:
-    """Normalise a rank-2 grading by integer row operations.
-
-    With no pivot: a blow-up grading with rows (0, r, w...) / (-r, 0, w'...)
-    is turned into the standard scroll shape by replacing the bottom row with
-    (top - bottom)/r; an already well-formed ring is returned unchanged.
-
-    With a pivot variable: the top row is replaced by top + k*bottom with k
-    chosen so the pivot's top weight becomes 0 (localisation at that
-    coordinate point).
-
-    Returns (ring, T) where T is the 2x2 rational row-transform applied,
-    acting on the stacked weight rows from the left.
-    """
-    if ring.rank != 2:
-        raise AlgebraError("well_form needs a rank-2 ring")
-    top, bottom = ring.top, ring.bottom
-    for i in range(ring.nvars):
-        if top[i] == 0 and bottom[i] == 0:
-            raise AlgebraError(f"variable {ring.names[i]} has bidegree (0,0)")
-
-    if pivot is not None:
-        i = ring.index[pivot]
-        if bottom[i] == 0:
-            raise AlgebraError(f"cannot localise: {pivot} has bottom weight 0")
-        if top[i] % bottom[i]:
-            raise AlgebraError(f"cannot localise integrally at {pivot}")
-        k = -top[i] // bottom[i]
-        new_top = tuple(t + k * b for t, b in zip(top, bottom))
-        return Ring(ring.names, (new_top, bottom)), ((1, k), (0, 1))
-
-    # blow-up shape: bottom = (-r, 0, ...), top = (0, r, ...)
-    r = top[1]
-    if r > 0 and bottom[0] == -r and bottom[1] == 0 and top[0] == 0:
-        diff = tuple(t - b for t, b in zip(top, bottom))
-        if any(d % r for d in diff):
-            raise AlgebraError("row reduction is not integral")
-        new_bottom = tuple(d // r for d in diff)
-        fr = Fraction(1, r)
-        return Ring(ring.names, (top, new_bottom)), ((1, 0), (fr, -fr))
-    return ring, ((1, 0), (0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 
 from .algebra import (
     AlgebraError,
-    BiDegree,
     NotDivisible,
     Polynomial,
     Ring,
@@ -29,7 +28,6 @@ from .algebra import (
     exact_divide,
     mix_seed,
     substitute,
-    well_form,
 )
 from .groebner import (
     DEFAULT_BUDGET,
@@ -48,7 +46,6 @@ from .pfaffian import (
     TomFormat,
     WeightMatrix5,
     build_general_tom,
-    maximal_pfaffians,
 )
 from .unprojection import UnprojectionResult, build_unprojection
 
@@ -151,15 +148,14 @@ def kawamata_scroll(case: FanoCase) -> Scroll:
 # ---------------------------------------------------------------------------
 # deltas and the blow-up ideal
 
-def compute_deltas(g: Sequence[Polynomial], case: FanoCase,
-                   require_general: bool = True) -> tuple[int, int, int, int]:
+def compute_deltas(g: Sequence[Polynomial], case: FanoCase) -> tuple[int, int, int, int]:
     """Least t-exponent picked up by each unprojection equation under pull-back.
 
     Scanning the monomials of g_j that avoid y_j, the t-exponent of a
     monomial is its x-weighted degree plus (r + d_k) per y_k factor; for a
     general Tom member the minimum is realised by a pure-orbinate monomial
-    and equals r + d_j, which the standard scroll shape depends on (enforced
-    unless require_general is cleared).
+    and equals r + d_j, which the standard scroll shape depends on, so any
+    other minimum raises LinkError.
     """
     ring = g[0].ring
     xw = [ring.top[ring.index[n]] for n in X_NAMES]
@@ -180,7 +176,7 @@ def compute_deltas(g: Sequence[Polynomial], case: FanoCase,
             )
         if best < case.d[j]:
             raise LinkError(f"delta_{j + 1} = {best} < d_{j + 1}; grading bug")
-        if require_general and best != case.r + case.d[j]:
+        if best != case.r + case.d[j]:
             raise LinkError(
                 f"delta_{j + 1} = {best} != r + d_{j + 1} = {case.r + case.d[j]}: "
                 f"g_{j + 1} lacks a pure-orbinate monomial (non-general member)"

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .algebra import AlgebraError, ParseError, Ring, parse
-from .birational import Basket, FanoCase, X_NAMES, Y_NAMES
+from .algebra import ParseError, parse
+from .birational import Basket, FanoCase
 from .pfaffian import PAIRS, SkewMatrix5, TomFormat, WeightMatrix5, check_tom
 
 

@@ -6,9 +6,12 @@ homogeneous ideal), variable elimination, and the dimension and degree of
 a projective scheme read off the Hilbert series of one lead-term ideal,
 which for a zero-dimensional scheme is its length.
 
-Polynomials are the sparse exact-rational ones from `algebra`; inside the
-reduction loops we work on plain dicts with Fraction coefficients and a
-monic basis, which keeps one reduction step at a handful of dict updates.
+Polynomials are the sparse exact-rational ones from `algebra`.  Reduction
+is fraction-free: at the boundary each polynomial becomes a primitive
+integer dict with a positive lead coefficient, a reduction step scales the
+remainder by lead/gcd instead of dividing, common content is stripped
+along the way, and the accumulated scale is divided out when the result
+goes back to a Polynomial.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# reduction core (dict-of-Fraction polynomials, monic basis)
+# reduction core (fraction-free over the integers, primitive basis elements)
 
 def _lead(terms: dict, keyf) -> Mono:
     return max(terms, key=keyf)

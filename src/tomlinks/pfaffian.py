@@ -11,8 +11,7 @@ y variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .algebra import (
@@ -22,7 +21,6 @@ from .algebra import (
     Ring,
     bidegree,
     mix_seed,
-    monomials_of_degree,
     random_general,
 )
 

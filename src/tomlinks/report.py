@@ -122,7 +122,6 @@ def unprojection_dict(res: UnprojectionResult, verification: VerificationReport 
     if verification is not None:
         out["verification"] = {
             "degrees_ok": verification.degrees_ok,
-            "ph_identity_ok": verification.ph_identity_ok,
             "consistency_ok": verification.consistency_ok,
         }
     return out

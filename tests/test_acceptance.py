@@ -4,13 +4,15 @@ Two sub-checks are strict expected failures: the recorded node count for the
 third worked example and the recorded discriminant factor positions both
 contradict the same source's displayed matrices (from which everything here
 is computed).  The checks assert the recorded values as stated and the
-xfail records the discrepancy; the analysis lives in the decisions ledger.
+xfail records the discrepancy; the analysis lives in the decisions ledger,
+DECISIONS.md at the repository root.
 
 Run `tomlinks selftest` for the same battery with one printed line per item.
 """
 
 import pytest
 
+from tomlinks import acceptance
 from tomlinks.acceptance import (
     criterion_1,
     criterion_2,
@@ -82,7 +84,7 @@ class TestCriterion3:
         strict=True,
         reason="recorded count 8 contradicts the worked example's own displayed "
                "matrix and equations, which give 6 by two independent degree "
-               "computations; see decisions ledger",
+               "computations; see DECISIONS.md",
     )
     def test_3a_flop_count_recorded_value(self, c3):
         assert c3["3a"][0].passed, c3["3a"][0].detail
@@ -93,7 +95,7 @@ class TestCriterion3:
     @pytest.mark.xfail(
         strict=True,
         reason="recorded factors 1+y3 / 1+y2 contradict the displayed Gram "
-               "matrices, whose determinants vanish at +1, not -1; see decisions ledger",
+               "matrices, whose determinants vanish at +1, not -1; see DECISIONS.md",
     )
     def test_3c_patch_determinants_recorded_values(self, c3):
         assert c3["3c"][0].passed, c3["3c"][0].detail
@@ -127,6 +129,15 @@ class TestCriterion7:
     def test_delta_lemma(self):
         r = criterion_7()[0]
         assert r.passed, r.detail
+
+    def test_program_error_propagates(self, monkeypatch):
+        # only LinkError becomes a failed line; a bug must fail loudly
+        def broken(g, case):
+            raise TypeError("bug in compute_deltas")
+
+        monkeypatch.setattr(acceptance, "compute_deltas", broken)
+        with pytest.raises(TypeError, match="bug in compute_deltas"):
+            criterion_7()
 
 
 class TestCriterion8:

@@ -19,7 +19,6 @@ from tomlinks.algebra import (
     parse,
     random_general,
     substitute,
-    well_form,
 )
 
 R7 = Ring(("x1", "x2", "x3", "y1", "y2", "y3", "y4"), [(1, 1, 1, 6, 5, 4, 3)])
@@ -168,31 +167,6 @@ class TestSubstitute:
         t = SCROLL.gen("t")
         image = substitute(parse("x1*y4", R7), {n: t * SCROLL.gen(n) for n in ("y1", "y2", "y3", "y4")}, SCROLL)
         assert image == parse("t*x1*y4", SCROLL)
-
-
-class TestWellForm:
-    def test_blowup_normalisation(self):
-        raw = Ring(SCROLL.names, [(0, 2, 1, 1, 1, 6, 5, 4, 3), (-2, 0, 1, 1, 1, 8, 7, 6, 5)])
-        ring, T = well_form(raw)
-        assert ring.bottom == (1, 1, 0, 0, 0, -1, -1, -1, -1)
-        # T maps the input rows to the output rows
-        for col in range(ring.nvars):
-            top = T[0][0] * raw.top[col] + T[0][1] * raw.bottom[col]
-            bot = T[1][0] * raw.top[col] + T[1][1] * raw.bottom[col]
-            assert (top, bot) == (ring.top[col], ring.bottom[col])
-
-    def test_fixed_point(self):
-        ring, _ = well_form(SCROLL)
-        assert ring == SCROLL
-
-    def test_localisation_at_y1(self):
-        ring, _ = well_form(SCROLL, pivot="y1")
-        assert ring.top == (6, 8, 1, 1, 1, 0, -1, -2, -3)
-
-    def test_zero_column(self):
-        bad = Ring(("a", "b"), [(0, 1), (0, 1)])
-        with pytest.raises(AlgebraError):
-            well_form(bad)
 
 
 class TestRandomGeneral:

@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -181,6 +182,23 @@ class TestFlops:
         # 24097's declared 8 contradicts its displayed matrix (known defect 3a)
         expected = 6 if name == "24097" else case.declared_nodes
         assert count_flops(res, case).count == expected
+
+    def test_24097_six_distinct_nodes(self, case_24097):
+        # second, independent count for DECISIONS.md (3a): sympy finds six
+        # distinct points on the rank <= 2 locus, chart by chart of P^2, so the
+        # length-6 scheme is reduced and the recorded 8 cannot be a multiplicity
+        sp = pytest.importorskip("sympy")
+        res = build_unprojection(case_24097.build_matrix(0), TomFormat(1), 2)
+        A = sp.Matrix([[sp.sympify(str(e).replace("^", "**")) for e in row]
+                       for row in count_flops(res, case_24097).matrix_a])
+        x1, x2, x3 = sp.symbols("x1 x2 x3")
+        minors = [A.extract(list(r), list(c)).det() for r in combinations(range(4), 3)
+                  for c in combinations(range(4), 3)]
+        points = 0
+        for fixed, free in (({x1: 1}, [x2, x3]), ({x1: 0, x2: 1}, [x3]), ({x1: 0, x2: 0, x3: 1}, [])):
+            eqs = [e for e in (sp.expand(m.subs(fixed)) for m in minors) if e != 0]
+            points += len(sp.solve(eqs, free, dict=True)) if free else int(not eqs)
+        assert points == 6
 
     def test_nodes_avoid_x1_zero(self, case_10985):
         res = build_unprojection(case_10985.build_matrix(0), TomFormat(1), 2)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tomlinks import unprojection
 from tomlinks.algebra import Ring, bidegree, parse
 from tomlinks.groebner import Ideal, MatrixOrder, buchberger, eliminate, normal_form
 from tomlinks.pfaffian import (
@@ -63,6 +64,32 @@ class TestDecompose:
             decompose_entries(M, TomFormat(1))
 
 
+def toy_unit_p1():
+    """p = (1,0,0,0), constrained entries the y variables themselves."""
+    ring = Ring(("x1", "x2", "x3", "y1", "y2", "y3", "y4"), [(1, 1, 1, 1, 1, 1, 1)])
+    W = WeightMatrix5.from_list([0, 0, 0, 0, 1, 1, 1, 1, 1, 1])
+    z = ring.zero()
+    entries = {
+        (1, 2): ring.one(), (1, 3): z, (1, 4): z, (1, 5): z,
+        (2, 3): ring.gen("y1"), (2, 4): ring.gen("y2"), (2, 5): ring.gen("y3"),
+        (3, 4): ring.gen("y4"), (3, 5): z, (4, 5): z,
+    }
+    return SkewMatrix5(entries, W, ring)
+
+
+def corrupt_cofactor_row(monkeypatch, row, extra):
+    """Make _cofactor_row add the polynomial extra to entry 1 of the given row."""
+    original = unprojection._cofactor_row
+
+    def corrupted(Q, i):
+        out = original(Q, i)
+        if i == row:
+            out[0] = out[0] + extra
+        return out
+
+    monkeypatch.setattr(unprojection, "_cofactor_row", corrupted)
+
+
 class TestBuildUnprojection:
     def test_degrees(self):
         M = build_general_tom(W10985, TomFormat(1), R7, seed=0)
@@ -70,20 +97,27 @@ class TestBuildUnprojection:
         assert [bidegree(g).top for g in res.g] == [8, 7, 6, 5]
 
     def test_toy_unit_p1(self):
-        # p = (1,0,0,0), constrained entries the y variables themselves:
         # g is the first cofactor row of Q read off directly
-        ring = Ring(("x1", "x2", "x3", "y1", "y2", "y3", "y4"), [(1, 1, 1, 1, 1, 1, 1)])
-        W = WeightMatrix5.from_list([0, 0, 0, 0, 1, 1, 1, 1, 1, 1])
-        z = ring.zero()
-        entries = {
-            (1, 2): ring.one(), (1, 3): z, (1, 4): z, (1, 5): z,
-            (2, 3): ring.gen("y1"), (2, 4): ring.gen("y2"), (2, 5): ring.gen("y3"),
-            (3, 4): ring.gen("y4"), (3, 5): z, (4, 5): z,
-        }
-        M = SkewMatrix5(entries, W, ring)
-        res = build_unprojection(M, TomFormat(1), s_weight=2)
+        res = build_unprojection(toy_unit_p1(), TomFormat(1), s_weight=2)
         for j in range(4):
             assert res.g[j] == res.H[0][j]
+
+    def test_toy_nonzero_row_with_zero_p_rejected(self, monkeypatch):
+        # p_2 = 0, so H_2 = p_2 * g forces H_2 = 0; no division ever reads row 2
+        M = toy_unit_p1()
+        corrupt_cofactor_row(monkeypatch, 2, M.ring.gen("x1"))
+        with pytest.raises(UnprojectionError, match="H_2 != p_2"):
+            build_unprojection(M, TomFormat(1), s_weight=2)
+
+    @pytest.mark.parametrize("row", [1, 2, 3, 4])
+    def test_corrupted_row_20652_rejected(self, monkeypatch, row):
+        # the added multiple of p_row keeps the row divisible by p_row, so only
+        # H_k = p_k * g catches it; a corrupted row 1 corrupts g, which row 2 exposes
+        p = parse(("x1", "x2", "x3", "y3")[row - 1], R20652)
+        corrupt_cofactor_row(monkeypatch, row, p * R20652.gen("x1"))
+        k = max(row, 2)
+        with pytest.raises(UnprojectionError, match=f"H_{k} != p_{k}"):
+            build_unprojection(matrix_20652(), TomFormat(1), s_weight=2)
 
     def test_all_p_zero(self):
         ring = R20652
@@ -123,7 +157,7 @@ class TestVerify:
         M = build_general_tom(W20652, TomFormat(1), R20652, seed)
         res = build_unprojection(M, TomFormat(1), s_weight=2)
         rep = verify_unprojection(res, (2, 2, 1, 1))
-        assert rep.degrees_ok and rep.ph_identity_ok and rep.consistency_ok
+        assert rep.ok()
 
 
 @pytest.mark.slow
