@@ -305,6 +305,11 @@ TABLE1_ROWS = ["1169", "1253", "4925", "5177", "5279", "5305", "5963",
                "11005", "11125-t1", "11125-t2", "11455", "16339"]
 
 
+# minimal generator count of a Picard-table endpoint: a complete
+# intersection of two equations in codimension 2, five Pfaffians in codimension 3
+ENDPOINT_GENERATORS = {2: 2, 3: 5}
+
+
 def criterion_9(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
     out = []
     for name in TABLE1_ROWS:
@@ -314,6 +319,13 @@ def criterion_9(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
             rep = picard_report(case, trace, endpoint_quasismooth=True)
             ok = rep.determined and rep.rho == 1
             detail = "" if ok else "; ".join(rep.chain)
+            if ok:
+                ep = trace.endpoint.endpoint
+                want = ENDPOINT_GENERATORS.get(ep.codim)
+                ok = ep.minimal_certified and len(ep.equations) == want
+                detail = "" if ok else (
+                    f"endpoint of codimension {ep.codim}: {len(ep.equations)} generators "
+                    f"(want {want}), minimality certified: {ep.minimal_certified}")
         except (AlgebraError, BudgetExceeded) as e:
             ok, detail = False, str(e)
         out.append(AcceptanceResult("9", f"{name}: rho = 1 derivation chain", ok, detail))

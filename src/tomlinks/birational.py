@@ -36,6 +36,7 @@ from .groebner import (
     MatrixOrder,
     NotZeroDimensional,
     buchberger,
+    minimal_generators,
     normal_form,
     projective_dim_degree,
     saturate,
@@ -895,7 +896,8 @@ def endpoint_fano(gens: Sequence[Polynomial], scroll: Scroll,
                   contraction_group: Sequence[str], contracted: str,
                   case: FanoCase, budget: int = DEFAULT_BUDGET) -> EndpointFano:
     """Contract the last divisor: set the contracted variable to 1, globally
-    eliminate, and present the image Fano with its induced weights."""
+    eliminate, and present the image Fano with its induced weights and a
+    minimal set of its equations."""
     S = scroll.ring
     dhat = S.top[S.index[contraction_group[0]]]
     d4 = S.top[S.index[contracted]]
@@ -930,17 +932,11 @@ def endpoint_fano(gens: Sequence[Polynomial], scroll: Scroll,
 
     notes: list[str] = []
     minimal_certified = True
-    if sum(len(e) for e in eqs) > 700:
+    try:
+        eqs = minimal_generators(Ideal(eqs, ring_new), MatrixOrder.grevlex(ring_new), budget)
+    except BudgetExceeded as e:  # reported, not fatal
         minimal_certified = False
-        notes.append("minimality not certified: system too large")
-    else:
-        try:
-            # small step cap: redundancy pruning is cosmetic, so give up
-            # early on systems whose bases balloon and report instead
-            eqs = _minimalize_generators(eqs, ring_new, min(budget, 2_500))
-        except BudgetExceeded as e:  # reported, not fatal
-            minimal_certified = False
-            notes.append(f"minimality not certified: {e}")
+        notes.append(f"minimality not certified: {e}")
     degrees = tuple(bidegree(e).top for e in eqs)
     gorenstein = (d4 - dhat) == -1
     if fractional:
@@ -951,27 +947,6 @@ def endpoint_fano(gens: Sequence[Polynomial], scroll: Scroll,
         eliminated=eliminated, minimal_certified=minimal_certified,
         fractional_weights=fractional, notes=notes,
     )
-
-
-def _minimalize_generators(eqs: list[Polynomial], ring: Ring,
-                           budget: int) -> list[Polynomial]:
-    """Drop generators lying in the ideal of the others (graded minimality)."""
-    order = MatrixOrder.grevlex(ring)
-    eqs = sorted(eqs, key=lambda e: (-bidegree(e).top, len(e)))
-    out = list(eqs)
-    changed = True
-    while changed:
-        changed = False
-        for k, e in enumerate(out):
-            others = out[:k] + out[k + 1:]
-            if not others:
-                continue
-            gb = buchberger(Ideal(others, ring), order, budget)
-            if normal_form(e, gb, budget=budget).is_zero():
-                out.pop(k)
-                changed = True
-                break
-    return sorted(out, key=lambda e: (bidegree(e).top, len(e)))
 
 
 def dp_degree(gens: Sequence[Polynomial], scroll: Scroll, base: Sequence[str],

@@ -1,10 +1,22 @@
 """Buchberger-based ideal computations under matrix monomial orders.
 
 Covers reduced Groebner bases, multivariate division / normal forms,
-saturation by a single variable (Bayer's revlex saturation of a
-homogeneous ideal), variable elimination, and the dimension and degree of
-a projective scheme read off the Hilbert series of one lead-term ideal,
-which for a zero-dimensional scheme is its length.
+minimal generators of a graded ideal, saturation by a single variable
+(Bayer's revlex saturation of a homogeneous ideal), variable elimination,
+and the dimension and degree of a projective scheme read off the Hilbert
+series of one lead-term ideal, which for a zero-dimensional scheme is its
+length.
+
+Minimal generators come from graded Nakayama (Kreuzer-Robbiano,
+Computational Commutative Algebra 2, 4.6): let I be generated by forms
+that are homogeneous for a positive grading w, so the degree-0 part of the
+ring is the field.  Then a subset of the generators generates I minimally
+iff it generates I and none of its elements lies in the ideal of the
+others, and all minimal generating sets have the same number of elements
+in each degree.  Taking the generators in increasing degree and keeping
+each one that is not in the ideal of those kept before it gives such a
+subset; `minimal_generators` decides each membership against a basis
+truncated at the generator's degree, in one Buchberger run.
 
 Polynomials are the sparse exact-rational ones from `algebra`.  Reduction
 is fraction-free: at the boundary each polynomial becomes a primitive
@@ -234,81 +246,100 @@ def _spoly(f: tuple, g: tuple, keyf) -> dict:
     return out
 
 
-def buchberger(ideal: Ideal, order: MatrixOrder, budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal under the order.
+class _PairQueue:
+    """A basis under construction and its critical pairs.
 
-    Normal pair selection on (sugar, lcm); the Gebauer-Moeller update plus
-    the product criterion covers Buchberger's first and second criteria.
+    `add` is the Gebauer-Moeller update, which with the product criterion
+    covers Buchberger's first and second criteria.  Pairs leave in normal
+    order of (sugar, lcm), the sugar measured by the weight row w; each
+    pair's key is computed once, and pairs the update drops are skipped
+    when they reach the top of the heap.
     """
-    keyf = order.key
-    red = _Reducer(keyf, budget)
-    ring = ideal.ring
 
-    basis: list[tuple] = []  # (lead, positive lead coeff, integer tail)
-    sugars: list[int] = []
-    pairs: set[tuple[int, int]] = set()
+    def __init__(self, keyf, w: Sequence[int]):
+        self.keyf = keyf
+        self.w = tuple(w)
+        self.basis: list[tuple] = []  # (lead, positive lead coeff, integer tail)
+        self.sugars: list[int] = []
+        self.live: set[tuple[int, int]] = set()
+        self.heap: list[tuple] = []
 
-    def wdeg(m: Mono) -> int:
-        return ring.mono_degree(m)
+    def wdeg(self, m: Mono) -> int:
+        return sum(a * e for a, e in zip(self.w, m) if e)
 
-    def lcm(m1: Mono, m2: Mono) -> Mono:
-        return tuple(max(a, b) for a, b in zip(m1, m2))
-
-    def add_element(terms: dict, sugar: int):
-        # terms: primitive integer dict with positive lead coefficient
+    def add(self, terms: dict, sugar: int) -> None:
+        """Append a primitive integer dict with positive lead coefficient."""
+        keyf, basis = self.keyf, self.basis
         lead = _lead(terms, keyf)
         lc = terms[lead]
         tail = {m: c for m, c in terms.items() if m != lead}
         k = len(basis)
         kept = set()
-        for (i, j) in pairs:
-            lij = lcm(basis[i][0], basis[j][0])
-            if (not divides(lead, lij)) or lcm(basis[i][0], lead) == lij \
-                    or lcm(basis[j][0], lead) == lij:
+        for (i, j) in self.live:
+            lij = _lcm(basis[i][0], basis[j][0])
+            if (not divides(lead, lij)) or _lcm(basis[i][0], lead) == lij \
+                    or _lcm(basis[j][0], lead) == lij:
                 kept.add((i, j))
         new_lcms: dict[Mono, list[int]] = {}
         for i in range(k):
-            new_lcms.setdefault(lcm(basis[i][0], lead), []).append(i)
+            new_lcms.setdefault(_lcm(basis[i][0], lead), []).append(i)
         minimal: list[Mono] = []
         for L in sorted(new_lcms, key=keyf):
             if all(not divides(M, L) for M in minimal):
                 minimal.append(L)
-        fresh = set()
+        basis.append((lead, lc, tail))
+        self.sugars.append(sugar)
         for L in minimal:
             coprime = any(
                 L == tuple(a + b for a, b in zip(basis[i][0], lead))
                 for i in new_lcms[L]
             )
             if not coprime:
-                fresh.add((min(new_lcms[L]), k))
-        basis.append((lead, lc, tail))
-        sugars.append(sugar)
-        pairs.clear()
-        pairs.update(kept | fresh)
+                i = min(new_lcms[L])
+                sug = max(self.sugars[i] + self.wdeg(tuple(a - b for a, b in zip(L, basis[i][0]))),
+                          sugar + self.wdeg(tuple(a - b for a, b in zip(L, lead))))
+                kept.add((i, k))
+                heapq.heappush(self.heap, (sug, keyf(L), i, k))
+        self.live = kept
 
+    def next_sugar(self) -> int | None:
+        """Sugar of the next pair, or None when no pair is left."""
+        heap = self.heap
+        while heap and heap[0][2:] not in self.live:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
+
+    def reduce_next(self, red: _Reducer) -> None:
+        """Reduce the next pair's S-polynomial; a nonzero remainder joins the basis."""
+        self.next_sugar()  # drops dead pairs from the top of the heap
+        sug, _, i, j = heapq.heappop(self.heap)
+        self.live.discard((i, j))
+        s = _spoly(self.basis[i], self.basis[j], self.keyf)
+        if s:
+            rem = red.reduce(s, self.basis)
+            if rem:
+                self.add(_normalize_int(rem, self.keyf), sug)
+
+
+def _lcm(m1: Mono, m2: Mono) -> Mono:
+    return tuple(max(a, b) for a, b in zip(m1, m2))
+
+
+def buchberger(ideal: Ideal, order: MatrixOrder, budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal under the order.
+
+    Sugar is measured by the ring's top weight row.
+    """
+    keyf = order.key
+    red = _Reducer(keyf, budget)
+    ring = ideal.ring
+    queue = _PairQueue(keyf, ring.top)
     for g in sorted(ideal.generators, key=lambda p: keyf(_lead(p.terms, keyf))):
         ig, _ = _to_int(g.terms, keyf)
-        add_element(ig, g.degree())
-
-    def pair_key(p):
-        i, j = p
-        L = lcm(basis[i][0], basis[j][0])
-        sug = max(
-            sugars[i] + wdeg(tuple(a - b for a, b in zip(L, basis[i][0]))),
-            sugars[j] + wdeg(tuple(a - b for a, b in zip(L, basis[j][0]))),
-        )
-        return (sug, keyf(L), i, j)
-
-    while pairs:
-        best = min(pairs, key=pair_key)
-        pairs.discard(best)
-        sug = pair_key(best)[0]
-        s = _spoly(basis[best[0]], basis[best[1]], keyf)
-        if not s:
-            continue
-        rem = red.reduce(s, basis)
-        if rem:
-            add_element(_normalize_int(rem, keyf), sug)
+        queue.add(ig, g.degree())
+    while queue.live:
+        queue.reduce_next(red)
+    basis = queue.basis
 
     keep: list[int] = []
     for i in sorted(range(len(basis)), key=lambda i: keyf(basis[i][0])):
@@ -328,6 +359,45 @@ def buchberger(ideal: Ideal, order: MatrixOrder, budget: int = DEFAULT_BUDGET) -
                                 _clean=True))
     polys.sort(key=lambda p: keyf(_lead(p.terms, keyf)))
     return GroebnerBasis(polys, order)
+
+
+def minimal_generators(ideal: Ideal, order: MatrixOrder,
+                       budget: int = DEFAULT_BUDGET) -> list[Polynomial]:
+    """A minimal generating set of a graded ideal, chosen from its generators.
+
+    w, the order's first row, must be a positive grading for which every
+    generator is homogeneous (see the module docstring for the theorem);
+    otherwise AlgebraError.  Generators enter in increasing (w-degree,
+    length) order, input order breaking ties.  Before a generator of degree
+    d is reduced, every pair of sugar <= d is processed, so the basis built
+    so far is a d-truncated Groebner basis of the ideal of the generators
+    kept so far: every element of that ideal of degree <= d reduces to zero
+    against it.  A generator is kept iff its remainder is nonzero, and the
+    remainder then joins the basis.  The run stops after the last
+    generator, so no pair above the top generator degree is reduced.  Kept
+    generators are returned unchanged, in entry order.
+    """
+    keyf = order.key
+    w = order.rows[0]
+    if any(x <= 0 for x in w):
+        raise AlgebraError(f"minimal generators need a positive grading, got weights {w}")
+    _require_homogeneous(ideal, w)
+    red = _Reducer(keyf, budget)
+    queue = _PairQueue(keyf, w)
+
+    def degree(g: Polynomial) -> int:
+        return queue.wdeg(next(iter(g.terms)))
+
+    kept: list[Polynomial] = []
+    for g in sorted(ideal.generators, key=lambda g: (degree(g), len(g))):
+        d = degree(g)
+        while (sug := queue.next_sugar()) is not None and sug <= d:
+            queue.reduce_next(red)
+        rem = red.reduce(_to_int(g.terms, keyf)[0], queue.basis)
+        if rem:
+            kept.append(g)
+            queue.add(_normalize_int(rem, keyf), d)
+    return kept
 
 
 def normal_form(p: Polynomial, basis, order: MatrixOrder | None = None,

@@ -12,7 +12,7 @@ Run `tomlinks selftest` for the same battery with one printed line per item.
 
 import pytest
 
-from tomlinks import acceptance
+from tomlinks import acceptance, birational
 from tomlinks.acceptance import (
     criterion_1,
     criterion_2,
@@ -24,6 +24,7 @@ from tomlinks.acceptance import (
     criterion_8,
     criterion_9,
 )
+from tomlinks.groebner import BudgetExceeded
 
 
 def _index(results):
@@ -146,8 +147,18 @@ class TestCriterion8:
             assert r.passed, r.name
 
 
-@pytest.mark.slow
 class TestCriterion9:
     def test_picard_chain_all_rows(self):
         for r in criterion_9():
             assert r.passed, f"{r.name}: {r.detail}"
+
+    def test_uncertified_endpoint_fails(self, monkeypatch):
+        # an endpoint whose minimality is not certified fails the row
+        def capped(ideal, order, budget):
+            raise BudgetExceeded(budget)
+
+        monkeypatch.setattr(acceptance, "TABLE1_ROWS", ["5963"])
+        monkeypatch.setattr(birational, "minimal_generators", capped)
+        (r,) = criterion_9()
+        assert not r.passed
+        assert "minimality certified: False" in r.detail

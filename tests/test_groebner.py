@@ -22,6 +22,7 @@ from tomlinks.groebner import (
     buchberger,
     eliminate,
     hilbert_numerator,
+    minimal_generators,
     normal_form,
     projective_dim_degree,
     saturate,
@@ -158,6 +159,91 @@ class TestSaturate:
         R = Ring(("t", "x1"), [(1, 1)])
         with pytest.raises(AlgebraError, match="positive grading"):
             saturate(Ideal([parse("t*x1", R)]), "t", weights=weights)
+
+
+class TestMinimalGenerators:
+    @staticmethod
+    def lead(p, order):
+        return max(p.terms, key=order.key)
+
+    @staticmethod
+    def s_combination(f, g, order):
+        """The S-polynomial combination of f and g: their lead terms cancel."""
+        lf, lg = TestMinimalGenerators.lead(f, order), TestMinimalGenerators.lead(g, order)
+        L = tuple(max(a, b) for a, b in zip(lf, lg))
+        mf = f.ring.monomial(tuple(a - b for a, b in zip(L, lf)), g.terms[lg])
+        mg = g.ring.monomial(tuple(a - b for a, b in zip(L, lg)), f.terms[lf])
+        return mf * f - mg * g
+
+    def test_planted_s_polynomial(self):
+        # x3*f1 - x2*f2 = -x3^3 lies in (f1, f2), but only the degree-3
+        # S-pair shows it: its lead term is divisible by no lead term
+        f1, f2 = parse("x1*x2 - x3^2", P2), parse("x1*x3", P2)
+        planted = parse("x3^3", P2)
+        assert not normal_form(planted, [f1, f2], MatrixOrder.grevlex(P2)).is_zero()
+        kept = minimal_generators(Ideal([planted, f1, f2]), MatrixOrder.grevlex(P2))
+        assert kept == [f2, f1]  # increasing (degree, length)
+
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+           st.lists(st.tuples(st.integers(1, 3),
+                              st.lists(st.integers(-3, 3).filter(bool), min_size=3, max_size=3)),
+                    min_size=2, max_size=3),
+           st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1),
+                              st.integers(-2, 2).filter(bool)),
+                    min_size=1, max_size=3),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_planted_redundant_generators(self, weights, specs, plants, rnd):
+        # the ring's own row is standard; the order's first row is the grading
+        R = Ring(("x1", "x2", "x3"), [(1, 1, 1)])
+        W = Ring(R.names, [weights])
+        order = MatrixOrder.grevlex(R, weights)
+        base = []
+        for d, coeffs in specs:
+            monos = monomials_of_degree(W, d * lcm(*weights))
+            base.append(sum((R.monomial(monos[(5 * i + d) % len(monos)], c)
+                             for i, c in enumerate(coeffs)), R.zero()))
+        base = [f for f in base if not f.is_zero()]
+        assume(len(base) >= 2)
+        planted = []
+        n = len(base)
+        for i, k, c in plants:
+            # a pair of two different base generators
+            f, g = base[i % n], base[(i + 1 + k % (n - 1)) % n]
+            p = R.const(c) * self.s_combination(f, g, order)
+            if not p.is_zero():
+                planted.append(p)
+        gens = base + planted
+        rnd.shuffle(gens)
+        kept = minimal_generators(Ideal(gens, R), order)
+        assert all(any(k is g for g in gens) for k in kept)
+        assert len(kept) <= len(base)
+        # the kept generators generate the same ideal
+        gb_kept = buchberger(Ideal(kept, R), order)
+        gb_all = buchberger(Ideal(gens, R), order)
+        assert all(normal_form(g, gb_kept).is_zero() for g in gens)
+        assert all(normal_form(g, gb_all).is_zero() for g in kept)
+        # and none lies in the ideal of the others
+        for k, g in enumerate(kept):
+            others = kept[:k] + kept[k + 1:]
+            if others:
+                gb = buchberger(Ideal(others, R), order)
+                assert not normal_form(g, gb).is_zero(), f"{g} is redundant"
+
+    def test_rejects_inhomogeneous_generator(self):
+        with pytest.raises(AlgebraError, match="not homogeneous"):
+            minimal_generators(Ideal([parse("x1^2 - x2", P2)]), MatrixOrder.grevlex(P2))
+
+    def test_rejects_non_positive_grading(self):
+        order = MatrixOrder.block(P2, ["x1"])
+        with pytest.raises(AlgebraError, match="positive grading"):
+            minimal_generators(Ideal([parse("x1*x2", P2)]), order)
+
+    def test_budget(self):
+        f1, f2 = parse("x1*x2 - x3^2", P2), parse("x1*x3", P2)
+        with pytest.raises(BudgetExceeded):
+            minimal_generators(Ideal([f1, f2, parse("x3^3", P2)]),
+                               MatrixOrder.grevlex(P2), budget=0)
 
 
 class TestEliminate:
