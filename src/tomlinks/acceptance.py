@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraError, Ring, parse
+from .algebra import AlgebraError, Polynomial, Ring, parse
 from .birational import (
     DelPezzoFibration,
     DivisorialContractionToFano,
@@ -134,6 +134,15 @@ def criterion_2(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
     return out
 
 
+def _scale(d: Polynomial, t: Polynomial) -> Fraction | None:
+    """The c with d = c*t for a nonzero t, or None when there is none."""
+    lead = max(t.terms)
+    if lead not in d.terms:
+        return None
+    c = Fraction(d.terms[lead], t.terms[lead])
+    return c if d == t * c else None
+
+
 def criterion_3(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
     out = []
     trace = trace_link(_case("24097"), seed=0, budget=budget)
@@ -153,14 +162,8 @@ def criterion_3(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
     U3 = Ring(("y3",), [(1,)])
     U2 = Ring(("y2",), [(1,)])
 
-    def scalar_multiple(text, target, ring):
-        d = parse(text, ring)
-        t = parse(target, ring)
-        lead = max(t.terms)
-        if lead not in d.terms:
-            return False
-        scale = d.terms[lead] / t.terms[lead]
-        return scale != 0 and d == t * scale
+    def scalar_multiple(text, target, ring) -> bool:
+        return _scale(parse(text, ring), parse(target, ring)) is not None
 
     recorded = scalar_multiple(dets.get("y2", "0"), "y3^4 + y3^5", U3) and \
         scalar_multiple(dets.get("y3", "0"), "y2 + y2^2", U2)

@@ -1,10 +1,14 @@
 """Exact sparse multivariate polynomial arithmetic over Q with weighted gradings.
 
 A monomial is a tuple of non-negative integer exponents, one slot per ring
-variable.  A polynomial is a map from monomials to nonzero Fractions; the
-zero polynomial has an empty term map.  Rings carry one or two integer
-weight rows ("top" and optional "bottom"), so a polynomial can be graded
-either by a single weighted degree or by a bidegree.
+variable.  A polynomial is a map from monomials to nonzero rationals; the
+zero polynomial has an empty term map.  A coefficient is an `int` when it is
+integral and a `Fraction` otherwise, never a float: `exact` normalises every
+coefficient that enters a Polynomial, so integral arithmetic never goes
+through `Fraction`, and every coefficient division goes through `Fraction`
+(`int / int` would give a float).  Rings carry one or two integer weight
+rows ("top" and optional "bottom"), so a polynomial can be graded either by
+a single weighted degree or by a bidegree.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely.
@@ -13,10 +17,12 @@ so values can be shared freely.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 Mono = tuple  # tuple[int, ...], one exponent per ring variable
@@ -40,6 +46,24 @@ class NotHomogeneous(AlgebraError):
 
 class NotDivisible(AlgebraError):
     """Multivariate division left a nonzero remainder."""
+
+
+def exact(c) -> "int | Fraction":
+    """c as an int when integral, as a Fraction otherwise; anything else
+    (a float above all) raises AlgebraError."""
+    if type(c) is int:
+        return c
+    if isinstance(c, (int, Fraction)):
+        return c.numerator if c.denominator == 1 else c
+    raise AlgebraError(f"coefficient {c!r} is not an exact rational")
+
+
+def _exact_terms(terms: dict) -> dict:
+    """Apply `exact` to the values of an arithmetic result, in place."""
+    for m, c in terms.items():
+        if type(c) is not int:
+            terms[m] = exact(c)
+    return terms
 
 
 @dataclass(frozen=True)
@@ -117,7 +141,7 @@ class Ring:
     def gen(self, name: str) -> "Polynomial":
         i = self.index[name]
         mono = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {mono: Fraction(1)})
+        return Polynomial(self, {mono: 1}, _clean=True)
 
     def gens(self) -> list["Polynomial"]:
         return [self.gen(n) for n in self.names]
@@ -129,16 +153,16 @@ class Ring:
         return self.const(1)
 
     def const(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = exact(c)
         if c == 0:
             return Polynomial(self, {})
         return Polynomial(self, {(0,) * self.nvars: c})
 
     def monomial(self, mono: Mono, coeff=1) -> "Polynomial":
-        c = Fraction(coeff)
+        c = exact(coeff)
         if c == 0:
             return Polynomial(self, {})
-        return Polynomial(self, {tuple(mono): c})
+        return Polynomial(self, {tuple(mono): c}, _clean=True)
 
     def mono_degree(self, mono: Mono, row: int = 0) -> int:
         w = self.weights[row]
@@ -154,27 +178,32 @@ class MatrixOrder:
 
     Monomials are compared by the lexicographic value of their weighted
     degrees under `rows`; remaining ties are broken by plain lex on the
-    exponents read in `lex_tail` order (default: ring variable order), which
-    makes the comparison total whatever the rows are.
+    exponents in ring variable order, which makes the comparison total
+    whatever the rows are.
     """
 
-    __slots__ = ("ring", "rows", "lex_tail")
+    __slots__ = ("ring", "rows", "_support")
 
-    def __init__(self, ring: Ring, rows: Sequence[Sequence[int]], lex_tail: Sequence[int] | None = None):
+    def __init__(self, ring: Ring, rows: Sequence[Sequence[int]]):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", tuple(tuple(int(w) for w in r) for r in rows))
         for r in self.rows:
             if len(r) != ring.nvars:
                 raise AlgebraError("order row length != variable count")
-        tail = tuple(lex_tail) if lex_tail is not None else tuple(range(ring.nvars))
-        object.__setattr__(self, "lex_tail", tail)
+        # each row's nonzero entries, found once: a lone entry as (i, w), read
+        # with one product (every grevlex row after the first), else (entries, 0)
+        support = []
+        for r in self.rows:
+            nz = tuple((i, w) for i, w in enumerate(r) if w)
+            support.append(nz[0] if len(nz) == 1 else (nz, 0))
+        object.__setattr__(self, "_support", tuple(support))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("MatrixOrder is immutable")
 
     def key(self, mono: Mono):
-        vals = tuple(sum(r[i] * e for i, e in enumerate(mono) if e) for r in self.rows)
-        return vals + tuple(mono[i] for i in self.lex_tail)
+        return tuple([w * mono[i] if w else sum([c * mono[j] for j, c in i])
+                      for i, w in self._support]) + tuple(mono)
 
     @classmethod
     def grevlex(cls, ring: Ring, weights: Sequence[int] | None = None,
@@ -207,17 +236,18 @@ class MatrixOrder:
 
 
 class Polynomial:
-    """Sparse polynomial: map from exponent tuples to nonzero Fractions."""
+    """Sparse polynomial: map from exponent tuples to nonzero int or Fraction
+    coefficients (see `exact`)."""
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: Ring, terms: Mapping[Mono, Fraction], *, _clean: bool = False):
+    def __init__(self, ring: Ring, terms: Mapping, *, _clean: bool = False):
         object.__setattr__(self, "ring", ring)
         if _clean:
             object.__setattr__(self, "terms", dict(terms))
         else:
             object.__setattr__(
-                self, "terms", {m: Fraction(c) for m, c in terms.items() if c != 0}
+                self, "terms", {m: e for m, c in terms.items() if (e := exact(c))}
             )
 
     def __setattr__(self, *a):  # pragma: no cover
@@ -254,7 +284,7 @@ class Polynomial:
         for m, c in other.terms.items():
             s = out.get(m, 0) + c
             if s:
-                out[m] = s
+                out[m] = s if type(s) is int else exact(s)
             else:
                 out.pop(m, None)
         return Polynomial(self.ring, out, _clean=True)
@@ -274,12 +304,13 @@ class Polynomial:
         return (-self).__add__(other)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if not isinstance(other, Polynomial):
+            c = exact(other)
             if c == 0:
                 return self.ring.zero()
             return Polynomial(
-                self.ring, {m: co * c for m, co in self.terms.items()}, _clean=True
+                self.ring, _exact_terms({m: co * c for m, co in self.terms.items()}),
+                _clean=True,
             )
         self._check(other)
         out: dict = {}
@@ -288,13 +319,13 @@ class Polynomial:
             a, b = b, a
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 s = out.get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
                 else:
                     del out[m]
-        return Polynomial(self.ring, out, _clean=True)
+        return Polynomial(self.ring, _exact_terms(out), _clean=True)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -311,8 +342,8 @@ class Polynomial:
             n >>= 1
         return result
 
-    def coefficient(self, mono: Mono) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+    def coefficient(self, mono: Mono) -> "int | Fraction":
+        return self.terms.get(tuple(mono), 0)
 
     def max_degree_in(self, var: str) -> int:
         i = self.ring.index[var]
@@ -406,7 +437,7 @@ def parse(text: str, ring: Ring) -> Polynomial:
         if not saw_factor:
             raise ParseError("empty term")
         add_term(coeff, expo)
-    return Polynomial(ring, terms, _clean=True)
+    return Polynomial(ring, terms)
 
 
 def _split_variables(word: str, ring: Ring) -> list[str]:
@@ -476,32 +507,43 @@ def bidegree(p: Polynomial) -> BiDegree:
 def exact_divide(p: Polynomial, q: Polynomial) -> Polynomial:
     """Return u with u*q == p, or raise NotDivisible.
 
-    A nonzero remainder signals a violated unprojection precondition upstream.
+    Each step pops the leading remainder monomial from a heap on the negated
+    display order (after Monagan-Pearce, Sparse polynomial division using a
+    heap, 2011, whose heap holds the pending products instead); a monomial
+    is pushed once while it has a term.  A nonzero remainder signals a
+    violated unprojection precondition upstream.
     """
     if q.is_zero():
         raise AlgebraError("division by zero polynomial")
     p._check(q)
     ring = p.ring
-    key = ring.display_key
-    qlead = max(q.terms, key=key)
+
+    def neg_key(m: Mono):  # reverses ring.display_key
+        return (-ring.mono_degree(m), m[::-1])
+
+    qlead = max(q.terms, key=ring.display_key)
     qc = q.terms[qlead]
+    qtail = [(mq, cq) for mq, cq in q.terms.items() if mq != qlead]
     work = dict(p.terms)
+    heap = [(neg_key(m), m) for m in work]
+    heapq.heapify(heap)
     quot: dict = {}
-    while work:
-        m = max(work, key=key)
-        c = work[m]
-        shift = tuple(a - b for a, b in zip(m, qlead))
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        shift = tuple(map(sub, m, qlead))
         if any(e < 0 for e in shift):
             raise NotDivisible(f"remainder starts with {ring.monomial(m, c)}")
-        factor = c / qc
-        quot[shift] = quot.get(shift, 0) + factor
-        for mq, cq in q.terms.items():
-            mm = tuple(a + b for a, b in zip(shift, mq))
+        factor = exact(Fraction(c, qc))
+        quot[shift] = factor
+        for mq, cq in qtail:
+            mm = tuple(map(add, shift, mq))
             s = work.get(mm, 0) - factor * cq
-            if s:
-                work[mm] = s
-            else:
-                work.pop(mm, None)
+            if mm not in work:
+                heapq.heappush(heap, (neg_key(mm), mm))
+            work[mm] = s
     return Polynomial(ring, quot, _clean=True)
 
 
@@ -519,7 +561,7 @@ def divide_out(p: Polynomial, var: str) -> tuple[Polynomial, int]:
 
 
 def divides(m1: Mono, m2: Mono) -> bool:
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(le, m1, m2))
 
 
 def det(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
@@ -682,5 +724,5 @@ def random_general(degree, ring: Ring, constraint: Callable[[Mono], bool] | None
     terms = {}
     for m in sorted(monos):
         c = rng.randint(1, 18)  # 1..9 -> positive, 10..18 -> negative: never zero
-        terms[m] = Fraction(c if c <= 9 else 9 - c)
+        terms[m] = c if c <= 9 else 9 - c
     return Polynomial(ring, terms, _clean=True)

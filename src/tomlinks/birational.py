@@ -25,6 +25,7 @@ from .algebra import (
     bidegree,
     det,
     divide_out,
+    divides,
     exact_divide,
     mix_seed,
     substitute,
@@ -710,10 +711,7 @@ def _wall_quadratic(gens: Sequence[Polynomial], S: Ring, widx: list[int]):
             found = coeffs
     if found is None:
         raise LinkError("no quadratic form on the wall line: the line lies on the 3-fold")
-    A = found.get((2, 0), Fraction(0))
-    B = found.get((1, 1), Fraction(0))
-    C = found.get((0, 2), Fraction(0))
-    return A, B, C
+    return tuple(Fraction(found.get(k, 0)) for k in ((2, 0), (1, 1), (0, 2)))
 
 
 def _is_square(f: Fraction) -> Fraction | None:
@@ -862,10 +860,7 @@ def global_eliminate(gens: Sequence[Polynomial], ring: Ring,
                 if any(m[slot] for m in g.terms if m != unit):
                     continue  # solve would not be polynomial; try another equation
                 expr = Polynomial(
-                    ring,
-                    {m: -cf / c for m, cf in g.terms.items() if m != unit},
-                    _clean=True,
-                )
+                    ring, {m: Fraction(-cf, c) for m, cf in g.terms.items() if m != unit})
                 work = [substitute(h, {name: expr}, ring)
                         for i, h in enumerate(work) if i != k]
                 work = [h for h in work if not h.is_zero()]
@@ -1350,9 +1345,14 @@ def verify_blowup_saturation(blow: BlowupData, budget: int = DEFAULT_BUDGET) -> 
     t, s, x and y_j weigh 1, 2r+1, 2a|2b|2c and 2d_j-1.  Bayer's theorem
     (Bayer-Stillman 1987, see `saturate`) then makes the t-divided basis of
     I under the w-graded order with t smallest a Groebner basis of
-    I : t^inf, so (h) is contained in the saturation iff each h reduces to
-    0 against it; the converse inclusion reduces the saturation's elements
-    against a basis of (h) in the same order.
+    I : t^inf, so (h) is contained in the saturation J iff each h reduces
+    to 0 against it.  For the converse, let G be a Groebner basis of (h)
+    in the same order.  If every lead monomial of the saturation's basis is
+    divisible by a lead monomial of G, then in(J) is contained in in(h);
+    with (h) in J, in(h) is contained in in(J), so the two initial ideals
+    are equal, and an ideal contained in another with the same initial
+    ideal equals it (a Groebner basis of the smaller one then reduces every
+    element of the larger one to 0).  So (h) = J.
     """
     ring = blow.pullback_ideal.ring
     w = tuple(2 * a + b for a, b in zip(ring.top, ring.bottom))
@@ -1361,4 +1361,6 @@ def verify_blowup_saturation(blow: BlowupData, budget: int = DEFAULT_BUDGET) -> 
     if not all(normal_form(h, sat, order, budget).is_zero() for h in blow.generators):
         return False
     gb_h = buchberger(Ideal(list(blow.generators), ring), order, budget)
-    return all(normal_form(g, gb_h, budget=budget).is_zero() for g in sat)
+    leads_h = [max(g.terms, key=order.key) for g in gb_h.elements]
+    return all(any(divides(lh, max(g.terms, key=order.key)) for lh in leads_h)
+               for g in sat)

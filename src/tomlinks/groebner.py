@@ -18,12 +18,14 @@ each one that is not in the ideal of those kept before it gives such a
 subset; `minimal_generators` decides each membership against a basis
 truncated at the generator's degree, in one Buchberger run.
 
-Polynomials are the sparse exact-rational ones from `algebra`.  Reduction
-is fraction-free: at the boundary each polynomial becomes a primitive
-integer dict with a positive lead coefficient, a reduction step scales the
-remainder by lead/gcd instead of dividing, common content is stripped
-along the way, and the accumulated scale is divided out when the result
-goes back to a Polynomial.
+Polynomials are the sparse ones from `algebra`, whose coefficients are
+ints when integral and Fractions otherwise.  Reduction is fraction-free:
+at the boundary each polynomial becomes a primitive integer dict with a
+positive lead coefficient (a polynomial with integer coefficients only
+loses its content), a reduction step scales the remainder by lead/gcd
+instead of dividing, common content is stripped along the way, and the
+accumulated scale is divided out, by Fraction, when the result goes back
+to a Polynomial, whose constructor makes integral quotients ints again.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
-
 from math import gcd
+from operator import add, sub
+from typing import Iterable, Sequence
 
 from .algebra import (
     AlgebraError,
@@ -103,7 +105,7 @@ def _content(terms: dict) -> int:
 
 
 def _to_int(terms: dict, keyf):
-    """Fraction term dict -> (primitive integer dict with positive lead, scale).
+    """Rational term dict -> (primitive integer dict with positive lead, scale).
 
     The integer dict equals scale * (the input); reduction works over the
     integers and results are rescaled at the boundary.
@@ -199,9 +201,9 @@ class _Reducer:
                 for k in out:
                     out[k] *= scale
                 lam *= scale
-            shift = tuple(a - b for a, b in zip(m, lm))
+            shift = tuple(map(sub, m, lm))
             for mg, cg in tail.items():
-                mm = tuple(a + b for a, b in zip(shift, mg))
+                mm = tuple(map(add, shift, mg))
                 s = work.get(mm, 0) - mult * cg
                 if s:
                     work[mm] = s
@@ -230,14 +232,14 @@ def _spoly(f: tuple, g: tuple, keyf) -> dict:
     lg, cg, tg = g
     d = gcd(cf, cg)
     af, ag = cg // d, cf // d
-    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    sf = tuple(a - b for a, b in zip(lcm, lf))
-    sg = tuple(a - b for a, b in zip(lcm, lg))
+    lcm = _lcm(lf, lg)
+    sf = tuple(map(sub, lcm, lf))
+    sg = tuple(map(sub, lcm, lg))
     out: dict = {}
     for m, c in tf.items():
-        out[tuple(a + b for a, b in zip(sf, m))] = af * c
+        out[tuple(map(add, sf, m))] = af * c
     for m, c in tg.items():
-        mm = tuple(a + b for a, b in zip(sg, m))
+        mm = tuple(map(add, sg, m))
         s = out.get(mm, 0) - ag * c
         if s:
             out[mm] = s
@@ -291,13 +293,13 @@ class _PairQueue:
         self.sugars.append(sugar)
         for L in minimal:
             coprime = any(
-                L == tuple(a + b for a, b in zip(basis[i][0], lead))
+                L == tuple(map(add, basis[i][0], lead))
                 for i in new_lcms[L]
             )
             if not coprime:
                 i = min(new_lcms[L])
-                sug = max(self.sugars[i] + self.wdeg(tuple(a - b for a, b in zip(L, basis[i][0]))),
-                          sugar + self.wdeg(tuple(a - b for a, b in zip(L, lead))))
+                sug = max(self.sugars[i] + self.wdeg(tuple(map(sub, L, basis[i][0]))),
+                          sugar + self.wdeg(tuple(map(sub, L, lead))))
                 kept.add((i, k))
                 heapq.heappush(self.heap, (sug, keyf(L), i, k))
         self.live = kept
@@ -322,7 +324,7 @@ class _PairQueue:
 
 
 def _lcm(m1: Mono, m2: Mono) -> Mono:
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+    return tuple(map(max, m1, m2))
 
 
 def buchberger(ideal: Ideal, order: MatrixOrder, budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
@@ -355,8 +357,7 @@ def buchberger(ideal: Ideal, order: MatrixOrder, budget: int = DEFAULT_BUDGET) -
         rem = red.reduce(full, others)
         rem = _normalize_int(rem, keyf)
         rl = rem[_lead(rem, keyf)]
-        polys.append(Polynomial(ring, {m: Fraction(c, rl) for m, c in rem.items()},
-                                _clean=True))
+        polys.append(Polynomial(ring, {m: Fraction(c, rl) for m, c in rem.items()}))
     polys.sort(key=lambda p: keyf(_lead(p.terms, keyf)))
     return GroebnerBasis(polys, order)
 
@@ -430,8 +431,7 @@ def normal_form(p: Polynomial, basis, order: MatrixOrder | None = None,
     target, scale = _to_int(p.terms, keyf)
     rem, lam = red.reduce_scaled(target, prepped)
     factor = lam * scale
-    return Polynomial(p.ring, {m: Fraction(c) / factor for m, c in rem.items()},
-                      _clean=True)
+    return Polynomial(p.ring, {m: Fraction(c) / factor for m, c in rem.items()})
 
 
 # ---------------------------------------------------------------------------

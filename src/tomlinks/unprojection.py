@@ -30,7 +30,6 @@ from .algebra import (
     Polynomial,
     Ring,
     bidegree,
-    det,
     exact_divide,
     substitute,
 )
@@ -107,13 +106,27 @@ def _pfaffian_linear_rows(Mn: SkewMatrix5) -> list[Polynomial]:
     return maximal_pfaffians(Mn)[1:]
 
 
-def _cofactor_row(Q: list[list[Polynomial]], i: int) -> list[Polynomial]:
-    """(H_i)_j = (-1)^(i+j) det(Q with row i and column j removed); 1-based i, j."""
+def _cofactor_row(Q: list[list[Polynomial]], i: int, minors: dict) -> list[Polynomial]:
+    """(H_i)_j = (-1)^(i+j) det(Q with row i and column j removed); 1-based i, j.
+
+    Each 3x3 minor is expanded along its first row over the 2x2 minors of
+    its other two rows, as `det` does.  `minors` caches those 2x2 minors by
+    (rows, columns) across calls: the four cofactor rows need 18 distinct
+    ones, which Laplace expansions one by one would compute 48 times.
+    """
+    r0, ra, rb = [r for r in range(4) if r != i - 1]
     out = []
-    rows = [r for r in range(4) if r != i - 1]
     for j in range(1, 5):
         cols = [c for c in range(4) if c != j - 1]
-        minor = det([[Q[r][c] for c in cols] for r in rows])
+        terms = []
+        for c in cols:
+            ca, cb = [x for x in cols if x != c]
+            m2 = minors.get((ra, rb, ca, cb))
+            if m2 is None:
+                m2 = Q[ra][ca] * Q[rb][cb] - Q[ra][cb] * Q[rb][ca]
+                minors[(ra, rb, ca, cb)] = m2
+            terms.append(Q[r0][c] * m2)
+        minor = terms[0] - terms[1] + terms[2]
         out.append(minor if (i + j) % 2 == 0 else -minor)
     return out
 
@@ -168,7 +181,8 @@ def build_unprojection(M: SkewMatrix5, fmt: TomFormat, s_weight: int) -> Unproje
         if recomb != lin_pf[i]:
             raise UnprojectionError(f"Q row {i + 1} does not recombine its pfaffian")
 
-    H = [_cofactor_row(Q, i) for i in range(1, 5)]
+    minors: dict = {}
+    H = [_cofactor_row(Q, i, minors) for i in range(1, 5)]
 
     i = next(i for i in range(4) if not p[i].is_zero())
     try:

@@ -10,6 +10,8 @@ DECISIONS.md at the repository root.
 Run `tomlinks selftest` for the same battery with one printed line per item.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from tomlinks import acceptance, birational
@@ -24,6 +26,7 @@ from tomlinks.acceptance import (
     criterion_8,
     criterion_9,
 )
+from tomlinks.algebra import Ring, parse
 from tomlinks.groebner import BudgetExceeded
 
 
@@ -162,3 +165,15 @@ class TestCriterion9:
         (r,) = criterion_9()
         assert not r.passed
         assert "minimality certified: False" in r.detail
+
+
+class TestScale:
+    U = Ring(("y",), [(1,)])
+
+    def test_rational_scale_of_integer_polynomials(self):
+        c = acceptance._scale(parse("3*y^4 + 3*y^5", self.U), parse("2*y^4 + 2*y^5", self.U))
+        assert type(c) is Fraction and c == Fraction(3, 2)
+
+    def test_not_proportional(self):
+        assert acceptance._scale(parse("3*y^4 + y^5", self.U), parse("2*y^4 + 2*y^5", self.U)) is None
+        assert acceptance._scale(parse("y^3", self.U), parse("y^4", self.U)) is None

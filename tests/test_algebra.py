@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tomlinks.algebra import (
@@ -20,6 +20,7 @@ from tomlinks.algebra import (
     random_general,
     substitute,
 )
+from tomlinks.groebner import Ideal, MatrixOrder, buchberger, normal_form
 
 R7 = Ring(("x1", "x2", "x3", "y1", "y2", "y3", "y4"), [(1, 1, 1, 6, 5, 4, 3)])
 SCROLL = Ring(
@@ -110,6 +111,81 @@ class TestExactDivide:
         if q.is_zero():
             return
         assert exact_divide(p * q, q) == p
+
+
+R3 = Ring(("x", "y", "z"), [(1, 1, 1)])
+# rational coefficients, integral ones included both as int and as Fraction
+COEFFS = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4)).filter(bool)
+R3_POLYS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), COEFFS,
+                           min_size=1, max_size=4).map(lambda t: Polynomial(R3, t))
+
+
+def assert_exact(p: Polynomial):
+    """Every coefficient is an int when integral and a Fraction otherwise."""
+    for c in p.terms.values():
+        assert type(c) is (int if c.denominator == 1 else Fraction), c
+
+
+class TestExactCoefficients:
+    @given(R3_POLYS, R3_POLYS, COEFFS)
+    @settings(max_examples=60, deadline=None)
+    def test_arithmetic(self, f, g, c):
+        for p in (f, g, f + g, f - g, f * g, f * c, c * g, -f, f ** 2):
+            assert_exact(p)
+        assert_exact(exact_divide(f * g, g))
+        assert_exact(substitute(f, {"x": g, "y": Fraction(1, 2)}))
+
+    @given(R3_POLYS, R3_POLYS)
+    @settings(max_examples=30, deadline=None)
+    def test_groebner_results(self, f, g):
+        order = MatrixOrder.grevlex(R3)
+        gb = buchberger(Ideal([f, g * Fraction(2, 3)]), order)
+        for p in gb.elements:
+            assert_exact(p)
+        assert_exact(normal_form(f * Fraction(1, 3) + g, gb))
+        assert_exact(normal_form(f + g * Fraction(1, 3), [f], order))
+
+    def test_integral_sums_become_ints(self):
+        half = R3.const(Fraction(1, 2)) * parse("x", R3)
+        assert_exact(half + half)
+        assert (half + half).terms == {(1, 0, 0): 1}
+        assert_exact(half * 2)
+        assert_exact(parse("2/2*x + 4/3*y", R3))
+
+    @pytest.mark.parametrize("make", [
+        lambda: Polynomial(R3, {(1, 0, 0): 0.5}),
+        lambda: Polynomial(R3, {(1, 0, 0): 0.0}),
+        lambda: R3.const(0.5),
+        lambda: R3.monomial((1, 0, 0), 2.0),
+        lambda: parse("x", R3) * 0.5,
+        lambda: 0.5 * parse("x", R3),
+    ], ids=["constructor", "constructor-zero", "const", "monomial", "mul", "rmul"])
+    def test_float_rejected(self, make):
+        with pytest.raises(AlgebraError, match="not an exact rational"):
+            make()
+
+
+class TestExactDivideRational:
+    @given(R3_POLYS, R3_POLYS)
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip(self, u, q):
+        lead = max(q.terms, key=R3.display_key)
+        assume(q.terms[lead] != 1)
+        assert exact_divide(u * q, q) == u
+
+    @given(R3_POLYS, R3_POLYS)
+    @settings(max_examples=40, deadline=None)
+    def test_remainder_raises(self, u, q):
+        # u*q + 1 = v*q would make (v - u)*q = 1, so a non-constant q is a unit
+        assume(any(any(m) for m in q.terms))
+        with pytest.raises(NotDivisible):
+            exact_divide(u * q + 1, q)
+
+    def test_integer_inputs_rational_quotient(self):
+        u = exact_divide(parse("3*x^2 + 6*x*y", R3), parse("2*x", R3))
+        assert u == parse("3/2*x + 3*y", R3)
+        assert u.terms == {(1, 0, 0): Fraction(3, 2), (0, 1, 0): 3}
+        assert_exact(u)
 
 
 class TestDet:

@@ -277,6 +277,29 @@ class TestQuadExt:
         assert w * w - w + 1 == QuadExt(0, 0, 1, -1)
 
 
+class TestExactDivisionSites:
+    """Integer coefficients whose quotients are not integers give Fractions."""
+
+    R = Ring(("a", "b", "c"), [(1, 1, 1)])
+
+    def test_wall_quadratic(self):
+        # only the first generator has terms on the wall line (a, b)
+        gens = [parse("2*a^2 + 3*a*b + b^2 + a*c", self.R), parse("c^2", self.R)]
+        A, B, C = birational._wall_quadratic(gens, self.R, [0, 1])
+        for got, want in ((-B / A, Fraction(-3, 2)), (-C / A, Fraction(-1, 2)),
+                          (-C / B, Fraction(-1, 3))):
+            assert type(got) is Fraction and got == want
+
+    def test_global_eliminate(self):
+        gens = [parse("2*a - b^2", self.R), parse("a*c + b", self.R)]
+        work, eliminated = birational.global_eliminate(gens, self.R, priority=("a",))
+        assert eliminated == ("a",)
+        assert work == [parse("1/2*b^2*c + b", self.R)]
+        assert work[0].terms == {(0, 2, 1): Fraction(1, 2), (0, 1, 0): 1}
+        assert type(work[0].terms[(0, 2, 1)]) is Fraction
+        assert type(work[0].terms[(0, 1, 0)]) is int
+
+
 class TestWallSkipPredicate:
     def test_10985_y2_wall(self, case_10985):
         assert wall_skip_expected(case_10985.matrix_weights, 5)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tomlinks import unprojection
-from tomlinks.algebra import Ring, bidegree, parse
+from tomlinks.algebra import Polynomial, Ring, bidegree, det, parse
 from tomlinks.groebner import Ideal, MatrixOrder, buchberger, eliminate, normal_form
 from tomlinks.pfaffian import (
     PAIRS,
@@ -81,13 +81,39 @@ def corrupt_cofactor_row(monkeypatch, row, extra):
     """Make _cofactor_row add the polynomial extra to entry 1 of the given row."""
     original = unprojection._cofactor_row
 
-    def corrupted(Q, i):
-        out = original(Q, i)
+    def corrupted(Q, i, minors):
+        out = original(Q, i, minors)
         if i == row:
             out[0] = out[0] + extra
         return out
 
     monkeypatch.setattr(unprojection, "_cofactor_row", corrupted)
+
+
+R3 = Ring(("x", "y", "z"), [(1, 1, 1)])
+ENTRIES = st.dictionaries(
+    st.tuples(*[st.integers(0, 1)] * 3),
+    st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3)).filter(bool),
+    max_size=2,
+).map(lambda t: Polynomial(R3, t))
+
+
+class TestCofactorRow:
+    @given(st.lists(st.lists(ENTRIES, min_size=4, max_size=4), min_size=4, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_adjugate(self, Q):
+        minors: dict = {}
+        H = [unprojection._cofactor_row(Q, i, minors) for i in range(1, 5)]
+        assert len(minors) == 18
+        for i in range(4):
+            for j in range(4):
+                sub = [[Q[r][c] for c in range(4) if c != j] for r in range(4) if r != i]
+                assert H[i][j] == (det(sub) if (i + j) % 2 == 0 else -det(sub))
+        detQ = det(Q)
+        for i in range(4):
+            for k in range(4):
+                total = sum((Q[k][j] * H[i][j] for j in range(4)), R3.zero())
+                assert total == (detQ if i == k else R3.zero())
 
 
 class TestBuildUnprojection:
@@ -160,7 +186,6 @@ class TestVerify:
         assert rep.ok()
 
 
-@pytest.mark.slow
 def test_eliminating_s_recovers_pfaffians():
     M = matrix_20652()
     res = build_unprojection(M, TomFormat(1), s_weight=2)
