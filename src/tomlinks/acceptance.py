@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import AlgebraError, Polynomial, Ring, parse
 from .birational import (
@@ -187,7 +188,9 @@ def criterion_3(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
 
 
 def criterion_4(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
-    """Saturation oracle: the divided equations span the t-saturation."""
+    """Saturation oracle: the divided equations h span the t-saturation of
+    the pull-back, certified by r_i = t^{k_i}*h_i and one Groebner basis of
+    (h) with no element divisible by t (`verify_blowup_saturation`)."""
     out = []
     for name in ("10985", "20652"):
         case = _case(name)
@@ -202,6 +205,18 @@ def criterion_4(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
 SEEDED = [("10985", 9), ("20652", 8), ("24097", 8)]  # 25 members total
 
 
+@lru_cache(maxsize=None)
+def _seeded_member(name: str, seed: int):
+    """(general Tom matrix, its unprojection) for `name`'s weights and `seed`.
+
+    Criteria 5 and 7 read the same SEEDED members; both builds are pure, so
+    each member is built once.
+    """
+    case = _case(name)
+    M = build_general_tom(case.matrix_weights, TomFormat(case.tom_k), case.ambient6, seed)
+    return M, build_unprojection(M, TomFormat(case.tom_k), case.r)
+
+
 def criterion_5(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
     bad: list[str] = []
     total = 0
@@ -210,7 +225,7 @@ def criterion_5(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
         amb = case.ambient6
         for seed in range(n_seeds):
             total += 1
-            M = build_general_tom(case.matrix_weights, TomFormat(case.tom_k), amb, seed)
+            M, res = _seeded_member(name, seed)
             pf = maximal_pfaffians(M)
             for i in range(1, 6):
                 row = amb.zero()
@@ -218,7 +233,6 @@ def criterion_5(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
                     row = row + M[(i, j)] * pf[j - 1]
                 if not row.is_zero():
                     bad.append(f"{name}/{seed}: M.Pf != 0")
-            res = build_unprojection(M, TomFormat(case.tom_k), case.r)
             rep = verify_unprojection(res, case.d, budget=budget)
             if not rep.ok():
                 bad.append(f"{name}/{seed}: {rep}")
@@ -260,11 +274,9 @@ def criterion_7(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
     total = 0
     for name, n_seeds in SEEDED:
         case = _case(name)
-        amb = case.ambient6
         for seed in range(n_seeds):
             total += 1
-            M = build_general_tom(case.matrix_weights, TomFormat(case.tom_k), amb, seed)
-            res = build_unprojection(M, TomFormat(case.tom_k), case.r)
+            _, res = _seeded_member(name, seed)
             try:
                 deltas = compute_deltas(res.g, case)
             except LinkError as e:

@@ -22,6 +22,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Number
 from operator import add, le, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -267,17 +268,17 @@ class Polynomial:
             raise RingMismatch("polynomials live in different rings")
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, Number):
+                return NotImplemented
+            other = self.ring.const(other)  # a float raises in `exact`
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
 
     def __add__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             other = self.ring.const(other)
         self._check(other)
         out = dict(self.terms)
@@ -296,7 +297,7 @@ class Polynomial:
         return Polynomial(self.ring, {m: -c for m, c in self.terms.items()}, _clean=True)
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             other = self.ring.const(other)
         return self.__add__(-other)
 

@@ -25,7 +25,6 @@ from .algebra import (
     bidegree,
     det,
     divide_out,
-    divides,
     exact_divide,
     mix_seed,
     substitute,
@@ -37,10 +36,9 @@ from .groebner import (
     MatrixOrder,
     NotZeroDimensional,
     buchberger,
+    is_saturated,
     minimal_generators,
-    normal_form,
     projective_dim_degree,
-    saturate,
     zero_dim_degree,
 )
 from .pfaffian import (
@@ -1338,29 +1336,29 @@ def trace_link(case: FanoCase, seed: int = 0, budget: int = DEFAULT_BUDGET,
 
 
 def verify_blowup_saturation(blow: BlowupData, budget: int = DEFAULT_BUDGET) -> bool:
-    """Oracle: the divided generators h span the t-saturation of the pull-back.
+    """Oracle: the divided generators h span J = I : t^inf, I the pull-back.
 
-    The pull-back ideal I is bihomogeneous on the scroll, so it is
+    (h) is contained in J: each raw pull-back r_i must equal t^{k_i}*h_i
+    exactly, with k_i the recorded exponent (a length mismatch or a failed
+    identity returns False).  Those identities put I inside (h) and each
+    h_i inside J, so J = (h) : t^inf, and (h) = J iff (h) is saturated
+    with respect to t.  The h are bihomogeneous on the scroll, so
     homogeneous for the positive grading w = 2*top + bottom, under which
-    t, s, x and y_j weigh 1, 2r+1, 2a|2b|2c and 2d_j-1.  Bayer's theorem
-    (Bayer-Stillman 1987, see `saturate`) then makes the t-divided basis of
-    I under the w-graded order with t smallest a Groebner basis of
-    I : t^inf, so (h) is contained in the saturation J iff each h reduces
-    to 0 against it.  For the converse, let G be a Groebner basis of (h)
-    in the same order.  If every lead monomial of the saturation's basis is
-    divisible by a lead monomial of G, then in(J) is contained in in(h);
-    with (h) in J, in(h) is contained in in(J), so the two initial ideals
-    are equal, and an ideal contained in another with the same initial
-    ideal equals it (a Groebner basis of the smaller one then reduces every
-    element of the larger one to 0).  So (h) = J.
+    t, s, x and y_j weigh 1, 2r+1, 2a|2b|2c and 2d_j-1.  Let G be the
+    reduced Groebner basis of (h) under the w-graded order with t smallest.
+    Then (h) : t^inf = (h) iff no element of G has the factor t: if none
+    has, Bayer's theorem (Bayer-Stillman 1987) makes G itself a basis of
+    the saturation; if t divides g in G, then lead(g)/t lies in the initial
+    ideal of the saturation, and were that in(h), the lead of another
+    element of G would divide lead(g), which a reduced basis forbids.  One
+    basis, of (h), decides it (`groebner.is_saturated`).
     """
-    ring = blow.pullback_ideal.ring
-    w = tuple(2 * a + b for a, b in zip(ring.top, ring.bottom))
-    order = MatrixOrder.grevlex(ring, w, last="t")
-    sat = saturate(blow.pullback_ideal, "t", budget, w).generators
-    if not all(normal_form(h, sat, order, budget).is_zero() for h in blow.generators):
+    raw = blow.pullback_ideal.generators
+    if not len(raw) == len(blow.generators) == len(blow.t_exponents):
         return False
-    gb_h = buchberger(Ideal(list(blow.generators), ring), order, budget)
-    leads_h = [max(g.terms, key=order.key) for g in gb_h.elements]
-    return all(any(divides(lh, max(g.terms, key=order.key)) for lh in leads_h)
-               for g in sat)
+    ring = blow.pullback_ideal.ring
+    t = ring.gen("t")
+    if any(r != t ** k * h for r, h, k in zip(raw, blow.generators, blow.t_exponents)):
+        return False
+    w = tuple(2 * a + b for a, b in zip(ring.top, ring.bottom))
+    return is_saturated(Ideal(blow.generators, ring), "t", budget, w)

@@ -1,8 +1,9 @@
 """Buchberger-based ideal computations under matrix monomial orders.
 
 Covers reduced Groebner bases, multivariate division / normal forms,
-minimal generators of a graded ideal, saturation by a single variable
-(Bayer's revlex saturation of a homogeneous ideal), variable elimination,
+minimal generators of a graded ideal, saturation by a single variable and
+the test whether an ideal is already saturated (both from one basis, by
+Bayer's revlex saturation of a homogeneous ideal), variable elimination,
 and the dimension and degree of a projective scheme read off the Hilbert
 series of one lead-term ideal, which for a zero-dimensional scheme is its
 length.
@@ -31,7 +32,7 @@ to a Polynomial, whose constructor makes integral quotients ints again.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import add, sub
@@ -85,7 +86,9 @@ class Ideal:
 class GroebnerBasis:
     elements: list[Polynomial]
     order: MatrixOrder
-    reduced: bool = True
+    # the elements as the reducer reads them, in the same order: (lead,
+    # positive lead coefficient, tail) of each primitive integer multiple
+    entries: list[tuple] = field(repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +352,18 @@ def buchberger(ideal: Ideal, order: MatrixOrder, budget: int = DEFAULT_BUDGET) -
             keep.append(i)
     minimal_basis = [basis[i] for i in keep]
 
-    polys: list[Polynomial] = []
+    reduced: list[tuple] = []
     for i, (lead, lc, tail) in enumerate(minimal_basis):
         others = [minimal_basis[k] for k in range(len(minimal_basis)) if k != i]
         full = dict(tail)
         full[lead] = lc
-        rem = red.reduce(full, others)
-        rem = _normalize_int(rem, keyf)
-        rl = rem[_lead(rem, keyf)]
-        polys.append(Polynomial(ring, {m: Fraction(c, rl) for m, c in rem.items()}))
-    polys.sort(key=lambda p: keyf(_lead(p.terms, keyf)))
-    return GroebnerBasis(polys, order)
+        # no other lead divides `lead`, so it stays the remainder's lead
+        rem = _normalize_int(red.reduce(full, others), keyf)
+        rl = rem[lead]
+        poly = Polynomial(ring, {m: Fraction(c, rl) for m, c in rem.items()})
+        reduced.append((poly, (lead, rl, {m: c for m, c in rem.items() if m != lead})))
+    reduced.sort(key=lambda pe: keyf(pe[1][0]))
+    return GroebnerBasis([p for p, _ in reduced], order, [e for _, e in reduced])
 
 
 def minimal_generators(ideal: Ideal, order: MatrixOrder,
@@ -409,24 +413,24 @@ def normal_form(p: Polynomial, basis, order: MatrixOrder | None = None,
     on ideal members; against a raw generator list a zero remainder still
     certifies membership (a nonzero one proves nothing).
     """
-    if isinstance(basis, GroebnerBasis):
-        order = basis.order
-        polys = basis.elements
-    else:
-        polys = list(basis)
-        if order is None:
-            order = MatrixOrder.grevlex(p.ring)
     if p.is_zero():
         return p
-    keyf = order.key
-    prepped = []
-    for g in polys:
-        if g.is_zero():
-            continue
-        t, _ = _to_int(g.terms, keyf)
-        lead = _lead(t, keyf)
-        prepped.append((lead, t[lead], {m: c for m, c in t.items() if m != lead}))
-    prepped.sort(key=lambda e: keyf(e[0]))
+    if isinstance(basis, GroebnerBasis):
+        order = basis.order
+        keyf = order.key
+        prepped = basis.entries
+    else:
+        if order is None:
+            order = MatrixOrder.grevlex(p.ring)
+        keyf = order.key
+        prepped = []
+        for g in basis:
+            if g.is_zero():
+                continue
+            t, _ = _to_int(g.terms, keyf)
+            lead = _lead(t, keyf)
+            prepped.append((lead, t[lead], {m: c for m, c in t.items() if m != lead}))
+        prepped.sort(key=lambda e: keyf(e[0]))
     red = _Reducer(keyf, budget)
     target, scale = _to_int(p.terms, keyf)
     rem, lam = red.reduce_scaled(target, prepped)
@@ -452,6 +456,29 @@ def saturate(ideal: Ideal, var: str, budget: int = DEFAULT_BUDGET,
     weight row; a non-positive w or a generator that is not w-homogeneous
     raises AlgebraError, since the theorem does not apply.
     """
+    gb = buchberger(ideal, _saturation_order(ideal, var, weights), budget)
+    out = [divide_out(g, var)[0] for g in gb.elements]
+    return Ideal(out, ideal.ring) if out else _trivial_ideal(ideal.ring)
+
+
+def is_saturated(ideal: Ideal, var: str, budget: int = DEFAULT_BUDGET,
+                 weights: Sequence[int] | None = None) -> bool:
+    """Whether I = I : var^inf, from the one reduced Groebner basis G of I
+    in the order of `saturate` (same hypotheses, same AlgebraError).
+
+    I is saturated iff no element of G has the factor var.  If none has,
+    Bayer's theorem makes G itself a basis of I : var^inf.  If var divides
+    g in G, then g/var lies in I : var^inf; were that I, lead(g)/var would
+    lie in in(I), so the lead of another element of G would divide lead(g),
+    which a reduced basis forbids.
+    """
+    gb = buchberger(ideal, _saturation_order(ideal, var, weights), budget)
+    i = ideal.ring.index[var]
+    return all(any(m[i] == 0 for m in g.terms) for g in gb.elements)
+
+
+def _saturation_order(ideal: Ideal, var: str, weights: Sequence[int] | None) -> MatrixOrder:
+    """The order of Bayer's theorem for I and var, once its hypotheses hold."""
     ring = ideal.ring
     if var not in ring.index:
         raise AlgebraError(f"{var!r} is not a ring variable")
@@ -459,9 +486,7 @@ def saturate(ideal: Ideal, var: str, budget: int = DEFAULT_BUDGET,
     if len(w) != ring.nvars or any(x <= 0 for x in w):
         raise AlgebraError(f"saturation needs a positive grading, got weights {w}")
     _require_homogeneous(ideal, w)
-    gb = buchberger(ideal, MatrixOrder.grevlex(ring, w, last=var), budget)
-    out = [divide_out(g, var)[0] for g in gb.elements]
-    return Ideal(out, ring) if out else _trivial_ideal(ring)
+    return MatrixOrder.grevlex(ring, w, last=var)
 
 
 def _require_homogeneous(ideal: Ideal, w: Sequence[int]) -> None:

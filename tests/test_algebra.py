@@ -159,10 +159,24 @@ class TestExactCoefficients:
         lambda: R3.monomial((1, 0, 0), 2.0),
         lambda: parse("x", R3) * 0.5,
         lambda: 0.5 * parse("x", R3),
-    ], ids=["constructor", "constructor-zero", "const", "monomial", "mul", "rmul"])
+        lambda: parse("x", R3) + 0.5,
+        lambda: 0.5 + parse("x", R3),
+        lambda: parse("x", R3) - 0.5,
+        lambda: 0.5 - parse("x", R3),
+        lambda: parse("x", R3) == 0.5,
+        lambda: R3.zero() == 0.0,
+    ], ids=["constructor", "constructor-zero", "const", "monomial", "mul", "rmul",
+            "add", "radd", "sub", "rsub", "eq", "eq-zero"])
     def test_float_rejected(self, make):
         with pytest.raises(AlgebraError, match="not an exact rational"):
             make()
+
+    def test_eq_with_non_number(self):
+        x = parse("x", R3)
+        assert x.__eq__(None) is NotImplemented
+        assert x != None  # noqa: E711
+        assert x != "x"
+        assert R3.one() == 1 and R3.const(Fraction(1, 2)) == Fraction(1, 2)
 
 
 class TestExactDivideRational:

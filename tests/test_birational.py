@@ -40,7 +40,7 @@ from tomlinks.birational import (
     zero_dim_degree,
 )
 from tomlinks.casefile import bundled_case_names, load_bundled
-from tomlinks.groebner import Ideal
+from tomlinks.groebner import Ideal, MatrixOrder, buchberger, saturate
 from tomlinks.pfaffian import TomFormat, WeightMatrix5, build_general_tom
 from tomlinks.unprojection import build_unprojection
 
@@ -158,10 +158,40 @@ class TestSaturationOracle:
         assert verify_blowup_saturation(blow)
 
     def test_rejects_extra_t_factor(self, blow):
-        # t*h_9 still lies in the saturation, but (h) no longer contains it
+        # t*h_9 with k_9 - 1 keeps r_9 = t^k_9 * h_9 and t*h_9 still lies in
+        # the saturation, but (h) no longer contains h_9: only the basis of
+        # (h), which now has an element divisible by t, can reject it
         t = blow.generators[0].ring.gen("t")
         gens = blow.generators[:8] + [t * blow.generators[8]]
-        assert not verify_blowup_saturation(dataclasses.replace(blow, generators=gens))
+        exps = blow.t_exponents[:8] + [blow.t_exponents[8] - 1]
+        assert not verify_blowup_saturation(
+            dataclasses.replace(blow, generators=gens, t_exponents=exps))
+
+    @pytest.mark.parametrize("mutate", ["scaled_h", "shifted_k", "wrong_r"])
+    def test_rejects_broken_pairing(self, blow, mutate):
+        # r_i != t^k_i * h_i fails even where (h) itself is unchanged
+        gens, exps = list(blow.generators), list(blow.t_exponents)
+        raw = list(blow.pullback_ideal.generators)
+        if mutate == "scaled_h":
+            gens[1] = 2 * gens[1]
+        elif mutate == "shifted_k":
+            exps[0] += 1
+        else:
+            raw[8] = raw[8] * raw[8].ring.gen("x1")
+        mutant = dataclasses.replace(blow, generators=gens, t_exponents=exps,
+                                     pullback_ideal=Ideal(raw, blow.pullback_ideal.ring))
+        assert not verify_blowup_saturation(mutant)
+
+    def test_basis_equals_saturation_basis(self, blow):
+        # the two-basis method as the independent reference: the reduced basis
+        # of I : t^inf equals that of (h), element for element
+        ring = blow.pullback_ideal.ring
+        w = tuple(2 * a + b for a, b in zip(ring.top, ring.bottom))
+        order = MatrixOrder.grevlex(ring, w, last="t")
+        sat = saturate(blow.pullback_ideal, "t", weights=w)
+        want = buchberger(sat, order).elements
+        got = buchberger(Ideal(blow.generators, ring), order).elements
+        assert [g.terms for g in got] == [g.terms for g in want]
 
     def test_rejects_dropped_equation(self, blow):
         assert not verify_blowup_saturation(

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -100,6 +101,10 @@ class TestCli:
             text = _replace_entry(text, key, val)
         bad.write_text(text)
         assert main(["unproject", "--case", str(bad)]) == 1
+
+    def test_blowup_runs_oracle_by_default(self, capsys):
+        assert main(["blowup", "--case", "1218", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["saturation_oracle"] is True
 
     def test_blowup_skip_oracle(self, capsys):
         assert main(["blowup", "--case", "20652", "--skip-saturation-oracle"]) == 0

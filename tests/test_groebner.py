@@ -22,6 +22,7 @@ from tomlinks.groebner import (
     buchberger,
     eliminate,
     hilbert_numerator,
+    is_saturated,
     minimal_generators,
     normal_form,
     projective_dim_degree,
@@ -94,6 +95,39 @@ class TestNormalForm:
     def test_non_membership(self):
         assert normal_form(R2.one(), [parse("x1", R2)]) == R2.one()
 
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=15, deadline=None)
+    def test_basis_entries_match_elements(self, seed):
+        # the integer entries a GroebnerBasis carries give the same remainder
+        # as the raw-list path, which rebuilds them from the elements
+        gens = [random_general(2, P2, seed=seed + k) * Fraction(k + 1, 3) for k in range(2)]
+        gb = buchberger(Ideal(gens), MatrixOrder.grevlex(P2))
+        for g, (lead, lc, tail) in zip(gb.elements, gb.entries):
+            assert g * lc == Polynomial(P2, {lead: lc, **tail})
+        for k in range(3):
+            p = random_general(3, P2, seed=seed + 7 + k) * Fraction(2, 5)
+            nf = normal_form(p, gb)
+            assert nf == normal_form(p, gb.elements, gb.order)
+            assert list(nf.terms) == list(normal_form(p, gb.elements, gb.order).terms)
+
+
+def t_multiple_ideal(weights, specs) -> Ideal:
+    """Generators t^k * f with f homogeneous of degree d*lcm(weights)."""
+    R = Ring(("t", "x1", "y1"), [weights])
+    t = R.gen("t")
+    gens = []
+    for k, d, coeffs in specs:
+        monos = monomials_of_degree(R, d * lcm(*weights))
+        f = sum((R.monomial(monos[(7 * i) % len(monos)], c) for i, c in enumerate(coeffs)),
+                R.zero())
+        gens.append(t ** k * f)
+    return Ideal(gens, R)
+
+
+SPECS = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3),
+                           st.lists(st.integers(-3, 3), min_size=3, max_size=3)),
+                 min_size=1, max_size=3)
+
 
 class TestSaturate:
     def test_single_factor(self):
@@ -119,22 +153,12 @@ class TestSaturate:
         # saturation contains the input ideal
         assert all(normal_form(g, gb1).is_zero() for g in I.generators)
 
-    @given(st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)),
-           st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3),
-                              st.lists(st.integers(-3, 3), min_size=3, max_size=3)),
-                    min_size=1, max_size=3))
+    @given(st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)), SPECS)
     @settings(max_examples=20, deadline=None)
     def test_matches_z_trick(self, weights, specs):
         # reference: I : t^inf = (I + (t*z - 1)) intersected with k[t, x1, y1]
-        R = Ring(("t", "x1", "y1"), [weights])
-        t = R.gen("t")
-        gens = []
-        for k, d, coeffs in specs:
-            monos = monomials_of_degree(R, d * lcm(*weights))
-            f = sum((R.monomial(monos[(7 * i) % len(monos)], c) for i, c in enumerate(coeffs)),
-                    R.zero())
-            gens.append(t ** k * f)
-        I = Ideal(gens, R)
+        I = t_multiple_ideal(weights, specs)
+        R = I.ring
         sat = saturate(I, "t")
         Z = Ring(("z",) + R.names, [(1,) + R.top])
         lift = {nm: Z.gen(nm) for nm in R.names}
@@ -159,6 +183,46 @@ class TestSaturate:
         R = Ring(("t", "x1"), [(1, 1)])
         with pytest.raises(AlgebraError, match="positive grading"):
             saturate(Ideal([parse("t*x1", R)]), "t", weights=weights)
+
+
+
+class TestIsSaturated:
+    def test_examples(self):
+        R = Ring(("t", "x1", "y1"), [(1, 1, 1)])
+        assert not is_saturated(Ideal([parse("t*x1", R)]), "t")
+        assert is_saturated(Ideal([parse("x1^2", R), parse("t*x1 + y1^2", R)]), "t")
+        # t*x1 - t*y1 is in the ideal, so no generator has the factor t, yet
+        # x1 - y1 lies in the saturation and not in the ideal
+        assert not is_saturated(
+            Ideal([parse("t*x1 + y1^2", R), parse("t*y1 + y1^2", R)]), "t")
+
+    @given(st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)), SPECS,
+           st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_iff_saturation_has_same_basis(self, weights, specs, pre_saturate):
+        I = t_multiple_ideal(weights, specs)
+        if pre_saturate:
+            I = saturate(I, "t")
+        assume(I.generators)
+        order = MatrixOrder.grevlex(I.ring, weights, last="t")
+        same = buchberger(saturate(I, "t"), order).elements == buchberger(I, order).elements
+        assert is_saturated(I, "t") == same
+
+    def test_rejects_inhomogeneous_generator(self):
+        R = Ring(("t", "x1"), [(1, 1)])
+        with pytest.raises(AlgebraError, match="not homogeneous"):
+            is_saturated(Ideal([parse("t*x1 - x1", R)]), "t")
+
+    @pytest.mark.parametrize("weights", [(0, 1), (1, -1), (1,)])
+    def test_rejects_non_positive_weights(self, weights):
+        R = Ring(("t", "x1"), [(1, 1)])
+        with pytest.raises(AlgebraError, match="positive grading"):
+            is_saturated(Ideal([parse("t*x1", R)]), "t", weights=weights)
+
+    def test_rejects_unknown_variable(self):
+        R = Ring(("t", "x1"), [(1, 1)])
+        with pytest.raises(AlgebraError, match="not a ring variable"):
+            is_saturated(Ideal([parse("t*x1", R)]), "z")
 
 
 class TestMinimalGenerators:
