@@ -23,10 +23,16 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Number
-from operator import add, le, sub
+from operator import add, le, mul, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 Mono = tuple  # tuple[int, ...], one exponent per ring variable
+
+# MatrixOrder.key gives each exponent a field of this many bits, whose top
+# bit is a guard: exponents lie in [0, 2^31)
+_FIELD_BITS = 32
+_EXP_BOUND = 1 << (_FIELD_BITS - 1)
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
 
 
 class AlgebraError(Exception):
@@ -181,30 +187,58 @@ class MatrixOrder:
     degrees under `rows`; remaining ties are broken by plain lex on the
     exponents in ring variable order, which makes the comparison total
     whatever the rows are.
+
+    `key(m)` packs that comparison into one int.  The low bits hold one
+    32-bit field per exponent, the first variable highest; the top bit of
+    each field is a guard, so exponents must lie in [0, 2^31) and `key`
+    raises AlgebraError otherwise.  Above the fields sits one balanced digit
+    per row, the last row lowest, each wide enough that |row . m| stays
+    below half its radix.  So comparing keys as ints compares (row values,
+    then exponents) lexicographically, and the key is linear in the
+    exponents, key(m) = sum_i m_i * c_i, which gives:
+
+    * key(a * b) = key(a) + key(b) and key(b / a) = key(b) - key(a);
+    * a divides b iff (key(b) - key(a)) & guard == 0: the row digits only
+      touch bits above the fields, and a negative exponent difference
+      borrows into, and sets, the guard bit of its field;
+    * a sum of two keys overflowed an exponent iff it has a guard bit set;
+    * `unpack(key(m)) == m`.
     """
 
-    __slots__ = ("ring", "rows", "_support")
+    __slots__ = ("ring", "rows", "guard", "_coeffs", "_shifts")
 
     def __init__(self, ring: Ring, rows: Sequence[Sequence[int]]):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", tuple(tuple(int(w) for w in r) for r in rows))
+        n = ring.nvars
         for r in self.rows:
-            if len(r) != ring.nvars:
+            if len(r) != n:
                 raise AlgebraError("order row length != variable count")
-        # each row's nonzero entries, found once: a lone entry as (i, w), read
-        # with one product (every grevlex row after the first), else (entries, 0)
-        support = []
-        for r in self.rows:
-            nz = tuple((i, w) for i, w in enumerate(r) if w)
-            support.append(nz[0] if len(nz) == 1 else (nz, 0))
-        object.__setattr__(self, "_support", tuple(support))
+        shifts = tuple(_FIELD_BITS * (n - 1 - i) for i in range(n))
+        coeffs = [1 << s for s in shifts]
+        unit = 1 << (_FIELD_BITS * n)
+        for r in reversed(self.rows):
+            for i, w in enumerate(r):
+                coeffs[i] += w * unit
+            bound = sum(map(abs, r)) * (_EXP_BOUND - 1)
+            unit <<= (2 * bound + 1).bit_length()
+        object.__setattr__(self, "guard", sum(1 << (s + _FIELD_BITS - 1) for s in shifts))
+        object.__setattr__(self, "_coeffs", tuple(coeffs))
+        object.__setattr__(self, "_shifts", shifts)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("MatrixOrder is immutable")
 
-    def key(self, mono: Mono):
-        return tuple([w * mono[i] if w else sum([c * mono[j] for j, c in i])
-                      for i, w in self._support]) + tuple(mono)
+    def key(self, mono: Mono) -> int:
+        if len(mono) != len(self._coeffs) or min(mono, default=0) < 0 \
+                or max(mono, default=0) >= _EXP_BOUND:
+            raise AlgebraError(f"monomial {mono} has an exponent outside [0, 2^31) "
+                               f"or the wrong length")
+        return sum(map(mul, self._coeffs, mono))
+
+    def unpack(self, key: int) -> Mono:
+        """The exponent tuple of a key."""
+        return tuple((key >> s) & _FIELD_MASK for s in self._shifts)
 
     @classmethod
     def grevlex(cls, ring: Ring, weights: Sequence[int] | None = None,

@@ -27,6 +27,18 @@ loses its content), a reduction step scales the remainder by lead/gcd
 instead of dividing, common content is stripped along the way, and the
 accumulated scale is divided out, by Fraction, when the result goes back
 to a Polynomial, whose constructor makes integral quotients ints again.
+
+Inside the kernel a monomial is its packed `MatrixOrder.key`, one int
+linear in the exponents (see `MatrixOrder` for the layout): the order is
+int comparison, so the largest pending term is the top of a heap of
+negated keys; multiplying by a monomial adds its key; b/a is key(b) -
+key(a), and a divides b iff that difference has no guard bit set.
+Exponents must stay below 2^31: every monomial the kernel makes by
+addition (S-polynomial and reduction terms) is checked against the guard
+mask, and a field that would overflow raises AlgebraError instead of
+wrapping.  Keys are made when a polynomial enters and unpacked when a
+result leaves; only the pair queue also keeps its leads as exponent
+tuples, for the lcms and sugars it computes once per pair.
 """
 
 from __future__ import annotations
@@ -86,17 +98,15 @@ class Ideal:
 class GroebnerBasis:
     elements: list[Polynomial]
     order: MatrixOrder
-    # the elements as the reducer reads them, in the same order: (lead,
-    # positive lead coefficient, tail) of each primitive integer multiple
+    # the elements as the reducer reads them, in the same order: (lead key,
+    # positive lead coefficient, tail list of (key, coefficient)) of each
+    # primitive integer multiple; `order.unpack` reads a key's exponents
     entries: list[tuple] = field(repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
-# reduction core (fraction-free over the integers, primitive basis elements)
-
-def _lead(terms: dict, keyf) -> Mono:
-    return max(terms, key=keyf)
-
+# reduction core (fraction-free over the integers, primitive basis elements,
+# monomials as packed order keys)
 
 def _content(terms: dict) -> int:
     g = 0
@@ -107,8 +117,9 @@ def _content(terms: dict) -> int:
     return g or 1
 
 
-def _to_int(terms: dict, keyf):
-    """Rational term dict -> (primitive integer dict with positive lead, scale).
+def _to_int(terms: dict, order: MatrixOrder):
+    """Rational term dict -> (primitive integer dict keyed by packed
+    monomials, with positive lead, scale).
 
     The integer dict equals scale * (the input); reduction works over the
     integers and results are rescaled at the boundary.
@@ -116,37 +127,35 @@ def _to_int(terms: dict, keyf):
     den = 1
     for c in terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
-    out = {m: int(c * den) for m, c in terms.items()}
+    key = order.key
+    out = {key(m): int(c * den) for m, c in terms.items()}
     g = _content(out)
     if g > 1:
         out = {m: c // g for m, c in out.items()}
     scale = Fraction(den, g)
-    if out and out[_lead(out, keyf)] < 0:
+    if out and out[max(out)] < 0:
         out = {m: -c for m, c in out.items()}
         scale = -scale
     return out, scale
 
 
-def _normalize_int(terms: dict, keyf) -> dict:
+def _normalize_int(terms: dict) -> dict:
     """Strip content and make the lead coefficient positive."""
     g = _content(terms)
     out = {m: c // g for m, c in terms.items()} if g > 1 else dict(terms)
-    if out[_lead(out, keyf)] < 0:
+    if out[max(out)] < 0:
         out = {m: -c for m, c in out.items()}
     return out
 
 
-class _NegKey:
-    """Max-heap adapter: heapq pops the order-largest monomial first."""
+def _entry(terms: dict) -> tuple:
+    """(lead, lead coefficient, tail list) of a nonzero packed term dict."""
+    lead = max(terms)
+    return lead, terms[lead], [(m, c) for m, c in terms.items() if m != lead]
 
-    __slots__ = ("key", "mono")
 
-    def __init__(self, key, mono):
-        self.key = key
-        self.mono = mono
-
-    def __lt__(self, other):
-        return self.key > other.key
+def _overflow() -> AlgebraError:
+    return AlgebraError("a product monomial has an exponent of 2^31 or more")
 
 
 class _Reducer:
@@ -155,11 +164,13 @@ class _Reducer:
     Works with integer coefficients: a reduction against a primitive basis
     element of lead coefficient L scales the remainder by L/gcd instead of
     introducing fractions, and the accumulated scale is divided out when the
-    content is stripped or at the boundary.
+    content is stripped or at the boundary.  Monomials are packed keys of
+    one order, so a lead test is one subtraction and one AND, and a step
+    shifts each tail term by one addition.
     """
 
-    def __init__(self, keyf, budget: int = DEFAULT_BUDGET):
-        self.keyf = keyf
+    def __init__(self, guard: int, budget: int = DEFAULT_BUDGET):
+        self.guard = guard
         self.budget = budget
         self.steps = 0
 
@@ -169,33 +180,30 @@ class _Reducer:
 
     def reduce_scaled(self, target: dict, basis: list) -> tuple[dict, Fraction]:
         """(R, lam) with R = lam * (target mod basis); basis entries are
-        (lead mono, positive lead coeff, tail dict)."""
-        keyf = self.keyf
+        (lead, positive lead coeff, tail list), all monomials packed."""
+        guard = self.guard
         work = dict(target)
         out: dict = {}
         lam = Fraction(1)
-        heap = [_NegKey(keyf(m), m) for m in work]
+        # a key is pushed once while it is in `work`; a cancelled term stays
+        # there with coefficient 0 until it is popped
+        heap = [-m for m in work]
         heapq.heapify(heap)
-        queued = set(work)
         since_strip = 0
         while heap:
-            m = heapq.heappop(heap).mono
-            queued.discard(m)
-            c = work.pop(m, 0)
+            m = -heapq.heappop(heap)
+            c = work.pop(m)
             if not c:
                 continue
-            hit = None
             for lm, lc, tail in basis:
-                if divides(lm, m):
-                    hit = (lm, lc, tail)
+                if not (m - lm) & guard:
                     break
-            if hit is None:
+            else:
                 out[m] = c
                 continue
             self.steps += 1
             if self.steps > self.budget:
                 raise BudgetExceeded(self.budget)
-            lm, lc, tail = hit
             d = gcd(c, lc)
             scale, mult = lc // d, c // d
             if scale != 1:
@@ -204,17 +212,17 @@ class _Reducer:
                 for k in out:
                     out[k] *= scale
                 lam *= scale
-            shift = tuple(map(sub, m, lm))
-            for mg, cg in tail.items():
-                mm = tuple(map(add, shift, mg))
-                s = work.get(mm, 0) - mult * cg
-                if s:
-                    work[mm] = s
-                    if mm not in queued:
-                        queued.add(mm)
-                        heapq.heappush(heap, _NegKey(keyf(mm), mm))
+            shift = m - lm
+            for mg, cg in tail:
+                mm = shift + mg
+                if mm & guard:
+                    raise _overflow()
+                old = work.get(mm)
+                if old is None:
+                    work[mm] = -mult * cg
+                    heapq.heappush(heap, -mm)
                 else:
-                    work.pop(mm, None)
+                    work[mm] = old - mult * cg
             since_strip += 1
             if since_strip >= 48:
                 since_strip = 0
@@ -229,20 +237,24 @@ class _Reducer:
         return out, lam
 
 
-def _spoly(f: tuple, g: tuple, keyf) -> dict:
-    """Integer S-polynomial of primitive (lead, lead coeff, tail) entries."""
+def _spoly(f: tuple, g: tuple, lcm: int, guard: int) -> dict:
+    """Integer S-polynomial of primitive (lead, lead coeff, tail) entries
+    whose leads have the packed lcm `lcm`."""
     lf, cf, tf = f
     lg, cg, tg = g
     d = gcd(cf, cg)
     af, ag = cg // d, cf // d
-    lcm = _lcm(lf, lg)
-    sf = tuple(map(sub, lcm, lf))
-    sg = tuple(map(sub, lcm, lg))
+    sf, sg = lcm - lf, lcm - lg
     out: dict = {}
-    for m, c in tf.items():
-        out[tuple(map(add, sf, m))] = af * c
-    for m, c in tg.items():
-        mm = tuple(map(add, sg, m))
+    for m, c in tf:
+        mm = sf + m
+        if mm & guard:
+            raise _overflow()
+        out[mm] = af * c
+    for m, c in tg:
+        mm = sg + m
+        if mm & guard:
+            raise _overflow()
         s = out.get(mm, 0) - ag * c
         if s:
             out[mm] = s
@@ -256,15 +268,17 @@ class _PairQueue:
 
     `add` is the Gebauer-Moeller update, which with the product criterion
     covers Buchberger's first and second criteria.  Pairs leave in normal
-    order of (sugar, lcm), the sugar measured by the weight row w; each
-    pair's key is computed once, and pairs the update drops are skipped
-    when they reach the top of the heap.
+    order of (sugar, lcm), the sugar measured by the weight row w.  Leads
+    are also kept as exponent tuples, for the lcms and sugars, which are
+    computed once per pair; pairs the update drops are skipped when they
+    reach the top of the heap.
     """
 
-    def __init__(self, keyf, w: Sequence[int]):
-        self.keyf = keyf
+    def __init__(self, order: MatrixOrder, w: Sequence[int]):
+        self.order = order
         self.w = tuple(w)
-        self.basis: list[tuple] = []  # (lead, positive lead coeff, integer tail)
+        self.basis: list[tuple] = []  # (lead, positive lead coeff, integer tail), packed
+        self.leads: list[Mono] = []  # the basis leads as exponent tuples
         self.sugars: list[int] = []
         self.live: set[tuple[int, int]] = set()
         self.heap: list[tuple] = []
@@ -273,35 +287,35 @@ class _PairQueue:
         return sum(a * e for a, e in zip(self.w, m) if e)
 
     def add(self, terms: dict, sugar: int) -> None:
-        """Append a primitive integer dict with positive lead coefficient."""
-        keyf, basis = self.keyf, self.basis
-        lead = _lead(terms, keyf)
-        lc = terms[lead]
-        tail = {m: c for m, c in terms.items() if m != lead}
-        k = len(basis)
+        """Append a primitive packed integer dict with positive lead coefficient."""
+        keyf, leads = self.order.key, self.leads
+        entry = _entry(terms)
+        lead = self.order.unpack(entry[0])
+        k = len(leads)
         kept = set()
         for (i, j) in self.live:
-            lij = _lcm(basis[i][0], basis[j][0])
-            if (not divides(lead, lij)) or _lcm(basis[i][0], lead) == lij \
-                    or _lcm(basis[j][0], lead) == lij:
+            lij = _lcm(leads[i], leads[j])
+            if (not divides(lead, lij)) or _lcm(leads[i], lead) == lij \
+                    or _lcm(leads[j], lead) == lij:
                 kept.add((i, j))
         new_lcms: dict[Mono, list[int]] = {}
         for i in range(k):
-            new_lcms.setdefault(_lcm(basis[i][0], lead), []).append(i)
+            new_lcms.setdefault(_lcm(leads[i], lead), []).append(i)
         minimal: list[Mono] = []
         for L in sorted(new_lcms, key=keyf):
             if all(not divides(M, L) for M in minimal):
                 minimal.append(L)
-        basis.append((lead, lc, tail))
+        self.basis.append(entry)
+        leads.append(lead)
         self.sugars.append(sugar)
         for L in minimal:
             coprime = any(
-                L == tuple(map(add, basis[i][0], lead))
+                L == tuple(map(add, leads[i], lead))
                 for i in new_lcms[L]
             )
             if not coprime:
                 i = min(new_lcms[L])
-                sug = max(self.sugars[i] + self.wdeg(tuple(map(sub, L, basis[i][0]))),
+                sug = max(self.sugars[i] + self.wdeg(tuple(map(sub, L, leads[i]))),
                           sugar + self.wdeg(tuple(map(sub, L, lead))))
                 kept.add((i, k))
                 heapq.heappush(self.heap, (sug, keyf(L), i, k))
@@ -317,17 +331,23 @@ class _PairQueue:
     def reduce_next(self, red: _Reducer) -> None:
         """Reduce the next pair's S-polynomial; a nonzero remainder joins the basis."""
         self.next_sugar()  # drops dead pairs from the top of the heap
-        sug, _, i, j = heapq.heappop(self.heap)
+        sug, lcm, i, j = heapq.heappop(self.heap)
         self.live.discard((i, j))
-        s = _spoly(self.basis[i], self.basis[j], self.keyf)
+        s = _spoly(self.basis[i], self.basis[j], lcm, red.guard)
         if s:
             rem = red.reduce(s, self.basis)
             if rem:
-                self.add(_normalize_int(rem, self.keyf), sug)
+                self.add(_normalize_int(rem), sug)
 
 
 def _lcm(m1: Mono, m2: Mono) -> Mono:
     return tuple(map(max, m1, m2))
+
+
+def _polynomial(ring: Ring, order: MatrixOrder, terms: dict, factor) -> Polynomial:
+    """The Polynomial of a packed term dict, each coefficient divided by factor."""
+    unpack = order.unpack
+    return Polynomial(ring, {unpack(m): Fraction(c) / factor for m, c in terms.items()})
 
 
 def buchberger(ideal: Ideal, order: MatrixOrder, budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
@@ -335,20 +355,20 @@ def buchberger(ideal: Ideal, order: MatrixOrder, budget: int = DEFAULT_BUDGET) -
 
     Sugar is measured by the ring's top weight row.
     """
-    keyf = order.key
-    red = _Reducer(keyf, budget)
+    guard = order.guard
+    red = _Reducer(guard, budget)
     ring = ideal.ring
-    queue = _PairQueue(keyf, ring.top)
-    for g in sorted(ideal.generators, key=lambda p: keyf(_lead(p.terms, keyf))):
-        ig, _ = _to_int(g.terms, keyf)
-        queue.add(ig, g.degree())
+    queue = _PairQueue(order, ring.top)
+    packed = [(_to_int(g.terms, order)[0], g.degree()) for g in ideal.generators]
+    for ig, deg in sorted(packed, key=lambda pd: max(pd[0])):
+        queue.add(ig, deg)
     while queue.live:
         queue.reduce_next(red)
     basis = queue.basis
 
     keep: list[int] = []
-    for i in sorted(range(len(basis)), key=lambda i: keyf(basis[i][0])):
-        if all(not divides(basis[k][0], basis[i][0]) for k in keep):
+    for i in sorted(range(len(basis)), key=lambda i: basis[i][0]):
+        if all((basis[i][0] - basis[k][0]) & guard for k in keep):
             keep.append(i)
     minimal_basis = [basis[i] for i in keep]
 
@@ -358,11 +378,10 @@ def buchberger(ideal: Ideal, order: MatrixOrder, budget: int = DEFAULT_BUDGET) -
         full = dict(tail)
         full[lead] = lc
         # no other lead divides `lead`, so it stays the remainder's lead
-        rem = _normalize_int(red.reduce(full, others), keyf)
+        rem = _normalize_int(red.reduce(full, others))
         rl = rem[lead]
-        poly = Polynomial(ring, {m: Fraction(c, rl) for m, c in rem.items()})
-        reduced.append((poly, (lead, rl, {m: c for m, c in rem.items() if m != lead})))
-    reduced.sort(key=lambda pe: keyf(pe[1][0]))
+        reduced.append((_polynomial(ring, order, rem, rl), _entry(rem)))
+    reduced.sort(key=lambda pe: pe[1][0])
     return GroebnerBasis([p for p, _ in reduced], order, [e for _, e in reduced])
 
 
@@ -382,13 +401,12 @@ def minimal_generators(ideal: Ideal, order: MatrixOrder,
     generator, so no pair above the top generator degree is reduced.  Kept
     generators are returned unchanged, in entry order.
     """
-    keyf = order.key
     w = order.rows[0]
     if any(x <= 0 for x in w):
         raise AlgebraError(f"minimal generators need a positive grading, got weights {w}")
     _require_homogeneous(ideal, w)
-    red = _Reducer(keyf, budget)
-    queue = _PairQueue(keyf, w)
+    red = _Reducer(order.guard, budget)
+    queue = _PairQueue(order, w)
 
     def degree(g: Polynomial) -> int:
         return queue.wdeg(next(iter(g.terms)))
@@ -398,10 +416,10 @@ def minimal_generators(ideal: Ideal, order: MatrixOrder,
         d = degree(g)
         while (sug := queue.next_sugar()) is not None and sug <= d:
             queue.reduce_next(red)
-        rem = red.reduce(_to_int(g.terms, keyf)[0], queue.basis)
+        rem = red.reduce(_to_int(g.terms, order)[0], queue.basis)
         if rem:
             kept.append(g)
-            queue.add(_normalize_int(rem, keyf), d)
+            queue.add(_normalize_int(rem), d)
     return kept
 
 
@@ -417,25 +435,16 @@ def normal_form(p: Polynomial, basis, order: MatrixOrder | None = None,
         return p
     if isinstance(basis, GroebnerBasis):
         order = basis.order
-        keyf = order.key
         prepped = basis.entries
     else:
         if order is None:
             order = MatrixOrder.grevlex(p.ring)
-        keyf = order.key
-        prepped = []
-        for g in basis:
-            if g.is_zero():
-                continue
-            t, _ = _to_int(g.terms, keyf)
-            lead = _lead(t, keyf)
-            prepped.append((lead, t[lead], {m: c for m, c in t.items() if m != lead}))
-        prepped.sort(key=lambda e: keyf(e[0]))
-    red = _Reducer(keyf, budget)
-    target, scale = _to_int(p.terms, keyf)
+        prepped = sorted((_entry(_to_int(g.terms, order)[0]) for g in basis if not g.is_zero()),
+                         key=lambda e: e[0])
+    red = _Reducer(order.guard, budget)
+    target, scale = _to_int(p.terms, order)
     rem, lam = red.reduce_scaled(target, prepped)
-    factor = lam * scale
-    return Polynomial(p.ring, {m: Fraction(c) / factor for m, c in rem.items()})
+    return _polynomial(p.ring, order, rem, lam * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +574,7 @@ def projective_dim_degree(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> tuple[i
     ring = ideal.ring
     order = MatrixOrder.grevlex(ring, weights=(1,) * ring.nvars)
     gb = buchberger(ideal, order, budget)
-    keyf = order.key
-    leads = [_lead(g.terms, keyf) for g in gb.elements]
+    leads = [order.unpack(e[0]) for e in gb.entries]
     num = hilbert_numerator(leads, ring.nvars)
     if not num:
         return (-1, 0)  # unit ideal: empty

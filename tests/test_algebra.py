@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +15,7 @@ from tomlinks.algebra import (
     Ring,
     bidegree,
     det,
+    divides,
     exact_divide,
     monomials_of_degree,
     parse,
@@ -200,6 +202,90 @@ class TestExactDivideRational:
         assert u == parse("3/2*x + 3*y", R3)
         assert u.terms == {(1, 0, 0): Fraction(3, 2), (0, 1, 0): 3}
         assert_exact(u)
+
+
+TOP = 2**31 - 1  # the largest exponent a packed key holds
+EXPONENT = st.one_of(st.integers(0, 49), st.integers(TOP - 49, TOP))
+
+
+@st.composite
+def orders(draw):
+    """A weighted grevlex order, with or without `last=`, or a block order,
+    on a ring of 3 or 4 variables."""
+    n = draw(st.integers(3, 4))
+    ring = Ring(tuple(f"v{i}" for i in range(n)), [(1,) * n])
+    weights = tuple(draw(st.lists(st.integers(1, 7), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["grevlex", "last", "block"]))
+    if kind == "grevlex":
+        return MatrixOrder.grevlex(ring, weights)
+    if kind == "last":
+        return MatrixOrder.grevlex(ring, weights, last=draw(st.sampled_from(ring.names)))
+    first = draw(st.lists(st.sampled_from(ring.names), min_size=1, max_size=n - 1, unique=True))
+    return MatrixOrder.block(ring, first, weights)
+
+
+def monos(n):
+    return st.tuples(*[EXPONENT] * n)
+
+
+def reference_key(order, m):
+    """The order as a tuple: row values, then the exponents."""
+    return tuple(sum(w * e for w, e in zip(row, m)) for row in order.rows) + tuple(m)
+
+
+class TestMatrixOrderKey:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_packed_key_laws(self, data):
+        order = data.draw(orders())
+        n = order.ring.nvars
+        a, b = data.draw(monos(n)), data.draw(monos(n))
+        ka, kb = order.key(a), order.key(b)
+        assert type(ka) is int
+        assert (ka < kb) == (reference_key(order, a) < reference_key(order, b))
+        assert (ka == kb) == (a == b)
+        assert order.unpack(ka) == a
+        assert (not (kb - ka) & order.guard) == divides(a, b)
+        product = tuple(x + y for x, y in zip(a, b))
+        if max(product) <= TOP:
+            assert ka + kb == order.key(product)
+            assert order.key(product) - ka == kb
+        else:
+            assert (ka + kb) & order.guard
+
+    @given(orders().flatmap(lambda o: st.tuples(st.just(o), monos(o.ring.nvars))))
+    @settings(max_examples=100, deadline=None)
+    def test_key_order_on_first_row_ties(self, order_and_mono):
+        # moving u*w_j off variable i and u*w_i onto variable j keeps the
+        # first row's value; one unit from k to j, then all that fits from i
+        # to j make the lower rows differ by little, then by nearly 2^31
+        order, a = order_and_mono
+        w = order.rows[0]
+        for i, j, k in permutations(range(len(a)), 3):
+            b = list(a)
+            for src, cap in ((k, 1), (i, TOP)):
+                most = min(b[src] // w[j] if w[j] else 0,
+                           (TOP - b[j]) // w[src] if w[src] else TOP, cap)
+                b[src] -= most * w[j]
+                b[j] += most * w[src]
+            b = tuple(b)
+            assert (order.key(a) < order.key(b)) == \
+                (reference_key(order, a) < reference_key(order, b)), (a, b)
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_a_multiple_divides(self, data):
+        order = data.draw(orders())
+        n = order.ring.nvars
+        a = data.draw(st.tuples(*[st.integers(0, 49)] * n))
+        b = tuple(e + data.draw(st.integers(0, TOP - 49)) for e in a)
+        assert not (order.key(b) - order.key(a)) & order.guard
+
+    @pytest.mark.parametrize("m", [(0, 0, 2**31), (-1, 0, 0), (0, 1), (0, 0, 0, 0)],
+                             ids=["2^31", "-1", "short", "long"])
+    def test_out_of_range_raises(self, m):
+        with pytest.raises(AlgebraError, match="2\\^31"):
+            MatrixOrder.grevlex(R3).key(m)
 
 
 class TestDet:

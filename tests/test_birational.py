@@ -42,6 +42,7 @@ from tomlinks.birational import (
 from tomlinks.casefile import bundled_case_names, load_bundled
 from tomlinks.groebner import Ideal, MatrixOrder, buchberger, saturate
 from tomlinks.pfaffian import TomFormat, WeightMatrix5, build_general_tom
+from tomlinks.report import step_dict
 from tomlinks.unprojection import build_unprojection
 
 
@@ -499,3 +500,30 @@ class TestEndpointCanonicalClass:
         for n in DIVISORIAL])
     def test_k_is_minus_one(self, name):
         assert canonical_class(divisorial_endpoint(name)) == -1
+
+
+def without_members(value):
+    """A report value with the fields a general member may change dropped:
+    equations and witnesses."""
+    if isinstance(value, dict):
+        return {k: without_members(v) for k, v in value.items()
+                if k not in ("equations", "witness")}
+    if isinstance(value, list):
+        return [without_members(v) for v in value]
+    return value
+
+
+class TestSeedInvariance:
+    @pytest.mark.parametrize("name", ["5963", "tag-iv", "6865", "tag-viii"])
+    def test_link_does_not_depend_on_the_general_member(self, name):
+        # the case's pinned matrix is dropped, so each trace seed draws
+        # another general member of the family
+        case = dataclasses.replace(load_bundled(name).to_fano_case(), matrix_seed=None)
+        seen, members = [], set()
+        for seed in range(4):
+            trace = trace_link(case, seed=seed)
+            seen.append(([without_members(step_dict(s)) for s in trace.steps],
+                         [str(b) for b in trace.baskets], trace.template_ok))
+            members.add(tuple(str(h) for h in trace.blowup.generators))
+        assert len(members) == 4
+        assert all(s == seen[0] for s in seen[1:])

@@ -141,3 +141,37 @@ class TestGolden:
         out = capsys.readouterr().out
         mutated = golden.replace("count = 24", "count = 25")
         assert out != mutated
+
+
+def case_data(name: str) -> tuple[str, ...]:
+    """A bundled case file's lines without comments, blank lines and the id."""
+    lines = []
+    for raw in CASES.joinpath(f"{name}.case").read_text().splitlines():
+        line = " ".join(raw.split("#", 1)[0].split())
+        if line and not line.startswith("id ="):
+            lines.append(line)
+    return tuple(lines)
+
+
+def later_duplicates(name: str) -> list[str]:
+    names = bundled_case_names()
+    return [other for other in names[names.index(name) + 1:]
+            if case_data(other) == case_data(name)]
+
+
+SAME_DATA_AS_1218 = pytest.mark.xfail(
+    strict=True, reason="11125-t1 has the data of 1218; see DECISIONS.md")
+
+
+class TestBundledData:
+    def test_case_data_ignores_id_and_comments(self):
+        assert case_data("1218") == case_data("11125-t1")
+        assert case_data("1218") != case_data("10985")
+        assert all(not line.startswith(("id", "#")) for line in case_data("10985"))
+
+    @pytest.mark.parametrize("name", [
+        pytest.param(n, marks=SAME_DATA_AS_1218) if n == "11125-t1" else n
+        for n in bundled_case_names()])
+    def test_no_two_cases_share_data(self, name):
+        # each pair is checked once, at its first name in sorted order
+        assert later_duplicates(name) == []

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -60,6 +61,20 @@ class TestBuchberger:
         with pytest.raises(BudgetExceeded):
             buchberger(Ideal(gens), MatrixOrder.grevlex(P2), budget=1)
 
+    def test_budget_counts_every_reduction_step(self):
+        # this basis takes exactly 91 reduction steps: a budget of s steps
+        # allows s, and the step over it raises
+        gens = [random_general(3, P2, seed=s) for s in range(3)]
+        buchberger(Ideal(gens), MatrixOrder.grevlex(P2), budget=91)
+        with pytest.raises(BudgetExceeded):
+            buchberger(Ideal(gens), MatrixOrder.grevlex(P2), budget=90)
+
+    def test_s_polynomial_exponent_overflow_raises(self):
+        # S(x1^2 - y1^2, x1*y1^(2^31 - 2)) has the term y1^(2^31)
+        gens = [parse("x1^2 - y1^2", R2), R2.monomial((1, 2**31 - 2))]
+        with pytest.raises(AlgebraError, match="2\\^31"):
+            buchberger(Ideal(gens), MatrixOrder.grevlex(R2))
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=10, deadline=None)
     def test_generates_same_ideal(self, seed):
@@ -95,15 +110,24 @@ class TestNormalForm:
     def test_non_membership(self):
         assert normal_form(R2.one(), [parse("x1", R2)]) == R2.one()
 
+    def test_reduction_exponent_overflow_raises(self):
+        # x1^2 leads x1^2 - y1^2; reducing x1^2*y1^(2^31 - 2) by it makes y1^(2^31)
+        p = R2.monomial((2, 2**31 - 2))
+        with pytest.raises(AlgebraError, match="2\\^31"):
+            normal_form(p, [parse("x1^2 - y1^2", R2)], MatrixOrder.grevlex(R2))
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)
     def test_basis_entries_match_elements(self, seed):
-        # the integer entries a GroebnerBasis carries give the same remainder
-        # as the raw-list path, which rebuilds them from the elements
+        # the packed integer entries a GroebnerBasis carries give the same
+        # remainder as the raw-list path, which rebuilds them from the elements
         gens = [random_general(2, P2, seed=seed + k) * Fraction(k + 1, 3) for k in range(2)]
         gb = buchberger(Ideal(gens), MatrixOrder.grevlex(P2))
+        unpack = gb.order.unpack
         for g, (lead, lc, tail) in zip(gb.elements, gb.entries):
-            assert g * lc == Polynomial(P2, {lead: lc, **tail})
+            terms = {unpack(lead): lc, **{unpack(m): c for m, c in tail}}
+            assert g * lc == Polynomial(P2, terms)
+            assert all(m < lead for m, _ in tail)
         for k in range(3):
             p = random_general(3, P2, seed=seed + 7 + k) * Fraction(2, 5)
             nf = normal_form(p, gb)
@@ -426,3 +450,115 @@ class TestHilbert:
         I = Ideal(maximal_pfaffians(M), P5)
         dim, deg = projective_dim_degree(I)
         assert (dim, deg) == (2, 5)
+
+
+# ---------------------------------------------------------------------------
+# cross-check against sympy's Groebner bases, an independent implementation;
+# MatrixOrder.grevlex with all-one weights is sympy's "grevlex"
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def to_sympy(sympy, p: Polynomial, gens):
+    terms = {m: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()}
+    return sympy.Poly.from_dict(terms, *gens, domain="QQ")
+
+
+def terms_of(p) -> frozenset:
+    """The terms of a Polynomial or a sympy Poly, as (exponents, Fraction)."""
+    if isinstance(p, Polynomial):
+        return frozenset((m, Fraction(c)) for m, c in p.terms.items())
+    return frozenset((m, Fraction(int(c.p), int(c.q))) for m, c in p.terms() if c)
+
+
+def sympy_basis(sympy, polys, ring) -> set:
+    gens = sympy.symbols(ring.names)
+    gb = sympy.groebner([to_sympy(sympy, p, gens) for p in polys], *gens,
+                        order="grevlex", domain="QQ")
+    return {terms_of(g) for g in gb.polys}
+
+
+def sympy_remainder(sympy, p: Polynomial, basis, ring) -> frozenset:
+    gens = sympy.symbols(ring.names)
+    polys = [to_sympy(sympy, g, gens) for g in basis]
+    _, rem = sympy.reduced(to_sympy(sympy, p, gens), polys, *gens, order="grevlex", domain="QQ")
+    return terms_of(sympy.Poly(rem, *gens, domain="QQ"))
+
+
+@st.composite
+def forms(draw, ring, degree):
+    """A form of the degree with 1 to 3 terms and small integer coefficients."""
+    monos = draw(st.lists(st.sampled_from(monomials_of_degree(ring, degree)),
+                          min_size=1, max_size=3, unique=True))
+    return Polynomial(ring, {m: draw(st.integers(-3, 3).filter(bool)) for m in monos})
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """1 to 3 forms of degree 1 to 3 in 3 or 4 variables of weight 1."""
+    n = draw(st.integers(3, 4))
+    ring = Ring(tuple(f"x{i + 1}" for i in range(n)), [(1,) * n])
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    return Ideal([draw(forms(ring, d)) for d in degrees], ring)
+
+
+class TestSympyCrossCheck:
+    @given(homogeneous_ideals())
+    @settings(max_examples=25, deadline=None)
+    def test_buchberger_is_the_reduced_basis(self, sympy, ideal):
+        gb = buchberger(ideal, MatrixOrder.grevlex(ideal.ring))
+        assert {terms_of(g) for g in gb.elements} == sympy_basis(sympy, ideal.generators,
+                                                                 ideal.ring)
+
+    def test_flop_minor_ideal_of_10985(self, sympy, case_10985):
+        from tomlinks.birational import count_flops, minors_ideal
+        from tomlinks.pfaffian import TomFormat
+        from tomlinks.unprojection import build_unprojection
+
+        res = build_unprojection(case_10985.build_matrix(0), TomFormat(1), 2)
+        A = count_flops(res, case_10985).matrix_a
+        ideal = minors_ideal(A, A[0][0].ring)
+        gb = buchberger(ideal, MatrixOrder.grevlex(ideal.ring))
+        assert {terms_of(g) for g in gb.elements} == sympy_basis(sympy, ideal.generators,
+                                                                 ideal.ring)
+
+    @given(homogeneous_ideals(), st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_normal_form_is_sympy_remainder(self, sympy, ideal, seed):
+        ring = ideal.ring
+        gb = buchberger(ideal, MatrixOrder.grevlex(ring))
+        rng = random.Random(seed)
+        p = sum((ring.monomial(tuple(rng.randint(0, 2) for _ in ring.names), rng.randint(-4, 4))
+                 for _ in range(5)), ring.zero())
+        assert terms_of(normal_form(p, gb)) == sympy_remainder(sympy, p, gb.elements, ring)
+
+    @given(homogeneous_ideals(), st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                                     st.integers(0, 1)), max_size=3),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=25, deadline=None)
+    def test_minimal_generators_by_graded_nakayama(self, sympy, ideal, plants, rnd):
+        # plant f*u + g*v of one degree, u and v monomials, among the generators
+        ring, base = ideal.ring, ideal.generators
+        gens = list(base)
+        for i, j, extra in plants:
+            f, g = base[i % len(base)], base[j % len(base)]
+            d = max(f.degree(), g.degree()) + extra
+            us = monomials_of_degree(ring, d - f.degree())
+            vs = monomials_of_degree(ring, d - g.degree())
+            u, v = us[i % len(us)], vs[-1 - j % len(vs)]
+            p = ring.monomial(u) * f + ring.monomial(v) * g
+            if not p.is_zero():
+                gens.append(p)
+        rnd.shuffle(gens)
+        kept = minimal_generators(Ideal(gens, ring), MatrixOrder.grevlex(ring))
+        assert all(any(k is g for g in gens) for k in kept)
+        assert sympy_basis(sympy, kept, ring) == sympy_basis(sympy, gens, ring)
+        for k, g in enumerate(kept):
+            others = kept[:k] + kept[k + 1:]
+            if others:
+                # the remainder against a Groebner basis of the others is
+                # nonzero iff g is not in their ideal
+                gb = [Polynomial(ring, dict(t)) for t in sympy_basis(sympy, others, ring)]
+                assert sympy_remainder(sympy, g, gb, ring), f"{g} is redundant"

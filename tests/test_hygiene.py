@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-and no module-level private function or class goes unreferenced.
+"""Source hygiene: no module of the package imports a name it never uses
+or a module outside the standard library and the package, and no
+module-level private function or class goes unreferenced.
 
 A name counts as used if it appears as a bare name anywhere in the module,
 including inside a string annotation such as "Polynomial | None".  The
@@ -10,6 +11,7 @@ the package outside its own definition.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,3 +127,38 @@ def test_private_scanner():
 def test_no_unreferenced_private_definitions():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private(sources) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Modules imported from outside the standard library and the package."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names and top not in ("__future__", "tomlinks"):
+                out.append(f"{name} (line {node.lineno})")
+    return out
+
+
+def test_foreign_import_scanner():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from fractions import Fraction\n"
+        "from . import algebra\n"
+        "from tomlinks.algebra import Ring\n"
+        "def f():\n    import sympy\n    from sympy.abc import x\n"
+    )
+    assert foreign_imports(source) == [
+        "numpy (line 2)", "sympy (line 7)", "sympy.abc (line 8)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_runtime_is_stdlib_only(path):
+    assert foreign_imports(path.read_text()) == []
