@@ -654,18 +654,25 @@ def substitute(p: Polynomial, assignments: Mapping[str, "Polynomial | int | Frac
             powers[(i, e)] = got
         return got
 
-    out = target.zero()
+    one = target.one()
+    out: dict = {}
     for m, c in p.terms.items():
         base = [0] * target.nvars
+        prod = one
         for i, e in enumerate(m):
-            if e and i in keep:
-                base[keep[i]] += e
-        term = target.monomial(tuple(base), c)
-        for i, e in enumerate(m):
-            if e and i in values:
-                term = term * power(i, e)
-        out = out + term
-    return out
+            if e:
+                if i in keep:
+                    base[keep[i]] += e
+                else:
+                    prod = prod * power(i, e)
+        for mp, cp in prod.terms.items():
+            mm = tuple(map(add, base, mp))
+            s = out.get(mm, 0) + c * cp
+            if s:
+                out[mm] = s
+            else:
+                del out[mm]
+    return Polynomial(target, _exact_terms(out), _clean=True)
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,19 @@ def _load_case(args):
         return parse_case(args.case).to_fano_case()
 
 
+def _budget(text: str) -> int:
+    """The --budget value: a number of reduction steps, 0 or more."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative number of reduction steps, got {text!r}")
+    return int(text)
+
+
 def _common(parser):
     parser.add_argument("--case", required=True,
                         help="path to a .case file, or the name of a bundled case")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    parser.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                         help="cap on Groebner reduction steps")
     parser.add_argument("--json", action="store_true",
                         help="emit a single-line machine-readable report")
@@ -151,7 +159,7 @@ def main(argv=None) -> int:
     p_tr.set_defaults(func=cmd_trace)
 
     p_st = sub.add_parser("selftest", help="run the acceptance battery")
-    p_st.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_st.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p_st.set_defaults(func=cmd_selftest)
 
     p_ex = sub.add_parser("examples", help="list bundled case files")

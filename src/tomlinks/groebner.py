@@ -24,9 +24,13 @@ ints when integral and Fractions otherwise.  Reduction is fraction-free:
 at the boundary each polynomial becomes a primitive integer dict with a
 positive lead coefficient (a polynomial with integer coefficients only
 loses its content), a reduction step scales the remainder by lead/gcd
-instead of dividing, common content is stripped along the way, and the
-accumulated scale is divided out, by Fraction, when the result goes back
-to a Polynomial, whose constructor makes integral quotients ints again.
+instead of dividing, and the scale accumulates as one int.  Content is
+stripped only at the boundary: a remainder that joins a basis is made
+primitive, and a normal form is divided by its accumulated scale, by
+Fraction, when it goes back to a Polynomial, whose constructor makes
+integral quotients ints again.  A strip in mid-reduction would cost a gcd
+over the whole remainder and change no result, since the boundary strips
+anyway.
 
 Inside the kernel a monomial is its packed `MatrixOrder.key`, one int
 linear in the exponents (see `MatrixOrder` for the layout): the order is
@@ -62,11 +66,18 @@ from .algebra import (
 
 
 class BudgetExceeded(Exception):
-    """The configured cap on reduction steps was hit; the instance is beyond desk scale."""
+    """The configured cap on reduction steps was hit; the instance is beyond desk scale.
 
-    def __init__(self, budget: int):
-        super().__init__(f"Groebner budget of {budget} reduction steps exceeded")
+    `routine` names the Groebner routine whose run hit the cap (buchberger,
+    minimal_generators or normal_form), or is None when the raiser did not
+    say.
+    """
+
+    def __init__(self, budget: int, routine: str | None = None):
+        where = f" in {routine}" if routine else ""
+        super().__init__(f"Groebner budget of {budget} reduction steps exceeded{where}")
         self.budget = budget
+        self.routine = routine
 
 
 class NotZeroDimensional(AlgebraError):
@@ -159,37 +170,48 @@ def _overflow() -> AlgebraError:
 
 
 class _Reducer:
-    """Shared full-reduction machinery with a step budget.
+    """Shared reduction machinery with a step budget.
 
     Works with integer coefficients: a reduction against a primitive basis
     element of lead coefficient L scales the remainder by L/gcd instead of
-    introducing fractions, and the accumulated scale is divided out when the
-    content is stripped or at the boundary.  Monomials are packed keys of
-    one order, so a lead test is one subtraction and one AND, and a step
-    shifts each tail term by one addition.
+    introducing fractions, so the accumulated scale is a plain int.  The
+    remainder's content is left in until the caller's boundary strips it
+    (a new basis element is made primitive, a normal form is divided by
+    its scale): the primitive result is the same either way, and a strip
+    in mid-reduction costs a gcd over every pending term.  Monomials are
+    packed keys of one order, so a lead test is one subtraction and one
+    AND, and a step shifts each tail term by one addition.
+
+    A full reduction reduces every term.  With `lead_only` it stops at the
+    first term no basis lead divides, which is then the remainder's lead,
+    and the pending terms go out unreduced: enough for a caller that only
+    reads the lead or asks whether the remainder is zero.  `routine` names
+    the Groebner routine that owns the budget, for `BudgetExceeded`.
     """
 
-    def __init__(self, guard: int, budget: int = DEFAULT_BUDGET):
+    def __init__(self, guard: int, budget: int, routine: str, lead_only: bool = False):
         self.guard = guard
         self.budget = budget
+        self.routine = routine
+        self.lead_only = lead_only
         self.steps = 0
 
     def reduce(self, target: dict, basis: list) -> dict:
         rem, _ = self.reduce_scaled(target, basis)
         return rem
 
-    def reduce_scaled(self, target: dict, basis: list) -> tuple[dict, Fraction]:
-        """(R, lam) with R = lam * (target mod basis); basis entries are
-        (lead, positive lead coeff, tail list), all monomials packed."""
+    def reduce_scaled(self, target: dict, basis: list) -> tuple[dict, int]:
+        """(R, lam) with R = lam * (target mod basis), reduced lead-only or
+        fully; basis entries are (lead, positive lead coeff, tail list), all
+        monomials packed."""
         guard = self.guard
         work = dict(target)
         out: dict = {}
-        lam = Fraction(1)
+        lam = 1
         # a key is pushed once while it is in `work`; a cancelled term stays
         # there with coefficient 0 until it is popped
         heap = [-m for m in work]
         heapq.heapify(heap)
-        since_strip = 0
         while heap:
             m = -heapq.heappop(heap)
             c = work.pop(m)
@@ -200,10 +222,13 @@ class _Reducer:
                     break
             else:
                 out[m] = c
+                if self.lead_only:
+                    out.update((k, v) for k, v in work.items() if v)
+                    break
                 continue
             self.steps += 1
             if self.steps > self.budget:
-                raise BudgetExceeded(self.budget)
+                raise BudgetExceeded(self.budget, self.routine)
             d = gcd(c, lc)
             scale, mult = lc // d, c // d
             if scale != 1:
@@ -223,17 +248,6 @@ class _Reducer:
                     heapq.heappush(heap, -mm)
                 else:
                     work[mm] = old - mult * cg
-            since_strip += 1
-            if since_strip >= 48:
-                since_strip = 0
-                g = _content(work)
-                g = gcd(g, _content(out)) if out else g
-                if g > 1:
-                    for k in work:
-                        work[k] //= g
-                    for k in out:
-                        out[k] //= g
-                    lam /= g
         return out, lam
 
 
@@ -356,7 +370,7 @@ def buchberger(ideal: Ideal, order: MatrixOrder, budget: int = DEFAULT_BUDGET) -
     Sugar is measured by the ring's top weight row.
     """
     guard = order.guard
-    red = _Reducer(guard, budget)
+    red = _Reducer(guard, budget, "buchberger")
     ring = ideal.ring
     queue = _PairQueue(order, ring.top)
     packed = [(_to_int(g.terms, order)[0], g.degree()) for g in ideal.generators]
@@ -400,12 +414,21 @@ def minimal_generators(ideal: Ideal, order: MatrixOrder,
     remainder then joins the basis.  The run stops after the last
     generator, so no pair above the top generator degree is reduced.  Kept
     generators are returned unchanged, in entry order.
+
+    Every reduction here, of a pair or of a generator, is lead-only: it
+    stops at the first term that no basis lead divides.  That term is the
+    lead of the full remainder too, so zero versus nonzero, all this run
+    asks, is unchanged.  A basis element with an unreduced tail is still an
+    element of the ideal with the same lead, and any reduction to zero is
+    a standard representation, so Buchberger's criterion holds for the
+    truncated basis without reduced tails (Cox-Little-O'Shea, Ideals,
+    Varieties, and Algorithms, Ch. 2 Sec. 6).
     """
     w = order.rows[0]
     if any(x <= 0 for x in w):
         raise AlgebraError(f"minimal generators need a positive grading, got weights {w}")
     _require_homogeneous(ideal, w)
-    red = _Reducer(order.guard, budget)
+    red = _Reducer(order.guard, budget, "minimal_generators", lead_only=True)
     queue = _PairQueue(order, w)
 
     def degree(g: Polynomial) -> int:
@@ -441,7 +464,7 @@ def normal_form(p: Polynomial, basis, order: MatrixOrder | None = None,
             order = MatrixOrder.grevlex(p.ring)
         prepped = sorted((_entry(_to_int(g.terms, order)[0]) for g in basis if not g.is_zero()),
                          key=lambda e: e[0])
-    red = _Reducer(order.guard, budget)
+    red = _Reducer(order.guard, budget, "normal_form")
     target, scale = _to_int(p.terms, order)
     rem, lam = red.reduce_scaled(target, prepped)
     return _polynomial(p.ring, order, rem, lam * scale)

@@ -92,6 +92,18 @@ class TestCli:
 
     def test_budget_exceeded_exit_3(self, capsys):
         assert main(["blowup", "--case", "20652", "--budget", "5"]) == 3
+        assert "reduction steps exceeded in buchberger" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["-5", "-1", "five"])
+    def test_bad_budget_is_input_error(self, capsys, budget):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--case", "10985", "--budget", budget])
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
+    def test_zero_budget_allows_zero_steps(self, capsys):
+        # 0 is a valid budget: the first reduction step exceeds it
+        assert main(["trace", "--case", "10985", "--budget", "0"]) == 3
 
     def test_verification_failure_exit_1(self, tmp_path, capsys):
         # a Tom matrix whose unconstrained row vanishes cannot be unprojected

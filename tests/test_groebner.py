@@ -58,8 +58,14 @@ class TestBuchberger:
 
     def test_budget(self):
         gens = [random_general(3, P2, seed=s) for s in range(3)]
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="exceeded in buchberger") as exc:
             buchberger(Ideal(gens), MatrixOrder.grevlex(P2), budget=1)
+        assert (exc.value.budget, exc.value.routine) == (1, "buchberger")
+
+    def test_budget_exceeded_without_routine(self):
+        e = BudgetExceeded(7)
+        assert (e.budget, e.routine) == (7, None)
+        assert str(e) == "Groebner budget of 7 reduction steps exceeded"
 
     def test_budget_counts_every_reduction_step(self):
         # this basis takes exactly 91 reduction steps: a budget of s steps
@@ -109,6 +115,13 @@ class TestNormalForm:
 
     def test_non_membership(self):
         assert normal_form(R2.one(), [parse("x1", R2)]) == R2.one()
+
+    def test_budget(self):
+        p = parse("x1^3", R2)
+        basis = [parse("x1 - y1", R2)]
+        assert normal_form(p, basis, MatrixOrder.grevlex(R2), budget=3) == parse("y1^3", R2)
+        with pytest.raises(BudgetExceeded, match="exceeded in normal_form"):
+            normal_form(p, basis, MatrixOrder.grevlex(R2), budget=2)
 
     def test_reduction_exponent_overflow_raises(self):
         # x1^2 leads x1^2 - y1^2; reducing x1^2*y1^(2^31 - 2) by it makes y1^(2^31)
@@ -329,9 +342,21 @@ class TestMinimalGenerators:
 
     def test_budget(self):
         f1, f2 = parse("x1*x2 - x3^2", P2), parse("x1*x3", P2)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="exceeded in minimal_generators"):
             minimal_generators(Ideal([f1, f2, parse("x3^3", P2)]),
                                MatrixOrder.grevlex(P2), budget=0)
+
+    def test_budget_counts_every_reduction_step(self):
+        # two general quadrics q0, q1, the redundant cubic x1*q0 - x2*q1
+        # and a general cubic take exactly 11 lead-only reduction steps: a
+        # budget of s steps allows s, and the step over it raises
+        q = [random_general(2, P2, seed=s) for s in range(2)]
+        planted = parse("x1", P2) * q[0] - parse("x2", P2) * q[1]
+        gens = Ideal([q[0], q[1], planted, random_general(3, P2, seed=7)])
+        kept = minimal_generators(gens, MatrixOrder.grevlex(P2), budget=11)
+        assert planted not in kept and len(kept) == 3
+        with pytest.raises(BudgetExceeded):
+            minimal_generators(gens, MatrixOrder.grevlex(P2), budget=10)
 
 
 class TestEliminate:
@@ -504,6 +529,35 @@ def homogeneous_ideals(draw):
     return Ideal([draw(forms(ring, d)) for d in degrees], ring)
 
 
+def sympy_saturation(sympy, ideal, var) -> set:
+    """Reduced grevlex basis of I : var^inf, computed in sympy by eliminating
+    z from I + (1 - var*z) under the block order z >> grevlex."""
+    from sympy.polys.orderings import ProductOrder, grevlex, lex
+
+    ring = ideal.ring
+    gens = sympy.symbols(ring.names)
+    z = sympy.Dummy("z")
+    elim = ProductOrder((lex, lambda m: m[:1]), (grevlex, lambda m: m[1:]))
+    polys = [to_sympy(sympy, g, gens).as_expr() for g in ideal.generators]
+    gb = sympy.groebner(polys + [1 - sympy.Symbol(var) * z], z, *gens, order=elim, domain="QQ")
+    free = [g for g in gb.exprs if not g.has(z)]
+    sat = sympy.groebner(free, *gens, order="grevlex", domain="QQ")
+    return {terms_of(g) for g in sat.polys}
+
+
+@st.composite
+def t_multiple_ideals(draw):
+    """1 to 3 forms of degree 1 to 3 in t, x1, x2, x3 (weights 1), and up to
+    2 planted t-multiples t^k * f (k = 1, 2; f of degree 1 or 2), so that
+    some ideals are not saturated in t."""
+    ring = Ring(("t", "x1", "x2", "x3"), [(1, 1, 1, 1)])
+    t = ring.gen("t")
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    plants = draw(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), max_size=2))
+    return Ideal([draw(forms(ring, d)) for d in degrees]
+                 + [t ** k * draw(forms(ring, d)) for d, k in plants], ring)
+
+
 class TestSympyCrossCheck:
     @given(homogeneous_ideals())
     @settings(max_examples=25, deadline=None)
@@ -562,3 +616,17 @@ class TestSympyCrossCheck:
                 # nonzero iff g is not in their ideal
                 gb = [Polynomial(ring, dict(t)) for t in sympy_basis(sympy, others, ring)]
                 assert sympy_remainder(sympy, g, gb, ring), f"{g} is redundant"
+
+    @given(t_multiple_ideals())
+    @settings(max_examples=30, deadline=None)
+    def test_saturate_is_sympy_saturation(self, sympy, ideal):
+        sat = saturate(ideal, "t")
+        gb = buchberger(sat, MatrixOrder.grevlex(ideal.ring))
+        assert {terms_of(g) for g in gb.elements} == sympy_saturation(sympy, ideal, "t")
+
+    @given(t_multiple_ideals())
+    @settings(max_examples=30, deadline=None)
+    def test_is_saturated_iff_sympy_bases_agree(self, sympy, ideal):
+        same = sympy_basis(sympy, ideal.generators, ideal.ring) == \
+            sympy_saturation(sympy, ideal, "t")
+        assert is_saturated(ideal, "t") == same
