@@ -247,21 +247,31 @@ TAG_CASES = {
 }
 
 
+@lru_cache(maxsize=None)
+def _seed0_trace(name: str, budget: int):
+    """The seed-0 trace of bundled case `name`.
+
+    Criteria 6 and 9 only read their traces, so each case is traced once.
+    Criteria 1-3 call `trace_link` themselves, through the module attribute,
+    so that a caller can hand them another trace.
+    """
+    return trace_link(_case(name), seed=0, budget=budget)
+
+
 def criterion_6(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
     out = []
     for tag, name in TAG_CASES.items():
-        case = _case(name)
-        trace = trace_link(case, seed=0, budget=budget)
+        trace = _seed0_trace(name, budget)
         out.append(AcceptanceResult(
             "6", f"tag ({tag}) trace for {name} matches the template",
             trace.tag == tag and trace.template_ok,
             "; ".join(trace.template_notes)))
-    trace = trace_link(_case("10985"), seed=0, budget=budget)
+    trace = _seed0_trace("10985", budget)
     out.append(AcceptanceResult(
         "6", "skipped-flip rule fires on the second ideal wall of 10985",
         isinstance(trace.steps[3], Isomorphism)))
     for name in ("1218", "1413", "6865"):
-        trace = trace_link(_case(name), seed=0, budget=budget)
+        trace = _seed0_trace(name, budget)
         skipped = any(isinstance(s, Isomorphism) for s in trace.steps)
         out.append(AcceptanceResult(
             "6", f"{name}: documented skipped step appears", skipped and trace.template_ok,
@@ -329,9 +339,8 @@ def criterion_9(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
     out = []
     for name in TABLE1_ROWS:
         try:
-            case = _case(name)
-            trace = trace_link(case, seed=0, budget=budget)
-            rep = picard_report(case, trace, endpoint_quasismooth=True)
+            trace = _seed0_trace(name, budget)
+            rep = picard_report(trace.case, trace, endpoint_quasismooth=True)
             ok = rep.determined and rep.rho == 1
             detail = "" if ok else "; ".join(rep.chain)
             if ok:

@@ -10,6 +10,14 @@ through `Fraction`, and every coefficient division goes through `Fraction`
 rows ("top" and optional "bottom"), so a polynomial can be graded either by
 a single weighted degree or by a bidegree.
 
+`Polynomial.__mul__` works on packed monomials (after Monagan-Pearce,
+Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors, 2007): each exponent gets a field of 1, 2, 4 or 8 bytes in one int,
+the smallest width that holds the largest exponent of one factor plus the
+largest exponent of the other.  So a product of two terms costs one int
+addition, and no field ever carries into the next.  An exponent sum of 2^64
+or more raises AlgebraError instead of wrapping.
+
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely.
 """
@@ -20,8 +28,11 @@ import hashlib
 import heapq
 import random
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Number
 from operator import add, le, mul, sub
 from typing import Callable, Iterable, Mapping, Sequence
@@ -270,6 +281,38 @@ class MatrixOrder:
         return cls(ring, (head,) + cls.grevlex(ring, weights).rows)
 
 
+# Polynomial.__mul__ packs monomials into fields of these (bytes, array
+# typecode) pairs, smallest first; arrays are in native byte order
+_FIELDS = sorted({array(code).itemsize: code for code in "QLIHB"}.items())
+_BYTE_ORDER = sys.byteorder
+
+
+@lru_cache(maxsize=None)
+def _packer(bits: int, n: int) -> tuple[Callable[[dict], list], Callable[[dict], dict]]:
+    """(pack, unpack) for n-variable term maps: `pack` turns {monomial: c}
+    into [(packed monomial, c)], `unpack` turns {packed monomial: c} back
+    into {monomial: c}, dropping zero coefficients.
+
+    A packed monomial is an int with one field per variable, in the
+    machine's byte order.  A field is the smallest of 1, 2, 4 or 8 bytes that
+    holds a `bits`-bit exponent, so two packed monomials whose exponents sum
+    to a number of at most `bits` bits add field by field without a carry.
+    More than 64 bits raise AlgebraError.
+    """
+    for size, code in _FIELDS:
+        if bits <= 8 * size:
+            break
+    else:
+        raise AlgebraError(f"an exponent sum of {bits} bits does not fit in a 64-bit field")
+    from_bytes, order, width = int.from_bytes, _BYTE_ORDER, size * n
+    if size == 1:
+        return (lambda terms: [(from_bytes(bytes(m), order), c) for m, c in terms.items()],
+                lambda out: {tuple(k.to_bytes(n, order)): c for k, c in out.items() if c})
+    return (lambda terms: [(from_bytes(array(code, m), order), c) for m, c in terms.items()],
+            lambda out: {tuple(array(code, k.to_bytes(width, order))): c
+                         for k, c in out.items() if c})
+
+
 class Polynomial:
     """Sparse polynomial: map from exponent tuples to nonzero int or Fraction
     coefficients (see `exact`)."""
@@ -348,19 +391,22 @@ class Polynomial:
                 _clean=True,
             )
         self._check(other)
-        out: dict = {}
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = tuple(map(add, m1, m2))
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Polynomial(self.ring, _exact_terms(out), _clean=True)
+        if not a:
+            return self.ring.zero()
+        n = self.ring.nvars
+        top = max(map(max, a)) + max(map(max, b)) if n else 0
+        pack, unpack = _packer(top.bit_length(), n)
+        pb = pack(b)
+        out: dict = {}
+        get = out.get
+        for k1, c1 in pack(a):
+            for k2, c2 in pb:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return Polynomial(self.ring, _exact_terms(unpack(out)), _clean=True)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -615,7 +661,16 @@ def det(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
 
 def substitute(p: Polynomial, assignments: Mapping[str, "Polynomial | int | Fraction"],
                target: Ring | None = None) -> Polynomial:
-    """Simultaneous substitution of variables; unassigned names must exist in target."""
+    """Simultaneous substitution of variables; unassigned names must exist in target.
+
+    Each source variable occurring in p gets an image.  A value of at most
+    one term is a monomial image, an exponent vector of the target with a
+    coefficient: an unassigned variable (the target variable of the same
+    name, coefficient 1), a term such as t^w*x, a constant, or 0.  A term of
+    p whose variables all have monomial images maps to one monomial by
+    exponent arithmetic; the values of the other variables, of two or more
+    terms, are multiplied in as cached powers.
+    """
     ring = p.ring
     values: dict[int, Polynomial] = {}
     for name, v in assignments.items():
@@ -633,17 +688,21 @@ def substitute(p: Polynomial, assignments: Mapping[str, "Polynomial | int | Frac
         if not isinstance(v, Polynomial):
             values[ring.index[name]] = target.const(v)
 
-    # variables kept by name in the target ring (only those actually present)
     occurring = set()
     for m in p.terms:
         occurring.update(i for i, e in enumerate(m) if e)
-    keep: dict[int, int] = {}
+    # a monomial image is ((target index, exponent) pairs, coefficient)
+    images: dict[int, tuple] = {}
     for i in sorted(occurring):
-        if i not in values:
+        v = values.get(i)
+        if v is None:
             name = ring.names[i]
             if name not in target.index:
                 raise AlgebraError(f"unassigned variable {name!r} missing from target ring")
-            keep[i] = target.index[name]
+            images[i] = (((target.index[name], 1),), 1)
+        elif len(v.terms) <= 1:
+            mv, cv = next(iter(v.terms.items()), ((), 0))
+            images[i] = (tuple((j, e) for j, e in enumerate(mv) if e), cv)
 
     powers: dict[tuple[int, int], Polynomial] = {}
 
@@ -660,11 +719,18 @@ def substitute(p: Polynomial, assignments: Mapping[str, "Polynomial | int | Frac
         base = [0] * target.nvars
         prod = one
         for i, e in enumerate(m):
-            if e:
-                if i in keep:
-                    base[keep[i]] += e
-                else:
-                    prod = prod * power(i, e)
+            if not e:
+                continue
+            image = images.get(i)
+            if image is None:
+                prod = prod * power(i, e)
+            else:
+                exps, k = image
+                for j, ej in exps:
+                    base[j] += e * ej
+                c *= k ** e
+        if not c:
+            continue
         for mp, cp in prod.terms.items():
             mm = tuple(map(add, base, mp))
             s = out.get(mm, 0) + c * cp

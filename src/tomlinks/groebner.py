@@ -74,10 +74,14 @@ class BudgetExceeded(Exception):
     """
 
     def __init__(self, budget: int, routine: str | None = None):
-        where = f" in {routine}" if routine else ""
-        super().__init__(f"Groebner budget of {budget} reduction steps exceeded{where}")
+        # args are the constructor's, so a pickled copy rebuilds the same error
+        super().__init__(budget, routine)
         self.budget = budget
         self.routine = routine
+
+    def __str__(self) -> str:
+        where = f" in {self.routine}" if self.routine else ""
+        return f"Groebner budget of {self.budget} reduction steps exceeded{where}"
 
 
 class NotZeroDimensional(AlgebraError):

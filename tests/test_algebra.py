@@ -13,6 +13,7 @@ from tomlinks.algebra import (
     ParseError,
     Polynomial,
     Ring,
+    RingMismatch,
     bidegree,
     det,
     divides,
@@ -204,6 +205,79 @@ class TestExactDivideRational:
         assert_exact(u)
 
 
+def reference_product(p: Polynomial, q: Polynomial) -> dict:
+    """p*q by adding exponent tuples term by term."""
+    out: dict = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def top_exponent(p: Polynomial) -> int:
+    return max((e for m in p.terms for e in m), default=0)
+
+
+R1 = Ring(("x",), [(1,)])
+R10 = Ring(tuple(f"v{i}" for i in range(10)), [(1,) * 10])
+# the packed product's fields are 1, 2, 4 or 8 bytes wide; these exponents
+# give sums on both sides of 2^8, 2^16, 2^32 and 2^64
+PRODUCT_EXPONENT = st.one_of(st.integers(0, 3), st.sampled_from(
+    [h + d for h in (1 << 7, 1 << 15, 1 << 31, 1 << 63) for d in (-2, -1, 0, 1)]
+    + [b + d for b in (1 << 8, 1 << 16, 1 << 32) for d in (-2, -1, 0)]))
+
+
+@st.composite
+def factor_pairs(draw):
+    """(p, q) in a 1- or 10-variable ring, either of them possibly zero; q is
+    either independent of p or p with some signs flipped, so that cross
+    terms cancel as in (u + v)(u - v)."""
+    ring = draw(st.sampled_from([R1, R10]))
+    n = ring.nvars
+    # at most three variables per monomial keep the 10-variable draws cheap
+    monos = st.dictionaries(st.integers(0, n - 1), PRODUCT_EXPONENT, max_size=min(n, 3)).map(
+        lambda support: tuple(support.get(i, 0) for i in range(n)))
+    terms = st.dictionaries(monos, COEFFS, max_size=4)
+    p = Polynomial(ring, draw(terms))
+    if draw(st.booleans()):
+        q = Polynomial(ring, draw(terms))
+    else:
+        q = Polynomial(ring, {m: c if draw(st.booleans()) else -c for m, c in p.terms.items()})
+    return p, q
+
+
+class TestPackedProduct:
+    @given(factor_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_tuple_loop(self, pq):
+        p, q = pq
+        if p and q and top_exponent(p) + top_exponent(q) >= 1 << 64:
+            with pytest.raises(AlgebraError, match="64"):
+                p * q
+            return
+        product = p * q
+        assert product.terms == reference_product(p, q)
+        assert_exact(product)
+
+    @pytest.mark.parametrize("top", [255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_field_boundaries(self, top):
+        # (x^a + y)(x^b - y) = x^top - x^a*y + x^b*y - y^2 with a + b = top
+        a, b = top // 2, top - top // 2
+        R2 = Ring(("x", "y"), [(1, 1)])
+        f = R2.monomial((a, 0)) + R2.gen("y")
+        g = R2.monomial((b, 0)) - R2.gen("y")
+        assert (f * g).terms == reference_product(f, g)
+        assert (f * g).coefficient((top, 0)) == 1
+
+    def test_exponent_sum_of_2_64_raises(self):
+        x = R1.monomial((1 << 63,))
+        with pytest.raises(AlgebraError, match="64"):
+            x * x
+        with pytest.raises(AlgebraError, match="64"):
+            R1.monomial((1 << 64,)) * R1.one()
+
+
 TOP = 2**31 - 1  # the largest exponent a packed key holds
 EXPONENT = st.one_of(st.integers(0, 49), st.integers(TOP - 49, TOP))
 
@@ -329,7 +403,59 @@ class TestBidegree:
         assert bidegree(p * q).top == bidegree(p).top + bidegree(q).top
 
 
+SOURCE = Ring(("a", "b", "c", "d", "e", "g"), [(1,) * 6])
+TARGET = Ring(("t", "g", "u"), [(1, 1, 1)])  # g: index 5 in SOURCE, 1 here
+SOURCE_POLYS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 6), COEFFS, max_size=5).map(
+    lambda t: Polynomial(SOURCE, t))
+MULTI_TERM = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), COEFFS, min_size=2,
+                             max_size=3).map(lambda t: Polynomial(TARGET, t))
+
+
 class TestSubstitute:
+    @pytest.fixture(scope="class")
+    def sympy(self):
+        return pytest.importorskip("sympy")
+
+    @given(SOURCE_POLYS, st.integers(2, 9),
+           st.sampled_from([Fraction(2, 3), Fraction(-1, 2), Fraction(5, 4)]), COEFFS, MULTI_TERM)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_sympy(self, sympy, p, k, q, c, multi):
+        t, u = TARGET.gen("t"), TARGET.gen("u")
+        values = {
+            "a": t * u**2 * k,    # monomial image, coefficient != 1
+            "b": t**2 * q,        # monomial image, Fraction coefficient
+            "c": c,               # constant
+            "d": 0,
+            "e": multi,           # two or more terms
+        }                         # g unassigned: kept, at another index
+        got = substitute(p, values, TARGET)
+        assert_exact(got)
+
+        src, tgt = sympy.symbols(SOURCE.names), sympy.symbols(TARGET.names)
+
+        def expr(f, gens):
+            if not isinstance(f, Polynomial):
+                return sympy.Rational(f.numerator, f.denominator)
+            terms = {m: sympy.Rational(x.numerator, x.denominator) for m, x in f.terms.items()}
+            return sympy.Poly.from_dict(terms, *gens, domain="QQ").as_expr()
+
+        mapping = {src[SOURCE.index[n]]: expr(v, tgt) for n, v in values.items()}
+        want = sympy.Poly(sympy.expand(expr(p, src).subs(mapping, simultaneous=True)),
+                          *tgt, domain="QQ")
+        assert got.terms == {m: Fraction(int(x.p), int(x.q)) for m, x in want.terms() if x}
+
+    def test_unknown_source_name(self):
+        with pytest.raises(AlgebraError, match="not a variable of the source ring"):
+            substitute(parse("x1", R7), {"w": 1})
+
+    def test_values_in_different_rings(self):
+        with pytest.raises(RingMismatch):
+            substitute(parse("x1*y1", R7), {"x1": SCROLL.gen("t"), "y1": TARGET.gen("t")})
+
+    def test_unassigned_variable_missing_from_target(self):
+        with pytest.raises(AlgebraError, match="'x1' missing from target ring"):
+            substitute(parse("x1*y1", R7), {"y1": TARGET.gen("t")}, TARGET)
+
     def test_unit_substitution(self):
         p = parse("y1^2 - x1*y1", R7)
         assert substitute(p, {"y1": 1}) == parse("1 - x1", R7)

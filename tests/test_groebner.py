@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from math import lcm
@@ -66,6 +67,13 @@ class TestBuchberger:
         e = BudgetExceeded(7)
         assert (e.budget, e.routine) == (7, None)
         assert str(e) == "Groebner budget of 7 reduction steps exceeded"
+
+    @pytest.mark.parametrize("routine", ["buchberger", None])
+    def test_budget_exceeded_pickle_round_trip(self, routine):
+        e = BudgetExceeded(5, routine)
+        copy = pickle.loads(pickle.dumps(e))
+        assert (type(copy), str(copy)) == (BudgetExceeded, str(e))
+        assert (copy.budget, copy.routine) == (5, routine)
 
     def test_budget_counts_every_reduction_step(self):
         # this basis takes exactly 91 reduction steps: a budget of s steps
