@@ -10,13 +10,16 @@ through `Fraction`, and every coefficient division goes through `Fraction`
 rows ("top" and optional "bottom"), so a polynomial can be graded either by
 a single weighted degree or by a bidegree.
 
-`Polynomial.__mul__` works on packed monomials (after Monagan-Pearce,
-Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors, 2007): each exponent gets a field of 1, 2, 4 or 8 bytes in one int,
-the smallest width that holds the largest exponent of one factor plus the
-largest exponent of the other.  So a product of two terms costs one int
-addition, and no field ever carries into the next.  An exponent sum of 2^64
-or more raises AlgebraError instead of wrapping.
+Products work on packed monomials (after Monagan-Pearce, Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors, 2007):
+each exponent gets a field of 1, 2, 4 or 8 bytes in one int, the smallest
+width that holds the largest exponent of one factor plus the largest
+exponent of the other.  So a product of two terms costs one int addition,
+and no field ever carries into the next.  An exponent sum of 2^64 or more
+raises AlgebraError instead of wrapping.  `dot` sums signed products
+(a determinant expansion, a pfaffian, a matrix-vector row) in one packed
+accumulator, with one field width for all of them, and unpacks only the
+sum; `Polynomial.__mul__` is its one-product case.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely.
@@ -390,23 +393,7 @@ class Polynomial:
                 self.ring, _exact_terms({m: co * c for m, co in self.terms.items()}),
                 _clean=True,
             )
-        self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        if not a:
-            return self.ring.zero()
-        n = self.ring.nvars
-        top = max(map(max, a)) + max(map(max, b)) if n else 0
-        pack, unpack = _packer(top.bit_length(), n)
-        pb = pack(b)
-        out: dict = {}
-        get = out.get
-        for k1, c1 in pack(a):
-            for k2, c2 in pb:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        return Polynomial(self.ring, _exact_terms(unpack(out)), _clean=True)
+        return dot(((1, self, other),))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -649,14 +636,49 @@ def det(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Determinant of a square matrix by Laplace expansion along the first row."""
     if len(m) == 1:
         return m[0][0]
-    out = None
-    for k, a in enumerate(m[0]):
-        term = a * det([row[:k] + row[k + 1:] for row in m[1:]])
-        if out is None:
-            out = term
-        else:
-            out = out + term if k % 2 == 0 else out - term
-    return out
+    return dot((-1 if k % 2 else 1, a, det([row[:k] + row[k + 1:] for row in m[1:]]))
+               for k, a in enumerate(m[0]))
+
+
+def dot(products: Iterable[tuple[int, Polynomial, Polynomial]]) -> Polynomial:
+    """The sum of sign*a*b over (sign, a, b) triples, sign 1 or -1, in one
+    packed accumulator.
+
+    One field width serves every product: the smallest that holds the
+    largest exponent sum of any pair, so all packed keys share one layout
+    and each term product is one int addition and one dict update.  The
+    sum is unpacked once, so no product is built as a Polynomial of its
+    own.  All factors must share one ring (else RingMismatch), and there
+    must be at least one triple, which names the ring.
+    """
+    products = list(products)
+    if not products:
+        raise AlgebraError("an empty sum of products has no ring")
+    ring = products[0][1].ring
+    n = ring.nvars
+    top = 0
+    pairs = []
+    for sign, a, b in products:
+        if a.ring != ring or b.ring != ring:
+            raise RingMismatch("polynomials live in different rings")
+        a, b = a.terms, b.terms
+        if len(a) > len(b):
+            a, b = b, a
+        if a:
+            if n:
+                top = max(top, max(map(max, a)) + max(map(max, b)))
+            pairs.append((sign, a, b))
+    pack, unpack = _packer(top.bit_length(), n)
+    out: dict = {}
+    get = out.get
+    for sign, a, b in pairs:
+        pb = pack(b)
+        for k1, c1 in pack(a):
+            c1 *= sign
+            for k2, c2 in pb:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    return Polynomial(ring, _exact_terms(unpack(out)), _clean=True)
 
 
 def substitute(p: Polynomial, assignments: Mapping[str, "Polynomial | int | Fraction"],

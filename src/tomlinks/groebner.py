@@ -16,8 +16,12 @@ iff it generates I and none of its elements lies in the ideal of the
 others, and all minimal generating sets have the same number of elements
 in each degree.  Taking the generators in increasing degree and keeping
 each one that is not in the ideal of those kept before it gives such a
-subset; `minimal_generators` decides each membership against a basis
-truncated at the generator's degree, in one Buchberger run.
+subset.  `minimal_generators` decides each membership in one Buchberger
+run, reducing pairs only while a verdict is open: every basis element lies
+in the ideal J of the generators kept so far, so a zero remainder against
+the basis built so far is a standard representation and certifies g in J
+however few pairs have been reduced, while a nonzero remainder certifies
+g not in J only against a basis complete up to g's degree.
 
 Polynomials are the sparse ones from `algebra`, whose coefficients are
 ints when integral and Fractions otherwise.  Reduction is fraction-free:
@@ -346,16 +350,17 @@ class _PairQueue:
             heapq.heappop(heap)
         return heap[0][0] if heap else None
 
-    def reduce_next(self, red: _Reducer) -> None:
-        """Reduce the next pair's S-polynomial; a nonzero remainder joins the basis."""
+    def reduce_next(self, red: _Reducer) -> bool:
+        """Reduce the next pair's S-polynomial; a nonzero remainder joins the
+        basis, and the return value says whether one did."""
         self.next_sugar()  # drops dead pairs from the top of the heap
         sug, lcm, i, j = heapq.heappop(self.heap)
         self.live.discard((i, j))
         s = _spoly(self.basis[i], self.basis[j], lcm, red.guard)
-        if s:
-            rem = red.reduce(s, self.basis)
-            if rem:
-                self.add(_normalize_int(rem), sug)
+        rem = red.reduce(s, self.basis) if s else None
+        if rem:
+            self.add(_normalize_int(rem), sug)
+        return bool(rem)
 
 
 def _lcm(m1: Mono, m2: Mono) -> Mono:
@@ -410,14 +415,26 @@ def minimal_generators(ideal: Ideal, order: MatrixOrder,
     w, the order's first row, must be a positive grading for which every
     generator is homogeneous (see the module docstring for the theorem);
     otherwise AlgebraError.  Generators enter in increasing (w-degree,
-    length) order, input order breaking ties.  Before a generator of degree
-    d is reduced, every pair of sugar <= d is processed, so the basis built
-    so far is a d-truncated Groebner basis of the ideal of the generators
-    kept so far: every element of that ideal of degree <= d reduces to zero
-    against it.  A generator is kept iff its remainder is nonzero, and the
-    remainder then joins the basis.  The run stops after the last
-    generator, so no pair above the top generator degree is reduced.  Kept
-    generators are returned unchanged, in entry order.
+    length) order, input order breaking ties.  A generator g of degree d is
+    first reduced against the basis built so far; then the pending pairs of
+    sugar <= d are reduced one at a time, and each pair that adds a basis
+    element reduces g's remainder further, until the remainder is zero or
+    no such pair is left.  Both verdicts are certified:
+
+    - every basis element lies in the ideal J of the generators kept so
+      far, so a zero remainder is a standard representation and proves g
+      in J (as for a raw generator list in `normal_form`), and g is
+      dropped with the remaining pairs still queued;
+    - once every pair of sugar <= d is done, the basis is a d-truncated
+      Groebner basis of J: every element of J of degree <= d reduces to
+      zero against it, so a nonzero remainder proves g not in J; g is
+      kept, and the remainder joins the basis with sugar d.
+
+    Later generators have degree >= d, so a pair left queued by a dropped
+    generator is still reduced before any later verdict of "not in J".
+    The run stops after the last generator, so no pair above the top
+    generator degree is reduced.  Kept generators are returned unchanged,
+    in entry order.
 
     Every reduction here, of a pair or of a generator, is lead-only: it
     stops at the first term that no basis lead divides.  That term is the
@@ -441,9 +458,10 @@ def minimal_generators(ideal: Ideal, order: MatrixOrder,
     kept: list[Polynomial] = []
     for g in sorted(ideal.generators, key=lambda g: (degree(g), len(g))):
         d = degree(g)
-        while (sug := queue.next_sugar()) is not None and sug <= d:
-            queue.reduce_next(red)
         rem = red.reduce(_to_int(g.terms, order)[0], queue.basis)
+        while rem and (sug := queue.next_sugar()) is not None and sug <= d:
+            if queue.reduce_next(red):
+                rem = red.reduce(rem, queue.basis)
         if rem:
             kept.append(g)
             queue.add(_normalize_int(rem), d)

@@ -20,6 +20,7 @@ from .algebra import (
     Polynomial,
     Ring,
     bidegree,
+    dot,
     mix_seed,
     random_general,
 )
@@ -138,8 +139,8 @@ class SkewMatrix5:
 
 def _pf4(m: Mapping[tuple[int, int], Polynomial], idx: tuple[int, int, int, int]) -> Polynomial:
     a, b, c, d = idx
-    return m[_pair(a, b)] * m[_pair(c, d)] - m[_pair(a, c)] * m[_pair(b, d)] \
-        + m[_pair(a, d)] * m[_pair(b, c)]
+    return dot(((1, m[_pair(a, b)], m[_pair(c, d)]), (-1, m[_pair(a, c)], m[_pair(b, d)]),
+                (1, m[_pair(a, d)], m[_pair(b, c)])))
 
 
 def maximal_pfaffians(M: SkewMatrix5) -> list[Polynomial]:

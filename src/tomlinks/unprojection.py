@@ -30,6 +30,7 @@ from .algebra import (
     Polynomial,
     Ring,
     bidegree,
+    dot,
     exact_divide,
     substitute,
 )
@@ -78,11 +79,9 @@ def decompose_entries(M: SkewMatrix5, fmt: TomFormat) -> EntryDecomposition:
                 )
         alpha[(k, l)] = [Polynomial(ring, p, _clean=True) for p in parts]
     # recombination must reproduce each entry exactly
+    ygens = [ring.gen(v) for v in fmt.ideal_vars]
     for (k, l), parts in alpha.items():
-        total = ring.zero()
-        for slot, v in enumerate(fmt.ideal_vars):
-            total = total + parts[slot] * ring.gen(v)
-        if total != M.entries[(k, l)]:
+        if dot((1, a, y) for a, y in zip(parts, ygens)) != M.entries[(k, l)]:
             raise UnprojectionError(f"decomposition failed to recombine entry {(k, l)}")
     return EntryDecomposition(alpha, fmt)
 
@@ -118,16 +117,17 @@ def _cofactor_row(Q: list[list[Polynomial]], i: int, minors: dict) -> list[Polyn
     out = []
     for j in range(1, 5):
         cols = [c for c in range(4) if c != j - 1]
+        sign = 1 if (i + j) % 2 == 0 else -1
         terms = []
         for c in cols:
             ca, cb = [x for x in cols if x != c]
             m2 = minors.get((ra, rb, ca, cb))
             if m2 is None:
-                m2 = Q[ra][ca] * Q[rb][cb] - Q[ra][cb] * Q[rb][ca]
+                m2 = dot(((1, Q[ra][ca], Q[rb][cb]), (-1, Q[ra][cb], Q[rb][ca])))
                 minors[(ra, rb, ca, cb)] = m2
-            terms.append(Q[r0][c] * m2)
-        minor = terms[0] - terms[1] + terms[2]
-        out.append(minor if (i + j) % 2 == 0 else -minor)
+            terms.append((sign, Q[r0][c], m2))
+            sign = -sign
+        out.append(dot(terms))
     return out
 
 
@@ -175,10 +175,7 @@ def build_unprojection(M: SkewMatrix5, fmt: TomFormat, s_weight: int) -> Unproje
     lin_pf = _pfaffian_linear_rows(Mn)
     ygens = [ring.gen(v) for v in fmt.ideal_vars]
     for i in range(4):
-        recomb = ring.zero()
-        for j in range(4):
-            recomb = recomb + Q[i][j] * ygens[j]
-        if recomb != lin_pf[i]:
+        if dot((1, q, y) for q, y in zip(Q[i], ygens)) != lin_pf[i]:
             raise UnprojectionError(f"Q row {i + 1} does not recombine its pfaffian")
 
     minors: dict = {}
@@ -239,7 +236,7 @@ def verify_unprojection(res: UnprojectionResult, d_weights: Sequence[int],
     ygens = [ring.gen(v) for v in ("y1", "y2", "y3", "y4")]
     for i in range(4):
         for j in range(i + 1, 4):
-            target = ygens[i] * res.g[j] - ygens[j] * res.g[i]
+            target = dot(((1, ygens[i], res.g[j]), (-1, ygens[j], res.g[i])))
             good = normal_form(target, gb, budget=budget).is_zero()
             consistency.append((i + 1, j + 1, good))
             cons_ok = cons_ok and good

@@ -17,6 +17,7 @@ from tomlinks.algebra import (
     bidegree,
     det,
     divides,
+    dot,
     exact_divide,
     monomials_of_degree,
     parse,
@@ -228,23 +229,90 @@ PRODUCT_EXPONENT = st.one_of(st.integers(0, 3), st.sampled_from(
     + [b + d for b in (1 << 8, 1 << 16, 1 << 32) for d in (-2, -1, 0)]))
 
 
+def product_factors(ring):
+    """Term maps of up to 4 terms, possibly empty, with boundary exponents."""
+    n = ring.nvars
+    # at most three variables per monomial keep the 10-variable draws cheap
+    monos = st.dictionaries(st.integers(0, n - 1), PRODUCT_EXPONENT, max_size=min(n, 3)).map(
+        lambda support: tuple(support.get(i, 0) for i in range(n)))
+    return st.dictionaries(monos, COEFFS, max_size=4)
+
+
 @st.composite
 def factor_pairs(draw):
     """(p, q) in a 1- or 10-variable ring, either of them possibly zero; q is
     either independent of p or p with some signs flipped, so that cross
     terms cancel as in (u + v)(u - v)."""
     ring = draw(st.sampled_from([R1, R10]))
-    n = ring.nvars
-    # at most three variables per monomial keep the 10-variable draws cheap
-    monos = st.dictionaries(st.integers(0, n - 1), PRODUCT_EXPONENT, max_size=min(n, 3)).map(
-        lambda support: tuple(support.get(i, 0) for i in range(n)))
-    terms = st.dictionaries(monos, COEFFS, max_size=4)
+    terms = product_factors(ring)
     p = Polynomial(ring, draw(terms))
     if draw(st.booleans()):
         q = Polynomial(ring, draw(terms))
     else:
         q = Polynomial(ring, {m: c if draw(st.booleans()) else -c for m, c in p.terms.items()})
     return p, q
+
+
+@st.composite
+def signed_products(draw):
+    """1 to 4 (sign, p, q) triples in one 1- or 10-variable ring, then none,
+    one or all of them entered again with the opposite sign and the factors
+    swapped, so that a product, or the whole sum, cancels."""
+    ring = draw(st.sampled_from([R1, R10]))
+    terms = product_factors(ring).map(lambda t: Polynomial(ring, t))
+    triples = draw(st.lists(st.tuples(st.sampled_from([1, -1]), terms, terms),
+                            min_size=1, max_size=4))
+    cancel = draw(st.sampled_from(["none", "one", "all"]))
+    mirrored = triples if cancel == "all" else triples[:1] if cancel == "one" else []
+    return triples + [(-s, q, p) for s, p, q in mirrored]
+
+
+def reference_dot(triples) -> dict:
+    """The sum of sign * reference_product(p, q), term by term."""
+    out: dict = {}
+    for sign, p, q in triples:
+        for m, c in reference_product(p, q).items():
+            out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+class TestDot:
+    @given(signed_products())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sum_of_tuple_loops(self, triples):
+        if any(p and q and top_exponent(p) + top_exponent(q) >= 1 << 64 for _, p, q in triples):
+            with pytest.raises(AlgebraError, match="64"):
+                dot(triples)
+            return
+        total = dot(triples)
+        assert total.terms == reference_dot(triples)
+        assert_exact(total)
+
+    @pytest.mark.parametrize("top", [255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_field_boundaries(self, top):
+        # the widest product comes last, and its x^top term cancels against
+        # x^a * x^b, so one field width must serve all three products
+        a, b = top // 2, top - top // 2
+        R2 = Ring(("x", "y"), [(1, 1)])
+        x, y = R2.gen("x"), R2.gen("y")
+        f = R2.monomial((a, 0)) + y
+        g = R2.monomial((b, 0)) - y
+        triples = [(1, x + y, x - y), (-1, R2.monomial((a, 0)), R2.monomial((b, 0))),
+                   (1, f, g)]
+        total = dot(triples)
+        assert total.terms == reference_dot(triples)
+        assert total.coefficient((top, 0)) == 0 and total.coefficient((0, 2)) == -2
+
+    def test_exponent_sum_of_2_64_raises(self):
+        x = R1.monomial((1 << 63,))
+        with pytest.raises(AlgebraError, match="64"):
+            dot([(1, R1.one(), R1.one()), (-1, x, x)])
+
+    def test_mixed_rings_raise(self):
+        with pytest.raises(RingMismatch):
+            dot([(1, R1.gen("x"), R1.gen("x")), (1, R10.gen("v0"), R10.gen("v1"))])
+        with pytest.raises(RingMismatch):
+            dot([(1, R1.gen("x"), R10.gen("v0"))])
 
 
 class TestPackedProduct:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -128,6 +129,16 @@ class TestCli:
             [sys.executable, "-m", "tomlinks.cli", "examples"],
             capture_output=True, text=True)
         assert proc.returncode == 0
+
+    def test_python_dash_m_package(self):
+        # a source checkout on PYTHONPATH reaches the CLI without installing
+        src = str(CASES.parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "tomlinks", "examples"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "10985" in proc.stdout.split()
 
 
 def _replace_entry(text: str, key: str, value: str) -> str:

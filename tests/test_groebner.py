@@ -270,20 +270,65 @@ class TestIsSaturated:
             is_saturated(Ideal([parse("t*x1", R)]), "z")
 
 
+def s_combination(f, g, order):
+    """The S-polynomial combination of f and g: their lead terms cancel."""
+    lf, lg = max(f.terms, key=order.key), max(g.terms, key=order.key)
+    L = tuple(max(a, b) for a, b in zip(lf, lg))
+    mf = f.ring.monomial(tuple(a - b for a, b in zip(L, lf)), g.terms[lg])
+    mg = g.ring.monomial(tuple(a - b for a, b in zip(L, lg)), f.terms[lf])
+    return mf * f - mg * g
+
+
+@st.composite
+def planted_ideals(draw):
+    """(R, order, base, gens): 2 or 3 forms of a weighted grading, plus up
+    to 3 nonzero multiples of S-combinations of two of them, shuffled.  The
+    ring's own row is standard; the order's first row is the grading."""
+    weights = draw(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)))
+    specs = draw(st.lists(st.tuples(st.integers(1, 3),
+                                    st.lists(st.integers(-3, 3).filter(bool),
+                                             min_size=3, max_size=3)),
+                          min_size=2, max_size=3))
+    plants = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1),
+                                     st.integers(-2, 2).filter(bool)),
+                           min_size=1, max_size=3))
+    R = Ring(("x1", "x2", "x3"), [(1, 1, 1)])
+    W = Ring(R.names, [weights])
+    order = MatrixOrder.grevlex(R, weights)
+    base = []
+    for d, coeffs in specs:
+        monos = monomials_of_degree(W, d * lcm(*weights))
+        base.append(sum((R.monomial(monos[(5 * i + d) % len(monos)], c)
+                         for i, c in enumerate(coeffs)), R.zero()))
+    base = [f for f in base if not f.is_zero()]
+    assume(len(base) >= 2)
+    planted = []
+    n = len(base)
+    for i, k, c in plants:
+        # a pair of two different base generators
+        f, g = base[i % n], base[(i + 1 + k % (n - 1)) % n]
+        p = R.const(c) * s_combination(f, g, order)
+        if not p.is_zero():
+            planted.append(p)
+    gens = base + planted
+    draw(st.randoms(use_true_random=False)).shuffle(gens)
+    return R, order, base, gens
+
+
+def greedy_minimal_generators(gens, order) -> list:
+    """The kept list by definition: in increasing (degree, length) order,
+    keep g iff its normal form against a Groebner basis of the kept ones
+    is nonzero."""
+    ring, w = gens[0].ring, order.rows[0]
+    kept = []
+    for g in sorted(gens, key=lambda g: (sum(a * e for a, e in zip(w, next(iter(g.terms)))),
+                                         len(g))):
+        if not kept or not normal_form(g, buchberger(Ideal(kept, ring), order)).is_zero():
+            kept.append(g)
+    return kept
+
+
 class TestMinimalGenerators:
-    @staticmethod
-    def lead(p, order):
-        return max(p.terms, key=order.key)
-
-    @staticmethod
-    def s_combination(f, g, order):
-        """The S-polynomial combination of f and g: their lead terms cancel."""
-        lf, lg = TestMinimalGenerators.lead(f, order), TestMinimalGenerators.lead(g, order)
-        L = tuple(max(a, b) for a, b in zip(lf, lg))
-        mf = f.ring.monomial(tuple(a - b for a, b in zip(L, lf)), g.terms[lg])
-        mg = g.ring.monomial(tuple(a - b for a, b in zip(L, lg)), f.terms[lf])
-        return mf * f - mg * g
-
     def test_planted_s_polynomial(self):
         # x3*f1 - x2*f2 = -x3^3 lies in (f1, f2), but only the degree-3
         # S-pair shows it: its lead term is divisible by no lead term
@@ -293,37 +338,10 @@ class TestMinimalGenerators:
         kept = minimal_generators(Ideal([planted, f1, f2]), MatrixOrder.grevlex(P2))
         assert kept == [f2, f1]  # increasing (degree, length)
 
-    @given(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
-           st.lists(st.tuples(st.integers(1, 3),
-                              st.lists(st.integers(-3, 3).filter(bool), min_size=3, max_size=3)),
-                    min_size=2, max_size=3),
-           st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1),
-                              st.integers(-2, 2).filter(bool)),
-                    min_size=1, max_size=3),
-           st.randoms(use_true_random=False))
+    @given(planted_ideals())
     @settings(max_examples=60, deadline=None)
-    def test_planted_redundant_generators(self, weights, specs, plants, rnd):
-        # the ring's own row is standard; the order's first row is the grading
-        R = Ring(("x1", "x2", "x3"), [(1, 1, 1)])
-        W = Ring(R.names, [weights])
-        order = MatrixOrder.grevlex(R, weights)
-        base = []
-        for d, coeffs in specs:
-            monos = monomials_of_degree(W, d * lcm(*weights))
-            base.append(sum((R.monomial(monos[(5 * i + d) % len(monos)], c)
-                             for i, c in enumerate(coeffs)), R.zero()))
-        base = [f for f in base if not f.is_zero()]
-        assume(len(base) >= 2)
-        planted = []
-        n = len(base)
-        for i, k, c in plants:
-            # a pair of two different base generators
-            f, g = base[i % n], base[(i + 1 + k % (n - 1)) % n]
-            p = R.const(c) * self.s_combination(f, g, order)
-            if not p.is_zero():
-                planted.append(p)
-        gens = base + planted
-        rnd.shuffle(gens)
+    def test_planted_redundant_generators(self, planted_ideal):
+        R, order, base, gens = planted_ideal
         kept = minimal_generators(Ideal(gens, R), order)
         assert all(any(k is g for g in gens) for k in kept)
         assert len(kept) <= len(base)
@@ -338,6 +356,15 @@ class TestMinimalGenerators:
             if others:
                 gb = buchberger(Ideal(others, R), order)
                 assert not normal_form(g, gb).is_zero(), f"{g} is redundant"
+
+    @given(planted_ideals())
+    @settings(max_examples=60, deadline=None)
+    def test_same_list_as_greedy_reference(self, planted_ideal):
+        R, order, _, gens = planted_ideal
+        kept = minimal_generators(Ideal(gens, R), order)
+        expected = greedy_minimal_generators(gens, order)
+        assert len(kept) == len(expected)
+        assert all(k is e for k, e in zip(kept, expected))
 
     def test_rejects_inhomogeneous_generator(self):
         with pytest.raises(AlgebraError, match="not homogeneous"):
@@ -365,6 +392,19 @@ class TestMinimalGenerators:
         assert planted not in kept and len(kept) == 3
         with pytest.raises(BudgetExceeded):
             minimal_generators(gens, MatrixOrder.grevlex(P2), budget=10)
+
+    def test_zero_remainder_settles_redundancy(self):
+        # three general quadrics and the redundant cubic x1*q0 + x3*q2: the
+        # cubic reduces to zero against the basis of the quadrics alone, so
+        # it is dropped before any degree-3 pair is reduced, and the run
+        # takes 7 lead-only steps (17 if every pair of sugar <= 3 came first)
+        q = [random_general(2, P2, seed=s) for s in range(3)]
+        planted = parse("x1", P2) * q[0] + parse("x3", P2) * q[2]
+        gens = Ideal([q[0], q[1], q[2], planted])
+        kept = minimal_generators(gens, MatrixOrder.grevlex(P2), budget=7)
+        assert len(kept) == 3 and all(k is g for k, g in zip(kept, q))
+        with pytest.raises(BudgetExceeded):
+            minimal_generators(gens, MatrixOrder.grevlex(P2), budget=6)
 
 
 class TestEliminate:
