@@ -76,7 +76,7 @@ def criterion_1(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
     out = []
     case = _case("10985")
     trace = trace_link(case, seed=0, budget=budget)
-    S = kawamata_scroll(case).ring
+    S = kawamata_scroll(case)
 
     targets = [parse(t, S) for t in DISPLAY_Y1_10985]
     gens = trace.blowup.generators[:5]
@@ -340,7 +340,7 @@ def criterion_9(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
     for name in TABLE1_ROWS:
         try:
             trace = _seed0_trace(name, budget)
-            rep = picard_report(trace.case, trace, endpoint_quasismooth=True)
+            rep = picard_report(trace, endpoint_quasismooth=True)
             ok = rep.determined and rep.rho == 1
             detail = "" if ok else "; ".join(rep.chain)
             if ok:

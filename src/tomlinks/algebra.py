@@ -92,23 +92,11 @@ class BiDegree:
     top: int
     bottom: int | None = None
 
-    def __add__(self, other: "BiDegree") -> "BiDegree":
-        if (self.bottom is None) != (other.bottom is None):
-            raise AlgebraError("cannot add degrees of different rank")
-        if self.bottom is None:
-            return BiDegree(self.top + other.top)
-        return BiDegree(self.top + other.top, self.bottom + other.bottom)
-
-    def __iter__(self):
-        yield self.top
-        if self.bottom is not None:
-            yield self.bottom
-
 
 class Ring:
     """Ordered variable names plus one or two integer weight rows."""
 
-    __slots__ = ("names", "weights", "index", "_display")
+    __slots__ = ("names", "weights", "index")
 
     def __init__(self, names: Sequence[str], weights: Sequence[Sequence[int]]):
         names = tuple(names)
@@ -123,7 +111,6 @@ class Ring:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "weights", rows)
         object.__setattr__(self, "index", {n: i for i, n in enumerate(names)})
-        object.__setattr__(self, "_display", None)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Ring is immutable")
@@ -772,11 +759,8 @@ def mix_seed(seed: int, *tag) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
-def monomials_of_degree(ring: Ring, degree: "int | BiDegree") -> list[Mono]:
-    """All monomials of the given weighted degree (or bidegree for rank-2 rings)."""
-    if isinstance(degree, BiDegree) and degree.bottom is not None:
-        return _monomials_of_bidegree(ring, degree.top, degree.bottom)
-    d = degree.top if isinstance(degree, BiDegree) else int(degree)
+def monomials_of_degree(ring: Ring, degree: int) -> list[Mono]:
+    """All monomials of the given weighted degree in the top weight row."""
     w = ring.top
     if any(x <= 0 for x in w):
         raise AlgebraError("degree enumeration needs positive top weights")
@@ -796,48 +780,11 @@ def monomials_of_degree(ring: Ring, degree: "int | BiDegree") -> list[Mono]:
             rec(i + 1, rem - e * w[i])
         expo[i] = 0
 
-    rec(0, d)
+    rec(0, degree)
     return out
 
 
-def _monomials_of_bidegree(ring: Ring, top: int, bottom: int) -> list[Mono]:
-    w, b = ring.top, ring.bottom
-    zero_top = [i for i in range(ring.nvars) if w[i] == 0]
-    if len(zero_top) > 1:
-        raise AlgebraError("at most one top-weight-0 variable supported")
-    n = ring.nvars
-    out: list[Mono] = []
-    expo = [0] * n
-    pos = [i for i in range(n) if w[i] > 0]
-
-    def rec(k: int, rem: int):
-        if k == len(pos):
-            if rem != 0:
-                return
-            bot = sum(b[i] * expo[i] for i in range(n))
-            if zero_top:
-                i = zero_top[0]
-                if b[i] == 0:
-                    return
-                need = bottom - bot
-                if need % b[i] == 0 and need // b[i] >= 0:
-                    expo[i] = need // b[i]
-                    out.append(tuple(expo))
-                    expo[i] = 0
-            elif bot == bottom:
-                out.append(tuple(expo))
-            return
-        i = pos[k]
-        for e in range(rem // w[i] + 1):
-            expo[i] = e
-            rec(k + 1, rem - e * w[i])
-        expo[i] = 0
-
-    rec(0, top)
-    return out
-
-
-def random_general(degree, ring: Ring, constraint: Callable[[Mono], bool] | None = None,
+def random_general(degree: int, ring: Ring, constraint: Callable[[Mono], bool] | None = None,
                    seed: int = 0) -> Polynomial:
     """Seeded general form: every admissible monomial of the degree appears
     with a nonzero small integer coefficient drawn from [-9, 9].
@@ -849,8 +796,7 @@ def random_general(degree, ring: Ring, constraint: Callable[[Mono], bool] | None
         monos = [m for m in monos if constraint(m)]
     if not monos:
         raise AlgebraError(f"no admissible monomial of degree {degree}")
-    tag = degree if isinstance(degree, int) else tuple(degree)
-    rng = random.Random(mix_seed(seed, "random_general", tag))
+    rng = random.Random(mix_seed(seed, "random_general", degree))
     terms = {}
     for m in sorted(monos):
         c = rng.randint(1, 18)  # 1..9 -> positive, 10..18 -> negative: never zero

@@ -13,8 +13,9 @@ ideal weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -132,17 +133,12 @@ class FanoCase:
         return build_general_tom(self.matrix_weights, TomFormat(self.tom_k), self.ambient6, use)
 
 
-@dataclass
-class Scroll:
-    ring: Ring
-
-
-def kawamata_scroll(case: FanoCase) -> Scroll:
+def kawamata_scroll(case: FanoCase) -> Ring:
     """Rank-2 ambient of the blow-up: top (0,r,a,b,c,d), bottom (1,1,0,0,0,-1,...)."""
     a, b, c = case.abc
     top = (0, case.r, a, b, c) + case.d
     bottom = (1, 1, 0, 0, 0, -1, -1, -1, -1)
-    return Scroll(Ring(SCROLL_NAMES, (top, bottom)))
+    return Ring(SCROLL_NAMES, (top, bottom))
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +181,8 @@ def compute_deltas(g: Sequence[Polynomial], case: FanoCase) -> tuple[int, int, i
     return tuple(deltas)
 
 
-def _pullback_maps(scroll: Scroll, case: FanoCase):
+def _pullback_maps(S: Ring, case: FanoCase):
     """alpha_1 and the integer-exponent blow-up pull-back into the scroll ring."""
-    S = scroll.ring
     t = S.gen("t")
     alpha = {n: S.gen(n) for n in X_NAMES}
     alpha |= {n: t * S.gen(n) for n in Y_NAMES}
@@ -205,7 +200,7 @@ class BlowupData:
     pullback_ideal: Ideal           # the nine raw pull-backs (before division)
 
 
-def blowup_ideal(res: UnprojectionResult, scroll: Scroll, case: FanoCase) -> BlowupData:
+def blowup_ideal(res: UnprojectionResult, S: Ring, case: FanoCase) -> BlowupData:
     """The nine equations of the blow-up: pull back, then divide out all t factors.
 
     The pfaffian pull-backs lose t and t^2 (Tom format guarantees at least
@@ -213,8 +208,7 @@ def blowup_ideal(res: UnprojectionResult, scroll: Scroll, case: FanoCase) -> Blo
     quotient is bihomogeneous in the scroll grading.
     """
     deltas = compute_deltas(res.g, case)
-    alpha, phi = _pullback_maps(scroll, case)
-    S = scroll.ring
+    alpha, phi = _pullback_maps(S, case)
     gens: list[Polynomial] = []
     exps: list[int] = []
     raw: list[Polynomial] = []
@@ -255,9 +249,6 @@ def blowup_ideal(res: UnprojectionResult, scroll: Scroll, case: FanoCase) -> Blo
 # ---------------------------------------------------------------------------
 # classification
 
-TAGS = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")
-
-
 def classify_case(d: Sequence[int]) -> str:
     """Equality pattern tag (i)..(viii) of the sorted ideal weights."""
     d1, d2, d3, d4 = d
@@ -281,7 +272,6 @@ def classify_case(d: Sequence[int]) -> str:
 class WeightConfig:
     tag: str                      # "a", "b" or "neither"
     pi: int | None
-    matches: list[tuple[str, int]]  # all template fits, most specific first
 
 
 def detect_weight_config(w: WeightMatrix5, d: Sequence[int]) -> WeightConfig:
@@ -295,14 +285,13 @@ def detect_weight_config(w: WeightMatrix5, d: Sequence[int]) -> WeightConfig:
     """
     m = {p: w[p] for p in ((1, 2), (1, 3), (1, 4), (1, 5),
                            (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5))}
-    matches: list[tuple[str, int]] = []
 
     if m[(2, 4)] == m[(2, 5)] == m[(3, 4)] == m[(3, 5)]:
         pi = m[(2, 4)]
         sigma, tau = m[(1, 2)], m[(2, 3)]
         if (m[(1, 3)] == sigma and m[(1, 4)] == m[(1, 5)] == pi + sigma - tau
                 and m[(4, 5)] == 2 * pi - tau):
-            matches.append(("a", pi))
+            return WeightConfig("a", pi)
 
     if m[(2, 5)] == m[(3, 4)] and m[(2, 5)] in (d[0], d[1]):
         pi = m[(2, 5)]
@@ -310,12 +299,9 @@ def detect_weight_config(w: WeightMatrix5, d: Sequence[int]) -> WeightConfig:
         if (m[(1, 3)] == pi + sigma - ups and m[(1, 4)] == pi + sigma - tau
                 and m[(1, 5)] == 2 * pi + sigma - tau - ups
                 and m[(3, 5)] == 2 * pi - ups and m[(4, 5)] == 2 * pi - tau):
-            matches.append(("b", pi))
+            return WeightConfig("b", pi)
 
-    if matches:
-        tag, pi = matches[0]
-        return WeightConfig(tag, pi, matches)
-    return WeightConfig("neither", None, [])
+    return WeightConfig("neither", None)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +311,6 @@ def detect_weight_config(w: WeightMatrix5, d: Sequence[int]) -> WeightConfig:
 class FlopData:
     count: int
     matrix_a: list[list[Polynomial]]
-    declared: int | None
 
 
 def coefficient_matrix(res: UnprojectionResult, case: FanoCase) -> list[list[Polynomial]]:
@@ -365,13 +350,12 @@ def count_flops(res: UnprojectionResult, case: FanoCase,
     if case.abc != (1, 1, 1):
         raise LinkError("node counting implemented for P^2(1,1,1) planes only")
     A = coefficient_matrix(res, case)
-    ring6 = case.ambient6
     P2 = Ring(X_NAMES, ((1, 1, 1),))
     into = {n: P2.gen(n) for n in X_NAMES} | {n: 0 for n in Y_NAMES}
     A2 = [[substitute(e, into, P2) for e in row] for row in A]
     ideal = minors_ideal(A2, P2, 3)
     count = zero_dim_degree(ideal, budget)
-    return FlopData(count, A2, case.declared_nodes)
+    return FlopData(count, A2)
 
 
 def rank_at_point(A2: list[list[Polynomial]], point: Sequence[Fraction]) -> int:
@@ -489,7 +473,7 @@ class QuadExt:
     def __repr__(self):
         return f"({self.a} + {self.b}w)"
 
-    def power(self, e: int) -> "QuadExt":
+    def __pow__(self, e: int) -> "QuadExt":
         out = QuadExt(1, 0, self.P, self.Q0)
         base = self
         while e:
@@ -500,12 +484,6 @@ class QuadExt:
         return out
 
 
-def _power(value, e: int):
-    if isinstance(value, QuadExt):
-        return value.power(e)
-    return Fraction(value) ** e
-
-
 # ---------------------------------------------------------------------------
 # wall analysis
 
@@ -514,8 +492,6 @@ class Flip:
     wall: tuple[str, ...]
     survivors: tuple[str, ...]
     weights: tuple[int, ...]              # localised top weights, descending
-    contracted: tuple[int, ...]           # positive weights
-    extracted: tuple[int, ...]            # negative weights (as positives)
     hypersurface_degree: int | None
     eliminated: tuple[str, ...]
     point: str                            # label of the base point
@@ -570,9 +546,6 @@ class ConicBundle:
     note: str = ""
 
 
-LinkStep = object  # union of the step dataclasses above
-
-
 def wall_groups(d: Sequence[int]) -> list[list[str]]:
     """Ideal variables grouped by equal weight, in decreasing weight order."""
     groups: list[list[str]] = []
@@ -584,8 +557,7 @@ def wall_groups(d: Sequence[int]) -> list[list[str]]:
     return groups
 
 
-def _localized_ring(scroll: Scroll, weight: int) -> Ring:
-    S = scroll.ring
+def _localized_ring(S: Ring, weight: int) -> Ring:
     top = tuple(t + weight * b for t, b in zip(S.top, S.bottom))
     return Ring(S.names, (top, S.bottom))
 
@@ -596,8 +568,7 @@ _PRIORITY = ("s", "x1", "x2", "x3", "y1", "y2", "y3", "y4", "t")
 class _PointData:
     """Linear and quadratic coefficients of the generators at a wall point."""
 
-    def __init__(self, gens: Sequence[Polynomial], ring: Ring,
-                 wall_idx: dict[int, object], one):
+    def __init__(self, gens: Sequence[Polynomial], wall_idx: dict[int, object], one):
         # wall_idx: variable slot -> point value; `one` is the field unit
         self.rows: list[dict[int, object]] = []
         self.consts: list = []
@@ -611,7 +582,7 @@ class _PointData:
                 scale = one * c
                 for i, v in wall_idx.items():
                     if m[i]:
-                        scale = scale * _power(v, m[i])
+                        scale = scale * v ** m[i]
                 if not supp:
                     const = const + scale
                 elif len(supp) == 1 and supp[0][1] == 1:
@@ -667,14 +638,13 @@ def _composed_quad_coeff(point: _PointData, gi: int, t_slot: int, v_slot: int,
     return total
 
 
-def analyze_wall(gens: Sequence[Polynomial], scroll: Scroll, wall: Sequence[str],
-                 case: FanoCase) -> LinkStep:
+def analyze_wall(gens: Sequence[Polynomial], S: Ring,
+                 wall: Sequence[str]) -> "Isomorphism | Flip | SimultaneousFlips":
     """Cross one Mori-cone wall: isomorphism, flip, or two simultaneous flips."""
     wall = tuple(wall)
-    S = scroll.ring
     widx = [S.index[v] for v in wall]
     wall_weight = S.top[widx[0]]
-    loc = _localized_ring(scroll, wall_weight)
+    loc = _localized_ring(S, wall_weight)
 
     if len(wall) == 1:
         # pure power of the wall variable => the wall misses the 3-fold
@@ -692,7 +662,7 @@ def analyze_wall(gens: Sequence[Polynomial], scroll: Scroll, wall: Sequence[str]
     raise LinkError(f"wall group of size {len(wall)} is not a flip wall")
 
 
-def _wall_quadratic(gens: Sequence[Polynomial], S: Ring, widx: list[int]):
+def _wall_quadratic(gens: Sequence[Polynomial], widx: list[int]):
     """Restriction of the generators to the wall line: one quadratic form."""
     i1, i2 = widx
     found = None
@@ -715,23 +685,14 @@ def _wall_quadratic(gens: Sequence[Polynomial], S: Ring, widx: list[int]):
 def _is_square(f: Fraction) -> Fraction | None:
     if f < 0:
         return None
-    num, den = f.numerator, f.denominator
-    rn = _isqrt_exact(num)
-    rd = _isqrt_exact(den)
-    if rn is None or rd is None:
+    rn, rd = isqrt(f.numerator), isqrt(f.denominator)
+    if rn * rn != f.numerator or rd * rd != f.denominator:
         return None
     return Fraction(rn, rd)
 
 
-def _isqrt_exact(n: int) -> int | None:
-    from math import isqrt
-
-    r = isqrt(n)
-    return r if r * r == n else None
-
-
 def _simultaneous_flips(gens, S: Ring, loc: Ring, wall, widx) -> SimultaneousFlips:
-    A, B, C = _wall_quadratic(gens, S, widx)
+    A, B, C = _wall_quadratic(gens, widx)
     disc = B * B - 4 * A * C
     if A == 0 and B == 0:
         raise LinkError("wall quadratic form has rank < 2")
@@ -762,10 +723,7 @@ def _simultaneous_flips(gens, S: Ring, loc: Ring, wall, widx) -> SimultaneousFli
     for point, one, label in points:
         flips.append(_flip_at_point(gens, S, loc, point, wall, label, one))
     if len(flips) == 1:
-        twin = flips[0]
-        mirror = Flip(twin.wall, twin.survivors, twin.weights, twin.contracted,
-                      twin.extracted, twin.hypersurface_degree, twin.eliminated, "P2")
-        flips.append(mirror)
+        flips.append(replace(flips[0], point="P2"))
     return SimultaneousFlips(wall, (flips[0], flips[1]), qtext)
 
 
@@ -779,7 +737,7 @@ def _quad_text(A, B, C, wall) -> str:
 
 def _flip_at_point(gens, S: Ring, loc: Ring, point: dict[int, object], wall,
                    point_label: str, one) -> Flip:
-    pd = _PointData(gens, S, point, one)
+    pd = _PointData(gens, point, one)
     for gi, c in enumerate(pd.consts):
         if c:
             raise LinkError(
@@ -791,8 +749,6 @@ def _flip_at_point(gens, S: Ring, loc: Ring, point: dict[int, object], wall,
     weights = {n: loc.top[loc.index[n]] for n in surv}
     ordered = sorted(surv, key=lambda n: -weights[n])
     wts = tuple(weights[n] for n in ordered)
-    contracted = tuple(w for w in wts if w > 0)
-    extracted = tuple(-w for w in wts if w < 0)
     if len(surv) not in (4, 5):
         raise LinkError(
             f"{len(surv)} surviving variables at {point_label}; expected a toric or "
@@ -812,19 +768,15 @@ def _flip_at_point(gens, S: Ring, loc: Ring, point: dict[int, object], wall,
                     continue
                 corrected = _composed_quad_coeff(pd, gi, t_slot, vs, L, pivots, one)
                 if corrected:
-                    hdeg = bidegree(_project(gens[gi], loc)).top
+                    hdeg = bidegree(Polynomial(loc, gens[gi].terms, _clean=True)).top
                     hyp_pair = ("t", v)
                     break
             if hdeg is not None:
                 break
         if hdeg is None:
             raise LinkError(f"no surviving t*(negative variable) monomial at {point_label}")
-    return Flip(tuple(wall), tuple(ordered), wts, contracted, extracted, hdeg,
+    return Flip(tuple(wall), tuple(ordered), wts, hdeg,
                 tuple(S.names[i] for i in sorted(pivots)), point_label, hyp_pair)
-
-
-def _project(p: Polynomial, ring: Ring) -> Polynomial:
-    return Polynomial(ring, dict(p.terms), _clean=True)
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +790,7 @@ def global_eliminate(gens: Sequence[Polynomial], ring: Ring,
     A variable is eliminated only when its occurrences in the chosen
     equation are exactly the single monomial v (so the solve is polynomial,
     not merely local-analytic); the substitution is propagated and the scan
-    restarts.  Returns (surviving generators, eliminated names, used count).
+    restarts.  Returns (surviving generators, eliminated names).
     """
     work = [g for g in gens if not g.is_zero()]
     skip = set(skip)
@@ -881,17 +833,15 @@ class EndpointFano:
     codim: int
     eliminated: tuple[str, ...]
     minimal_certified: bool
-    fractional_weights: bool
     notes: list[str] = field(default_factory=list)
 
 
-def endpoint_fano(gens: Sequence[Polynomial], scroll: Scroll,
+def endpoint_fano(gens: Sequence[Polynomial], S: Ring,
                   contraction_group: Sequence[str], contracted: str,
-                  case: FanoCase, budget: int = DEFAULT_BUDGET) -> EndpointFano:
+                  budget: int = DEFAULT_BUDGET) -> EndpointFano:
     """Contract the last divisor: set the contracted variable to 1, globally
     eliminate, and present the image Fano with its induced weights and a
     minimal set of its equations."""
-    S = scroll.ring
     dhat = S.top[S.index[contraction_group[0]]]
     d4 = S.top[S.index[contracted]]
     denom = dhat - d4
@@ -937,18 +887,15 @@ def endpoint_fano(gens: Sequence[Polynomial], scroll: Scroll,
     return EndpointFano(
         names=tuple(survivors), weights=weights, ring=ring_new, equations=eqs,
         degrees=degrees, gorenstein=gorenstein, codim=codim,
-        eliminated=eliminated, minimal_certified=minimal_certified,
-        fractional_weights=fractional, notes=notes,
+        eliminated=eliminated, minimal_certified=minimal_certified, notes=notes,
     )
 
 
-def dp_degree(gens: Sequence[Polynomial], scroll: Scroll, base: Sequence[str],
-              case: FanoCase, seed: int = 0,
+def dp_degree(gens: Sequence[Polynomial], S: Ring, base: Sequence[str], seed: int = 0,
               budget: int = DEFAULT_BUDGET) -> DelPezzoFibration:
     """Degree of the general fibre over the base line, by Hilbert series."""
-    S = scroll.ring
     d3 = S.top[S.index[base[0]]]
-    loc = _localized_ring(scroll, d3)
+    loc = _localized_ring(S, d3)
     fiber = [n for n in S.names if n not in base]
     fw = {n: loc.top[loc.index[n]] for n in fiber}
     note = ""
@@ -981,8 +928,7 @@ def dp_degree(gens: Sequence[Polynomial], scroll: Scroll, base: Sequence[str],
     raise LinkError(f"no good del Pezzo fibre found in 5 seeded attempts: {note}")
 
 
-def conic_discriminant(pf_gens: Sequence[Polynomial], scroll: Scroll,
-                       base: Sequence[str], case: FanoCase,
+def conic_discriminant(pf_gens: Sequence[Polynomial], S: Ring, base: Sequence[str],
                        budget: int = DEFAULT_BUDGET) -> ConicBundle:
     """Discriminant degree of the conic bundle over the plane of base variables.
 
@@ -995,12 +941,10 @@ def conic_discriminant(pf_gens: Sequence[Polynomial], scroll: Scroll,
     if len(base) != 3:
         return ConicBundle(tuple(base), None, [], [], 0,
                            "conic bundle over a 3-space; patch analysis done on planes only")
-    S = scroll.ring
     fiber = [n for n in S.names if n not in base and n != "s"]
     dets: list[Polynomial] = []
     det_texts: list[tuple[str, str]] = []
     degrees: list[int] = []
-    free_names: list[str] = []
     for patch, free in ((base[0], base[1]), (base[1], base[0])):
         P = Ring(tuple(fiber) + (free,), ((1,) * (len(fiber) + 1),))
         subs = {patch: 1, base[2]: 0}
@@ -1050,25 +994,24 @@ def conic_discriminant(pf_gens: Sequence[Polynomial], scroll: Scroll,
         dets.append(gram_det)
         det_texts.append((patch, str(gram_det)))
         degrees.append(gram_det.degree())
-        free_names.append(free)
 
-    overlap = _patch_overlap(dets[0], dets[1])
+    overlap = _patch_overlap(dets[0], dets[1], budget)
     total = degrees[0] + degrees[1] - overlap
     return ConicBundle(tuple(base), total, det_texts, degrees, overlap)
 
 
-def conic_discriminant_or_note(pf_gens, scroll, base, case,
+def conic_discriminant_or_note(pf_gens, S: Ring, base,
                                budget: int = DEFAULT_BUDGET) -> ConicBundle:
     """Structural fallback: a patch where the local eliminations do not leave
     a principal conic yields a ConicBundle step with a note instead of a
     discriminant degree."""
     try:
-        return conic_discriminant(pf_gens, scroll, base, case, budget)
+        return conic_discriminant(pf_gens, S, base, budget)
     except LinkError as e:
         return ConicBundle(tuple(base), None, [], [], 0, f"discriminant not computed: {e}")
 
 
-def _patch_overlap(f: Polynomial, g: Polynomial) -> int:
+def _patch_overlap(f: Polynomial, g: Polynomial, budget: int) -> int:
     """Common roots (with multiplicity) of two patch determinants away from
     the coordinate points, seen in the first patch's coordinate."""
     if f.is_zero() or g.is_zero():
@@ -1078,7 +1021,7 @@ def _patch_overlap(f: Polynomial, g: Polynomial) -> int:
     reversed_terms = {(dg - m[0],): c for m, c in g.terms.items()}
     g_rev = Polynomial(U, reversed_terms, _clean=True)
     order = MatrixOrder.grevlex(U, weights=(1,))
-    gb = buchberger(Ideal([f, g_rev], U), order)
+    gb = buchberger(Ideal([f, g_rev], U), order, budget)
     assert len(gb.elements) == 1
     h = gb.elements[0]
     deg = h.degree()
@@ -1119,7 +1062,7 @@ def _flip_basket_moves(flip: Flip):
     return removed, added
 
 
-def track_basket(steps: Sequence[LinkStep], case: FanoCase,
+def track_basket(steps: Sequence, case: FanoCase,
                  strict: bool = True) -> tuple[list[Basket], list]:
     """Basket after each step.
 
@@ -1177,8 +1120,7 @@ class PicardReport:
     chain: list[str]
 
 
-def picard_report(case: FanoCase, trace: "LinkTrace",
-                  endpoint_quasismooth: bool) -> PicardReport:
+def picard_report(trace: "LinkTrace", endpoint_quasismooth: bool) -> PicardReport:
     """rho_X = 1 exactly when the link ends in a divisorial contraction to a
     quasi-smooth Fano of codimension <= 3 (flag supplied, not computed)."""
     last = trace.steps[-1] if trace.steps else None
@@ -1204,14 +1146,12 @@ def picard_report(case: FanoCase, trace: "LinkTrace",
 @dataclass
 class LinkTrace:
     case: FanoCase
-    seed: int
     tag: str
     config: WeightConfig
     steps: list
     baskets: list[Basket]
     flop: FlopData | None
     blowup: BlowupData
-    unprojection: UnprojectionResult
     template_ok: bool
     template_notes: list[str]
 
@@ -1241,8 +1181,8 @@ def wall_skip_expected(weights: WeightMatrix5, wall_weight: int) -> bool:
                for p, q in COMPLEMENTARY_PAIRS)
 
 
-def expected_middle_kinds(groups: list[list[str]], middle: list[list[str]],
-                          norm_weights: WeightMatrix5, d: Sequence[int]) -> list[str]:
+def expected_middle_kinds(middle: list[list[str]], norm_weights: WeightMatrix5,
+                          d: Sequence[int]) -> list[str]:
     out = []
     weight_of = dict(zip(Y_NAMES, d))
     for wall in middle:
@@ -1273,10 +1213,11 @@ def trace_link(case: FanoCase, seed: int = 0, budget: int = DEFAULT_BUDGET,
     M = case.build_matrix(seed)
     fmt = TomFormat(case.tom_k)
     res = build_unprojection(M, fmt, case.r)
-    scroll = kawamata_scroll(case)
-    blow = blowup_ideal(res, scroll, case)
+    S = kawamata_scroll(case)
+    blow = blowup_ideal(res, S, case)
     tag = classify_case(case.d)
-    config = detect_weight_config(normalized_weight_matrix(case), case.d)
+    norm_weights = normalized_weight_matrix(case)
+    config = detect_weight_config(norm_weights, case.d)
 
     steps: list = [KawamataBlowup((case.r, case.abc))]
     flop_data = None
@@ -1292,25 +1233,24 @@ def trace_link(case: FanoCase, seed: int = 0, budget: int = DEFAULT_BUDGET,
     divisorial = len(groups[-1]) == 1
     middle = groups[:-2] if divisorial else groups[:-1]
     for wall in middle:
-        steps.append(analyze_wall(blow.generators, scroll, wall, case))
+        steps.append(analyze_wall(blow.generators, S, wall))
 
     if divisorial:
         kind = (2, 0) if len(groups[-2]) == 1 else (2, 1)
-        ep = endpoint_fano(blow.generators, scroll, groups[-2], groups[-1][0],
-                           case, budget)
+        ep = endpoint_fano(blow.generators, S, groups[-2], groups[-1][0], budget)
         steps.append(DivisorialContractionToFano(kind, tuple(groups[-2]), ep))
     elif len(groups[-1]) == 2:
-        steps.append(dp_degree(blow.generators, scroll, groups[-1], case, seed, budget))
+        steps.append(dp_degree(blow.generators, S, groups[-1], seed, budget))
     else:
         pf_part = blow.generators[:5]
-        steps.append(conic_discriminant_or_note(pf_part, scroll, groups[-1], case, budget))
+        steps.append(conic_discriminant_or_note(pf_part, S, groups[-1], budget))
 
     baskets, missing = track_basket(steps, case, strict=strict_basket)
 
     notes: list[str] = []
     if missing:
         notes.append(f"basket removals missing from input data: {missing}")
-    expected = expected_middle_kinds(groups, middle, normalized_weight_matrix(case), case.d)
+    expected = expected_middle_kinds(middle, norm_weights, case.d)
     ok = True
     for want, got, wall in zip(expected, steps[2:], middle):
         kind = type(got).__name__
@@ -1331,8 +1271,7 @@ def trace_link(case: FanoCase, seed: int = 0, budget: int = DEFAULT_BUDGET,
     if missing:
         ok = False
 
-    return LinkTrace(case, seed, tag, config, steps, baskets, flop_data, blow,
-                     res, ok, notes)
+    return LinkTrace(case, tag, config, steps, baskets, flop_data, blow, ok, notes)
 
 
 def verify_blowup_saturation(blow: BlowupData, budget: int = DEFAULT_BUDGET) -> bool:

@@ -78,7 +78,7 @@ def _parse_quotient(tok: str, line: int) -> tuple[int, tuple[int, int, int]]:
     return (r, weights)
 
 
-def parse_case_text(text: str, name: str = "<case>") -> CaseFile:
+def parse_case_text(text: str) -> CaseFile:
     fields: dict[str, tuple[str, int]] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -179,7 +179,7 @@ def parse_case(path: str | Path) -> CaseFile:
     path = Path(path)
     if not path.exists():
         raise CaseFileError(f"case file not found: {path}")
-    return parse_case_text(path.read_text(encoding="utf-8"), str(path))
+    return parse_case_text(path.read_text(encoding="utf-8"))
 
 
 def bundled_case_names() -> list[str]:
@@ -192,7 +192,7 @@ def load_bundled(name: str) -> CaseFile:
     target = files.joinpath(f"{name}.case")
     if not target.is_file():
         raise CaseFileError(f"no bundled case named {name!r}")
-    return parse_case_text(target.read_text(encoding="utf-8"), name)
+    return parse_case_text(target.read_text(encoding="utf-8"))
 
 
 def bundled_path(name: str) -> Path:

@@ -76,13 +76,13 @@ def cmd_blowup(args) -> int:
     case = _load_case(args)
     t0 = time.perf_counter()
     res = build_unprojection(case.build_matrix(args.seed), TomFormat(case.tom_k), case.r)
-    scroll = kawamata_scroll(case)
-    blow = blowup_ideal(res, scroll, case)
+    S = kawamata_scroll(case)
+    blow = blowup_ideal(res, S, case)
     data = {
         "tool_version": __version__,
         "seed": args.seed,
         "case": {"id": case.id},
-        "scroll": {"top": list(scroll.ring.top), "bottom": list(scroll.ring.bottom)},
+        "scroll": {"top": list(S.top), "bottom": list(S.bottom)},
         "deltas": list(blow.deltas),
         "t_exponents": list(blow.t_exponents),
         "equations": [str(h) for h in blow.generators],

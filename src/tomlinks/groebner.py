@@ -574,8 +574,9 @@ def _trivial_ideal(ring: Ring) -> Ideal:
 # ---------------------------------------------------------------------------
 # Hilbert series of a lead-term ideal
 
-def hilbert_numerator(lead_monos: Sequence[Mono], nvars: int) -> list[int]:
-    """Coefficients of N(u) with sum_d #std(d) u^d = N(u) / (1-u)^nvars.
+def hilbert_numerator(lead_monos: Sequence[Mono]) -> list[int]:
+    """Coefficients of N(u) with sum_d #std(d) u^d = N(u) / (1-u)^n, n the
+    number of variables.
 
     Variables are weighted 1; works by the colon recursion
     N(J + <m>) = N(J) - u^deg(m) * N(J : m) on minimalized monomial sets.
@@ -620,7 +621,7 @@ def projective_dim_degree(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> tuple[i
     order = MatrixOrder.grevlex(ring, weights=(1,) * ring.nvars)
     gb = buchberger(ideal, order, budget)
     leads = [order.unpack(e[0]) for e in gb.entries]
-    num = hilbert_numerator(leads, ring.nvars)
+    num = hilbert_numerator(leads)
     if not num:
         return (-1, 0)  # unit ideal: empty
     strips = 0

@@ -34,7 +34,7 @@ from .algebra import (
     exact_divide,
     substitute,
 )
-from .groebner import Ideal, MatrixOrder, buchberger, normal_form
+from .groebner import DEFAULT_BUDGET, Ideal, MatrixOrder, buchberger, normal_form
 from .pfaffian import (
     SkewMatrix5,
     TomFormat,
@@ -49,16 +49,13 @@ class UnprojectionError(AlgebraError):
     pass
 
 
-@dataclass
-class EntryDecomposition:
-    """alpha[(k, l)][j] with a_{k,l} = sum_j alpha_j * y_{j+1} for constrained entries."""
+def decompose_entries(M: SkewMatrix5,
+                      fmt: TomFormat) -> dict[tuple[int, int], list[Polynomial]]:
+    """alpha[(k, l)][j] with a_{k,l} = sum_j alpha_j * y_{j+1} for the
+    constrained entries.
 
-    alpha: dict[tuple[int, int], list[Polynomial]]
-    fmt: TomFormat
-
-
-def decompose_entries(M: SkewMatrix5, fmt: TomFormat) -> EntryDecomposition:
-    """Greedy decomposition: y1-divisible terms feed alpha_1, then y2, y3, y4."""
+    Greedy decomposition: y1-divisible terms feed alpha_1, then y2, y3, y4.
+    """
     if not check_tom(M, fmt):
         raise UnprojectionError(f"matrix is not in Tom_{fmt.k} format")
     ring = M.ring
@@ -83,13 +80,11 @@ def decompose_entries(M: SkewMatrix5, fmt: TomFormat) -> EntryDecomposition:
     for (k, l), parts in alpha.items():
         if dot((1, a, y) for a, y in zip(parts, ygens)) != M.entries[(k, l)]:
             raise UnprojectionError(f"decomposition failed to recombine entry {(k, l)}")
-    return EntryDecomposition(alpha, fmt)
+    return alpha
 
 
 @dataclass
 class UnprojectionResult:
-    N: list[SkewMatrix5]          # N_1..N_4, Tom-normalised ordering
-    Q: list[list[Polynomial]]     # 4x4, Q . (y1..y4)^T = linear pfaffians
     H: list[list[Polynomial]]     # H_i = i-th cofactor row of Q
     g: list[Polynomial]           # right-hand sides of s*y_j = g_j
     p: list[Polynomial]           # unconstrained row entries of the normalised matrix
@@ -97,7 +92,6 @@ class UnprojectionResult:
     X_ideal: Ideal                # 9 generators in the ring extended by s
     ring_x: Ring                  # ambient of X (with s)
     s_weight: int
-    permutation: dict[int, int]   # Tom-normalising row/column relabelling
 
 
 def _pfaffian_linear_rows(Mn: SkewMatrix5) -> list[Polynomial]:
@@ -149,27 +143,25 @@ def build_unprojection(M: SkewMatrix5, fmt: TomFormat, s_weight: int) -> Unproje
     perm = tom_normalising_permutation(fmt.k)
     Mn = M.permuted(perm) if fmt.k != 1 else M
     fmt1 = TomFormat(1, fmt.ideal_vars)
-    dec = decompose_entries(Mn, fmt1)
+    alpha = decompose_entries(Mn, fmt1)
 
     p = [Mn.entries[(1, j)] for j in range(2, 6)]
     if all(pi.is_zero() for pi in p):
         raise UnprojectionError("all p_i vanish; unprojection undefined")
 
-    N: list[SkewMatrix5] = []
+    # column j of Q: the linear pfaffians of N_j, the matrix with each
+    # constrained entry replaced by its alpha_j
+    Q = [[None] * 4 for _ in range(4)]
     for slot in range(4):
         entries = {(1, j): p[j - 2] for j in range(2, 6)}
         wts = {(1, j): Mn.weights[(1, j)] for j in range(2, 6)}
         for (k, l) in constrained_pairs(fmt1):
-            entries[(k, l)] = dec.alpha[(k, l)][slot]
+            entries[(k, l)] = alpha[(k, l)][slot]
             d_slot = bidegree(ring.gen(fmt.ideal_vars[slot])).top
             wts[(k, l)] = Mn.weights[(k, l)] - d_slot
-        N.append(SkewMatrix5(entries, WeightMatrix5(wts), ring))
-
-    Q = [[None] * 4 for _ in range(4)]
-    for j in range(4):
-        lin = _pfaffian_linear_rows(N[j])
+        lin = _pfaffian_linear_rows(SkewMatrix5(entries, WeightMatrix5(wts), ring))
         for i in range(4):
-            Q[i][j] = lin[i]
+            Q[i][slot] = lin[i]
 
     # consistency: Q . y reproduces the linear pfaffians of Mn
     lin_pf = _pfaffian_linear_rows(Mn)
@@ -198,9 +190,8 @@ def build_unprojection(M: SkewMatrix5, fmt: TomFormat, s_weight: int) -> Unproje
     for j, v in enumerate(fmt.ideal_vars):
         gens.append(s * ring_x.gen(v) - substitute(g[j], into_x, ring_x))
     return UnprojectionResult(
-        N=N, Q=Q, H=H, g=g, p=p, pfaffians=pf_orig,
-        X_ideal=Ideal(gens, ring_x), ring_x=ring_x,
-        s_weight=s_weight, permutation=perm,
+        H=H, g=g, p=p, pfaffians=pf_orig,
+        X_ideal=Ideal(gens, ring_x), ring_x=ring_x, s_weight=s_weight,
     )
 
 
@@ -216,7 +207,7 @@ class VerificationReport:
 
 
 def verify_unprojection(res: UnprojectionResult, d_weights: Sequence[int],
-                        budget: int = 10**6) -> VerificationReport:
+                        budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Certify what build_unprojection does not: the degrees of the g_j and
     the membership of y_i g_j - y_j g_i in the pfaffian ideal, decided by
     normal forms against one Groebner basis of the pfaffians."""

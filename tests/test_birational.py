@@ -40,7 +40,7 @@ from tomlinks.birational import (
     zero_dim_degree,
 )
 from tomlinks.casefile import bundled_case_names, load_bundled
-from tomlinks.groebner import Ideal, MatrixOrder, buchberger, saturate
+from tomlinks.groebner import BudgetExceeded, Ideal, MatrixOrder, buchberger, saturate
 from tomlinks.pfaffian import TomFormat, WeightMatrix5, build_general_tom
 from tomlinks.report import step_dict
 from tomlinks.unprojection import build_unprojection
@@ -48,20 +48,20 @@ from tomlinks.unprojection import build_unprojection
 
 class TestScroll:
     def test_10985(self, case_10985):
-        scroll = kawamata_scroll(case_10985)
-        assert scroll.ring.top == (0, 2, 1, 1, 1, 6, 5, 4, 3)
-        assert scroll.ring.bottom == (1, 1, 0, 0, 0, -1, -1, -1, -1)
+        S = kawamata_scroll(case_10985)
+        assert S.top == (0, 2, 1, 1, 1, 6, 5, 4, 3)
+        assert S.bottom == (1, 1, 0, 0, 0, -1, -1, -1, -1)
 
     def test_20652(self, case_20652):
-        assert kawamata_scroll(case_20652).ring.top == (0, 2, 1, 1, 1, 2, 2, 1, 1)
+        assert kawamata_scroll(case_20652).top == (0, 2, 1, 1, 1, 2, 2, 1, 1)
 
     def test_r1_formula(self):
         case = FanoCase(id="toy", abc=(1, 1, 1), d=(4, 3, 2, 1), r=1, tom_k=1,
                         matrix_weights=WeightMatrix5.from_list([1, 1, 1, 1, 3, 3, 3, 3, 3, 3]),
                         matrix=None, basket=Basket([]))
-        scroll = kawamata_scroll(case)
-        assert scroll.ring.top == (0, 1, 1, 1, 1, 4, 3, 2, 1)
-        assert scroll.ring.bottom == (1, 1, 0, 0, 0, -1, -1, -1, -1)
+        S = kawamata_scroll(case)
+        assert S.top == (0, 1, 1, 1, 1, 4, 3, 2, 1)
+        assert S.bottom == (1, 1, 0, 0, 0, -1, -1, -1, -1)
 
 
 class TestClassify:
@@ -123,9 +123,8 @@ class TestBlowup:
     def test_10985_pfaffian_equations_match_known_forms(self, case_10985):
         # the five pfaffian generators of the blow-up, pinned exactly
         res = build_unprojection(case_10985.build_matrix(0), TomFormat(1), 2)
-        scroll = kawamata_scroll(case_10985)
-        blow = blowup_ideal(res, scroll, case_10985)
-        S = scroll.ring
+        S = kawamata_scroll(case_10985)
+        blow = blowup_ideal(res, S, case_10985)
         expected = [
             "x1^4*y4^2 + x2^2*y4*y2 - y3*y1 - y2^2",
             "t*y4*y1 + t*y3*y2 + x1^4*x2*x3*y4 + x1*x2^2*y1 + x2^3*x3*y2 - x2^3*y1 - x3^4*y2",
@@ -139,8 +138,7 @@ class TestBlowup:
 
     def test_bihomogeneous(self, case_20652):
         res = build_unprojection(case_20652.build_matrix(0), TomFormat(1), 2)
-        scroll = kawamata_scroll(case_20652)
-        blow = blowup_ideal(res, scroll, case_20652)
+        blow = blowup_ideal(res, kawamata_scroll(case_20652), case_20652)
         for h in blow.generators:
             bidegree(h)  # raises on failure
         assert blow.t_exponents[0] == 2
@@ -316,7 +314,7 @@ class TestExactDivisionSites:
     def test_wall_quadratic(self):
         # only the first generator has terms on the wall line (a, b)
         gens = [parse("2*a^2 + 3*a*b + b^2 + a*c", self.R), parse("c^2", self.R)]
-        A, B, C = birational._wall_quadratic(gens, self.R, [0, 1])
+        A, B, C = birational._wall_quadratic(gens, [0, 1])
         for got, want in ((-B / A, Fraction(-3, 2)), (-C / A, Fraction(-1, 2)),
                           (-C / B, Fraction(-1, 3))):
             assert type(got) is Fraction and got == want
@@ -329,6 +327,58 @@ class TestExactDivisionSites:
         assert work[0].terms == {(0, 2, 1): Fraction(1, 2), (0, 1, 0): 1}
         assert type(work[0].terms[(0, 2, 1)]) is Fraction
         assert type(work[0].terms[(0, 1, 0)]) is int
+
+
+def blowup_of(case):
+    res = build_unprojection(case.build_matrix(0), TomFormat(case.tom_k), case.r)
+    S = kawamata_scroll(case)
+    return S, blowup_ideal(res, S, case)
+
+
+class TestMirroredFlip:
+    def test_conjugate_mirror_keeps_hyp_pair(self, case_20652, monkeypatch):
+        # 20652's wall (y1, y2) has conjugate points: the P1 flip is computed,
+        # the P2 flip mirrors it and must keep every field but the point
+        real = birational._flip_at_point
+
+        def with_pair(*args):
+            return dataclasses.replace(real(*args), hyp_pair=("t", "y4"))
+
+        monkeypatch.setattr(birational, "_flip_at_point", with_pair)
+        S, blow = blowup_of(case_20652)
+        step = birational.analyze_wall(blow.generators, S, ("y1", "y2"))
+        assert isinstance(step, SimultaneousFlips)
+        first, mirror = step.flips
+        assert (first.point, mirror.point) == ("P1", "P2")
+        assert first.hyp_pair == mirror.hyp_pair == ("t", "y4")
+        assert dataclasses.replace(mirror, point="P1") == first
+
+
+class TestConicBudget:
+    @pytest.fixture
+    def conic_input(self, case_24097):
+        S, blow = blowup_of(case_24097)
+        return blow.generators[:5], S, birational.wall_groups(case_24097.d)[-1]
+
+    def test_bundled_overlap_takes_no_step(self, conic_input):
+        assert birational.conic_discriminant(*conic_input, budget=0).overlap == 1
+
+    def test_budget_reaches_overlap_basis(self, conic_input, monkeypatch):
+        # patch determinants (u-1)(u-2) and 3v^2-4v+1, whose reversal is
+        # (u-1)(u-3): the overlap basis needs reduction steps
+        calls = []
+
+        def fake_det(gram):
+            calls.append(gram)
+            u = gram[0][0].ring.gens()[0]
+            return u * u - 3 * u + 2 if len(calls) % 2 else 3 * u * u - 4 * u + 1
+
+        monkeypatch.setattr(birational, "det", fake_det)
+        conic = birational.conic_discriminant(*conic_input)
+        assert (conic.patch_degrees, conic.overlap, conic.discriminant_degree) == ([2, 2], 1, 3)
+        with pytest.raises(BudgetExceeded) as err:
+            birational.conic_discriminant(*conic_input, budget=0)
+        assert err.value.routine == "buchberger"
 
 
 class TestWallSkipPredicate:
@@ -427,17 +477,17 @@ class TestTraces:
 class TestPicard:
     def test_divisorial_with_flag(self, case_10985):
         trace = trace_link(case_10985, seed=0)
-        rep = picard_report(case_10985, trace, endpoint_quasismooth=True)
+        rep = picard_report(trace, endpoint_quasismooth=True)
         assert rep.determined and rep.rho == 1
 
     def test_flag_gate(self, case_10985):
         trace = trace_link(case_10985, seed=0)
-        rep = picard_report(case_10985, trace, endpoint_quasismooth=False)
+        rep = picard_report(trace, endpoint_quasismooth=False)
         assert not rep.determined
 
     def test_fibration_unreachable(self, case_20652):
         trace = trace_link(case_20652, seed=0)
-        rep = picard_report(case_20652, trace, endpoint_quasismooth=True)
+        rep = picard_report(trace, endpoint_quasismooth=True)
         assert not rep.determined
 
 

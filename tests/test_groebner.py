@@ -499,7 +499,7 @@ class TestZeroDimDegree:
 class TestHilbert:
     def test_numerator_simple(self):
         # single generator x^2 in one variable: N = 1 - u^2
-        assert hilbert_numerator([(2,)], 1) == [1, 0, -1]
+        assert hilbert_numerator([(2,)]) == [1, 0, -1]
 
     def test_quadric_surface(self):
         P3 = Ring(("x1", "x2", "x3", "x4"), [(1, 1, 1, 1)])

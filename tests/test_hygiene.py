@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses
-or a module outside the standard library and the package, and no
-module-level private function or class goes unreferenced.
+or a module outside the standard library and the package, no module-level
+private function or class goes unreferenced, and no function takes a
+parameter it never reads.
 
 A name counts as used if it appears as a bare name anywhere in the module,
 including inside a string annotation such as "Polynomial | None".  The
@@ -127,6 +128,73 @@ def test_private_scanner():
 def test_no_unreferenced_private_definitions():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private(sources) == []
+
+
+def unused_parameters(source: str) -> list[str]:
+    """`qualname(parameter)` for every parameter of a function or lambda
+    that its body, nested scopes included, never reads as a bare name.
+
+    `self` and `cls` are exempt, and so is the `*a` of a `__setattr__`,
+    which takes any arguments only to refuse the assignment.
+    """
+    out = []
+
+    def scan(node, qual: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = getattr(child, "name", "<lambda>")
+                args = child.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                if args.vararg is not None and name != "__setattr__":
+                    params.append(args.vararg.arg)
+                if args.kwarg is not None:
+                    params.append(args.kwarg.arg)
+                body = child.body if isinstance(child.body, list) else [child.body]
+                read = {n.id for stmt in body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                out.extend(f"{qual}{name}({p})" for p in params
+                           if p not in read and p not in ("self", "cls"))
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                scan(child, f"{qual}{child.name}.")
+            else:
+                scan(child, qual)
+
+    scan(ast.parse(source), "")
+    return out
+
+
+# parameters a uniform calling convention imposes on a function that needs
+# no value from them
+UNUSED_ALLOWED = {
+    "cli.py: cmd_examples(args)":
+        "argparse dispatch calls every command with the parsed arguments",
+    "acceptance.py: criterion_7(budget)":
+        "run_acceptance hands every criterion the budget; criterion 7 runs no Groebner basis",
+}
+
+
+def test_unused_parameter_scanner():
+    source = (
+        "def read(a, *rest, key=None, **kw):\n    return a, rest, key, kw\n"
+        "def unread(a, b, *rest, key=None, **kw):\n    b = a\n    return a\n"
+        "def closure(a, b):\n    def inner(c):\n        return a\n    return inner\n"
+        "def default(a):\n    def inner(c=a):\n        return c\n    return inner\n"
+        "f = lambda x, y: x\n"
+        "class C:\n"
+        "    def __setattr__(self, *a):\n        raise AttributeError\n"
+        "    def method(self, x):\n        return self\n"
+        "    @classmethod\n    def make(cls, x):\n        return x\n"
+    )
+    assert unused_parameters(source) == [
+        "unread(b)", "unread(key)", "unread(rest)", "unread(kw)",
+        "closure(b)", "closure.inner(c)", "<lambda>(y)", "C.method(x)"]
+
+
+def test_no_unused_parameters():
+    found = [f"{p.name}: {entry}" for p in sorted(SRC.glob("*.py"))
+             for entry in unused_parameters(p.read_text())]
+    assert [f for f in found if f not in UNUSED_ALLOWED] == []
+    assert sorted(set(UNUSED_ALLOWED) - set(found)) == []
 
 
 def foreign_imports(source: str) -> list[str]:

@@ -1,9 +1,11 @@
 """Byte-level pins of the `--json` reports of every bundled case.
 
-`tomlinks trace --case <name> --json` (seed 0) and `tomlinks unproject
---case <name> --json` must reproduce these sha256 digests of their standard
-output, with exit code 0.  A change to the arithmetic kernel that alters any
-equation, weight or step of a report fails here before it reaches a golden.
+`tomlinks trace --case <name> --json` (seed 0), `tomlinks unproject --case
+<name> --json` and `tomlinks blowup --case <name> --json
+--skip-saturation-oracle` must reproduce these sha256 digests of their
+standard output, with exit code 0.  A change to the arithmetic kernel that
+alters any equation, weight or step of a report fails here before it
+reaches a golden.
 """
 
 import hashlib
@@ -63,6 +65,31 @@ UNPROJECT_SHA256 = {
     "tag-viii": "d1178c18da8ef081f1be4b10b808ee9dc7261bc5767a55bd311216c8161e41ce",
 }
 
+BLOWUP_SHA256 = {
+    "10985": "585f29acb6f88e4261d603252311c10f1de15aa7b5cb203d38eb1135f8c0c550",
+    "11005": "55d66152aef1b1f282dd88b4a6755cac776fe79c08d0ddbabe9e36df049bf47e",
+    "11125-t1": "56e7bc439d882989c6e4c33ca76215408bd9614d0456039589924965997edc0f",
+    "11125-t2": "beb312458e1a9ce83b94c6b7e12216c0897c69e8967c9a2789f3bfe3fa1b7bb5",
+    "11455": "ccb7f3ec967572f5c2c864df9cd34cb25edb0dd809c8424a5f81ffc5c6e706ca",
+    "1169": "6692a1d63361b20da8b35ddef8de568797b526b2ced0772b1a143fb557d4551f",
+    "1218": "2869365da2907c5d1a618ceee404f002f6a468700af0e8df9718b85e0203cb00",
+    "1253": "40c2d2df05778bae1305aa30f593d6b27906d4a56a3d56adb0fa3259312f078f",
+    "1413": "4fab4c1c9ba6f7f5787bcefe5323fee67e8577f89294353aca1b6c3ab8aa81f6",
+    "16339": "390c1427d0ea5db91e280d6e5bd7a2148dcf30eda0cc44f850cb0c377678bfc7",
+    "20652": "5c3c353d9af37383f5a8ed6236432f6537500299b7834b92558bed7894047e1d",
+    "24097": "08fdff34edcdb9a4f597b969bd817fc8905d62fad0fa505d046554078eead706",
+    "4925": "34e5133d51173574d8007c79c84a03b52e965758514b6d1d594ecf7175434efa",
+    "5177": "49ef9840252abdde839a38813d0b0b226aeee220fcb480b3b659a23ecfcf7a4b",
+    "5279": "1cb29a51f0fa4eb7afcd973b9d3ee34f11bd22ea45840943e3a80ae4456757b8",
+    "5305": "a92eb2afc8087c109221ef23be09763339b50d7b2b758b0e75e827240250ad06",
+    "5963": "9094eedd3b536e007637866781f65937c8dec537ea249bc8a4e4125fc230a81a",
+    "6865": "bbc6687d3b9e0bb49b4c62b456ccc74f49e3a51909b3fad7eb0899ab43ff12b1",
+    "tag-iii": "4eb155ca9c3f8f866f4c6103aaa452c12f1244cbcdaa5fb4c88fc699844c2bc4",
+    "tag-iv": "810bee45d42a6a433927ac9d948003ecd9c4403ae815fbcce39725f16797c438",
+    "tag-vii": "c7a0e6a682289a4551c66d27bff9ac8d53f21d5bf4b6ea8253af49d0e96e43bf",
+    "tag-viii": "4beceb9f2faa5be7d7c11f9fe7179f9e81dc015b56bc13674e727c24fdfd9b18",
+}
+
 
 def report_digest(capsys, argv) -> str:
     capsys.readouterr()
@@ -71,7 +98,8 @@ def report_digest(capsys, argv) -> str:
 
 
 def test_every_bundled_case_is_pinned():
-    assert sorted(bundled_case_names()) == sorted(TRACE_SHA256) == sorted(UNPROJECT_SHA256)
+    assert sorted(bundled_case_names()) == sorted(TRACE_SHA256) == sorted(UNPROJECT_SHA256) \
+        == sorted(BLOWUP_SHA256)
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_SHA256))
@@ -84,3 +112,10 @@ def test_trace_json(capsys, name):
 def test_unproject_json(capsys, name):
     got = report_digest(capsys, ["unproject", "--case", name, "--json"])
     assert got == UNPROJECT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(BLOWUP_SHA256))
+def test_blowup_json(capsys, name):
+    got = report_digest(
+        capsys, ["blowup", "--case", name, "--json", "--skip-saturation-oracle"])
+    assert got == BLOWUP_SHA256[name]
