@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import AlgebraError, Polynomial, Ring, parse
+from .algebra import AlgebraError, Polynomial, Ring, dot, parse
 from .birational import (
     DelPezzoFibration,
     DivisorialContractionToFano,
@@ -222,16 +222,12 @@ def criterion_5(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
     total = 0
     for name, n_seeds in SEEDED:
         case = _case(name)
-        amb = case.ambient6
         for seed in range(n_seeds):
             total += 1
             M, res = _seeded_member(name, seed)
             pf = maximal_pfaffians(M)
             for i in range(1, 6):
-                row = amb.zero()
-                for j in range(1, 6):
-                    row = row + M[(i, j)] * pf[j - 1]
-                if not row.is_zero():
+                if dot((1, M[(i, j)], pf[j - 1]) for j in range(1, 6)):
                     bad.append(f"{name}/{seed}: M.Pf != 0")
             rep = verify_unprojection(res, case.d, budget=budget)
             if not rep.ok():

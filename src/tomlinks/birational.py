@@ -812,6 +812,7 @@ def global_eliminate(gens: Sequence[Polynomial], ring: Ring,
                 expr = Polynomial(
                     ring, {m: Fraction(-cf, c) for m, cf in g.terms.items() if m != unit})
                 work = [substitute(h, {name: expr}, ring)
+                        if any(m[slot] for m in h.terms) else h
                         for i, h in enumerate(work) if i != k]
                 work = [h for h in work if not h.is_zero()]
                 eliminated.append(name)

@@ -1,22 +1,32 @@
 """Type I unprojection of a Tom matrix: the four equations s*y_j = g_j.
 
 Given a Tom_k matrix M over P^6(a,b,c,d1..d4), the construction (after
-relabelling so the unconstrained row is row 1):
+relabelling so the unconstrained row is row 1, with entries p_1..p_4):
 
   * decompose each constrained entry as sum_j alpha_j * y_j,
   * form N_j by replacing constrained entries with their alpha_j,
   * Q[i][j] = i-th linear pfaffian of N_j, so that Q . y = (linear pfaffians),
-  * H_i = i-th row of the cofactor matrix of Q,
-  * g = H_i / p_i for the first i with p_i != 0: one row of four exact
-    divisions,
-  * H_k = p_k * g checked for all four rows k, zero p_k included.
+  * H_i = i-th row of the cofactor matrix C of Q for the first i with
+    p_i != 0, and g = H_i / p_i by four exact divisions,
+  * p^T Q = 0 checked: row 1 of N_j . Pf(N_j) = 0 (see `maximal_pfaffians`),
+  * Q . g = 0 checked on the three rows k != i.
 
-The last check is equivalent to p_i H_j = p_j H_i for all i, j (the ring is
-a domain, so the nonzero p_i cancels), so g is the same quotient whichever
-row it is read from (Brown-Kerber-Reid, Fano 3-folds in codimension 4, Tom
-and Jerry).  The codimension-4 ideal is then spanned by the five pfaffians
-together with s*y_j - g_j in the ring extended by the unprojection
-variable s.
+The first check lets row i stand for the whole cofactor matrix C, so the
+other three rows are not computed.  Over the fraction field K of the
+ring, p != 0 and p^T Q = 0 give det Q = 0, so adj(Q) . Q = 0 and every
+column of C lies in the left kernel of Q.  If rank Q = 3 that kernel is
+K.p, so C = p . mu^T, and row i gives mu = H_i / p_i = g; if rank Q <= 2
+then C = 0 and g = 0.  Either way C[k][j] = p_k * g_j for all k and j,
+zero p_k included, so g is the same quotient whichever row it is read
+from (Brown-Kerber-Reid, Fano 3-folds in codimension 4, Tom and Jerry).
+Q . g = 0 is forced too, as Q . adj(Q) = 0.  Its row i follows from the
+other three, since p^T (Q . g) = 0 and p_i != 0, so the second check
+guards the one computed row: a wrong H_i passes it only if H_i / p_i
+still lies in the kernel of Q.
+
+The codimension-4 ideal is spanned by the five pfaffians together with
+s*y_j - g_j in the ring extended by the unprojection variable s, which is
+appended last, so each polynomial enters it by appending a zero exponent.
 """
 
 from __future__ import annotations
@@ -32,7 +42,6 @@ from .algebra import (
     bidegree,
     dot,
     exact_divide,
-    substitute,
 )
 from .groebner import DEFAULT_BUDGET, Ideal, MatrixOrder, buchberger, normal_form
 from .pfaffian import (
@@ -85,13 +94,13 @@ def decompose_entries(M: SkewMatrix5,
 
 @dataclass
 class UnprojectionResult:
-    H: list[list[Polynomial]]     # H_i = i-th cofactor row of Q
     g: list[Polynomial]           # right-hand sides of s*y_j = g_j
     p: list[Polynomial]           # unconstrained row entries of the normalised matrix
     pfaffians: list[Polynomial]   # the five pfaffians of the input matrix
     X_ideal: Ideal                # 9 generators in the ring extended by s
     ring_x: Ring                  # ambient of X (with s)
     s_weight: int
+    ideal_vars: tuple[str, ...]   # the y_j of s*y_j = g_j
 
 
 def _pfaffian_linear_rows(Mn: SkewMatrix5) -> list[Polynomial]:
@@ -99,30 +108,47 @@ def _pfaffian_linear_rows(Mn: SkewMatrix5) -> list[Polynomial]:
     return maximal_pfaffians(Mn)[1:]
 
 
-def _cofactor_row(Q: list[list[Polynomial]], i: int, minors: dict) -> list[Polynomial]:
+def _cofactor_row(Q: list[list[Polynomial]], i: int) -> list[Polynomial]:
     """(H_i)_j = (-1)^(i+j) det(Q with row i and column j removed); 1-based i, j.
 
-    Each 3x3 minor is expanded along its first row over the 2x2 minors of
-    its other two rows, as `det` does.  `minors` caches those 2x2 minors by
-    (rows, columns) across calls: the four cofactor rows need 18 distinct
-    ones, which Laplace expansions one by one would compute 48 times.
+    Each 3x3 minor is expanded along its first row, as `det` does, over the
+    2x2 minors of its other two rows; the four minors share those two rows,
+    so the six 2x2 minors on their column pairs are built once.
     """
     r0, ra, rb = [r for r in range(4) if r != i - 1]
+    minors = {(ca, cb): dot(((1, Q[ra][ca], Q[rb][cb]), (-1, Q[ra][cb], Q[rb][ca])))
+              for ca in range(4) for cb in range(ca + 1, 4)}
     out = []
     for j in range(1, 5):
         cols = [c for c in range(4) if c != j - 1]
         sign = 1 if (i + j) % 2 == 0 else -1
         terms = []
         for c in cols:
-            ca, cb = [x for x in cols if x != c]
-            m2 = minors.get((ra, rb, ca, cb))
-            if m2 is None:
-                m2 = dot(((1, Q[ra][ca], Q[rb][cb]), (-1, Q[ra][cb], Q[rb][ca])))
-                minors[(ra, rb, ca, cb)] = m2
-            terms.append((sign, Q[r0][c], m2))
+            terms.append((sign, Q[r0][c], minors[tuple(x for x in cols if x != c)]))
             sign = -sign
         out.append(dot(terms))
     return out
+
+
+def _linear_pfaffian_matrix(Mn: SkewMatrix5,
+                            ideal_vars: tuple[str, ...]) -> list[list[Polynomial]]:
+    """Q for the Tom_1 matrix Mn: column j holds the linear pfaffians of N_j,
+    Mn with each constrained entry replaced by its alpha_j."""
+    ring = Mn.ring
+    fmt1 = TomFormat(1, ideal_vars)
+    alpha = decompose_entries(Mn, fmt1)
+    Q = [[None] * 4 for _ in range(4)]
+    for slot in range(4):
+        entries = {(1, j): Mn.entries[(1, j)] for j in range(2, 6)}
+        wts = {(1, j): Mn.weights[(1, j)] for j in range(2, 6)}
+        d_slot = bidegree(ring.gen(ideal_vars[slot])).top
+        for (k, l) in constrained_pairs(fmt1):
+            entries[(k, l)] = alpha[(k, l)][slot]
+            wts[(k, l)] = Mn.weights[(k, l)] - d_slot
+        lin = _pfaffian_linear_rows(SkewMatrix5(entries, WeightMatrix5(wts), ring))
+        for i in range(4):
+            Q[i][slot] = lin[i]
+    return Q
 
 
 def tom_normalising_permutation(k: int) -> dict[int, int]:
@@ -142,27 +168,16 @@ def build_unprojection(M: SkewMatrix5, fmt: TomFormat, s_weight: int) -> Unproje
     ring = M.ring
     perm = tom_normalising_permutation(fmt.k)
     Mn = M.permuted(perm) if fmt.k != 1 else M
-    fmt1 = TomFormat(1, fmt.ideal_vars)
-    alpha = decompose_entries(Mn, fmt1)
+    Q = _linear_pfaffian_matrix(Mn, fmt.ideal_vars)
 
     p = [Mn.entries[(1, j)] for j in range(2, 6)]
     if all(pi.is_zero() for pi in p):
         raise UnprojectionError("all p_i vanish; unprojection undefined")
 
-    # column j of Q: the linear pfaffians of N_j, the matrix with each
-    # constrained entry replaced by its alpha_j
-    Q = [[None] * 4 for _ in range(4)]
+    # p^T Q = 0: row 1 of N_j . Pf(N_j) = 0, whose row 1 is (0, p_1..p_4)
     for slot in range(4):
-        entries = {(1, j): p[j - 2] for j in range(2, 6)}
-        wts = {(1, j): Mn.weights[(1, j)] for j in range(2, 6)}
-        for (k, l) in constrained_pairs(fmt1):
-            entries[(k, l)] = alpha[(k, l)][slot]
-            d_slot = bidegree(ring.gen(fmt.ideal_vars[slot])).top
-            wts[(k, l)] = Mn.weights[(k, l)] - d_slot
-        lin = _pfaffian_linear_rows(SkewMatrix5(entries, WeightMatrix5(wts), ring))
-        for i in range(4):
-            Q[i][slot] = lin[i]
-
+        if dot((1, pk, Q[k][slot]) for k, pk in enumerate(p)):
+            raise UnprojectionError(f"p^T Q != 0 in column {slot + 1}")
     # consistency: Q . y reproduces the linear pfaffians of Mn
     lin_pf = _pfaffian_linear_rows(Mn)
     ygens = [ring.gen(v) for v in fmt.ideal_vars]
@@ -170,29 +185,31 @@ def build_unprojection(M: SkewMatrix5, fmt: TomFormat, s_weight: int) -> Unproje
         if dot((1, q, y) for q, y in zip(Q[i], ygens)) != lin_pf[i]:
             raise UnprojectionError(f"Q row {i + 1} does not recombine its pfaffian")
 
-    minors: dict = {}
-    H = [_cofactor_row(Q, i, minors) for i in range(1, 5)]
-
     i = next(i for i in range(4) if not p[i].is_zero())
+    H = _cofactor_row(Q, i + 1)
     try:
-        g = [exact_divide(H[i][j], p[i]) for j in range(4)]
+        g = [exact_divide(H[j], p[i]) for j in range(4)]
     except NotDivisible as e:
         raise UnprojectionError(f"H_{i + 1}/p_{i + 1} is not exact: {e}")
     for k in range(4):
-        if any(H[k][j] != p[k] * g[j] for j in range(4)):
-            raise UnprojectionError(f"H_{k + 1} != p_{k + 1} * g")
+        if k != i and dot((1, q, gj) for q, gj in zip(Q[k], g)):
+            raise UnprojectionError(f"Q g != 0 in row {k + 1}")
 
     ring_x = extend_ring_by_s(ring, s_weight)
-    into_x = {nm: ring_x.gen(nm) for nm in ring.names}
     s = ring_x.gen("s")
     pf_orig = maximal_pfaffians(M)
-    gens = [substitute(q, into_x, ring_x) for q in pf_orig]
+    gens = [_append_s(q, ring_x) for q in pf_orig]
     for j, v in enumerate(fmt.ideal_vars):
-        gens.append(s * ring_x.gen(v) - substitute(g[j], into_x, ring_x))
+        gens.append(s * ring_x.gen(v) - _append_s(g[j], ring_x))
     return UnprojectionResult(
-        H=H, g=g, p=p, pfaffians=pf_orig,
-        X_ideal=Ideal(gens, ring_x), ring_x=ring_x, s_weight=s_weight,
+        g=g, p=p, pfaffians=pf_orig, X_ideal=Ideal(gens, ring_x), ring_x=ring_x,
+        s_weight=s_weight, ideal_vars=fmt.ideal_vars,
     )
+
+
+def _append_s(q: Polynomial, ring_x: Ring) -> Polynomial:
+    """q in the ring extended by s: s is the last variable, with exponent 0."""
+    return Polynomial(ring_x, {m + (0,): c for m, c in q.terms.items()}, _clean=True)
 
 
 @dataclass
@@ -224,7 +241,7 @@ def verify_unprojection(res: UnprojectionResult, d_weights: Sequence[int],
     gb = buchberger(Ideal(res.pfaffians, ring), MatrixOrder.grevlex(ring), budget)
     consistency = []
     cons_ok = True
-    ygens = [ring.gen(v) for v in ("y1", "y2", "y3", "y4")]
+    ygens = [ring.gen(v) for v in res.ideal_vars]
     for i in range(4):
         for j in range(i + 1, 4):
             target = dot(((1, ygens[i], res.g[j]), (-1, ygens[j], res.g[i])))

@@ -329,6 +329,16 @@ class TestExactDivisionSites:
         assert type(work[0].terms[(0, 1, 0)]) is int
 
 
+def test_global_eliminate_keeps_equations_without_the_variable():
+    # solving a = b^2 substitutes only into the equation that contains a
+    R = Ring(("a", "b", "c"), [(1, 1, 1)])
+    gens = [parse("a - b^2", R), parse("b*c + c^2", R), parse("a*c + b", R)]
+    work, eliminated = birational.global_eliminate(gens, R, priority=("a",))
+    assert eliminated == ("a",)
+    assert work[0] is gens[1]
+    assert work[1] == parse("b^2*c + b", R)
+
+
 def blowup_of(case):
     res = build_unprojection(case.build_matrix(0), TomFormat(case.tom_k), case.r)
     S = kawamata_scroll(case)

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tomlinks import unprojection
-from tomlinks.algebra import Polynomial, Ring, bidegree, det, parse
+from tomlinks.algebra import Polynomial, Ring, bidegree, det, parse, substitute
+from tomlinks.casefile import load_bundled
 from tomlinks.groebner import Ideal, MatrixOrder, buchberger, eliminate, normal_form
 from tomlinks.pfaffian import (
+    IDEAL_VARS,
     PAIRS,
     SkewMatrix5,
     TomFormat,
@@ -19,6 +21,7 @@ from tomlinks.unprojection import (
     UnprojectionError,
     build_unprojection,
     decompose_entries,
+    tom_normalising_permutation,
     verify_unprojection,
 )
 
@@ -77,17 +80,44 @@ def toy_unit_p1():
     return SkewMatrix5(entries, W, ring)
 
 
-def corrupt_cofactor_row(monkeypatch, row, extra):
-    """Make _cofactor_row add the polynomial extra to entry 1 of the given row."""
+def corrupt_cofactor_row(monkeypatch, entry, extra):
+    """Make _cofactor_row add the polynomial extra to the given entry (1-based)
+    of the row it computes."""
     original = unprojection._cofactor_row
 
-    def corrupted(Q, i, minors):
-        out = original(Q, i, minors)
-        if i == row:
-            out[0] = out[0] + extra
+    def corrupted(Q, i):
+        out = original(Q, i)
+        out[entry - 1] = out[entry - 1] + extra
         return out
 
     monkeypatch.setattr(unprojection, "_cofactor_row", corrupted)
+
+
+def corrupt_q(monkeypatch, changes):
+    """Make _linear_pfaffian_matrix add changes[(row, column)] (0-based) to Q."""
+    original = unprojection._linear_pfaffian_matrix
+
+    def corrupted(Mn, ideal_vars):
+        Q = original(Mn, ideal_vars)
+        for (r, c), extra in changes.items():
+            Q[r][c] = Q[r][c] + extra
+        return Q
+
+    monkeypatch.setattr(unprojection, "_linear_pfaffian_matrix", corrupted)
+
+
+def reference_cofactors(Q):
+    """All 16 signed 3x3 minors of Q by `det`, independently of _cofactor_row."""
+    return [[(1 if (k + j) % 2 == 0 else -1)
+             * det([[Q[r][c] for c in range(4) if c != j] for r in range(4) if r != k])
+             for j in range(4)] for k in range(4)]
+
+
+def normalised_q(M, fmt):
+    """Q as build_unprojection forms it, and the p row it pairs with."""
+    Mn = M.permuted(tom_normalising_permutation(fmt.k))
+    return (unprojection._linear_pfaffian_matrix(Mn, fmt.ideal_vars),
+            [Mn.entries[(1, j)] for j in range(2, 6)])
 
 
 R3 = Ring(("x", "y", "z"), [(1, 1, 1)])
@@ -108,9 +138,7 @@ class TestCofactorRow:
     @given(st.lists(st.lists(entries(), min_size=4, max_size=4), min_size=4, max_size=4))
     @settings(max_examples=40, deadline=None)
     def test_adjugate(self, Q):
-        minors: dict = {}
-        H = [unprojection._cofactor_row(Q, i, minors) for i in range(1, 5)]
-        assert len(minors) == 18
+        H = [unprojection._cofactor_row(Q, i) for i in range(1, 5)]
         for i in range(4):
             for j in range(4):
                 sub = [[Q[r][c] for c in range(4) if c != j] for r in range(4) if r != i]
@@ -129,26 +157,37 @@ class TestBuildUnprojection:
         assert [bidegree(g).top for g in res.g] == [8, 7, 6, 5]
 
     def test_toy_unit_p1(self):
-        # g is the first cofactor row of Q read off directly
-        res = build_unprojection(toy_unit_p1(), TomFormat(1), s_weight=2)
-        for j in range(4):
-            assert res.g[j] == res.H[0][j]
+        # p_1 = 1, so g is the first cofactor row of Q read off directly
+        M = toy_unit_p1()
+        res = build_unprojection(M, TomFormat(1), s_weight=2)
+        Q, _ = normalised_q(M, TomFormat(1))
+        assert res.g == reference_cofactors(Q)[0]
 
     def test_toy_nonzero_row_with_zero_p_rejected(self, monkeypatch):
-        # p_2 = 0, so H_2 = p_2 * g forces H_2 = 0; no division ever reads row 2
+        # p = (1, 0, 0, 0) and Q's only nonzero row is row 4 = (0, 0, 0, 1):
+        # Q g = 0 is checked on the rows whose p_k vanishes too
         M = toy_unit_p1()
-        corrupt_cofactor_row(monkeypatch, 2, M.ring.gen("x1"))
-        with pytest.raises(UnprojectionError, match="H_2 != p_2"):
+        corrupt_cofactor_row(monkeypatch, 4, M.ring.gen("x1"))
+        with pytest.raises(UnprojectionError, match="Q g != 0 in row 4"):
             build_unprojection(M, TomFormat(1), s_weight=2)
 
-    @pytest.mark.parametrize("row", [1, 2, 3, 4])
-    def test_corrupted_row_20652_rejected(self, monkeypatch, row):
-        # the added multiple of p_row keeps the row divisible by p_row, so only
-        # H_k = p_k * g catches it; a corrupted row 1 corrupts g, which row 2 exposes
-        p = parse(("x1", "x2", "x3", "y3")[row - 1], R20652)
-        corrupt_cofactor_row(monkeypatch, row, p * R20652.gen("x1"))
-        k = max(row, 2)
-        with pytest.raises(UnprojectionError, match=f"H_{k} != p_{k}"):
+    @pytest.mark.parametrize("entry", [1, 2, 3, 4])
+    def test_corrupted_row_20652_rejected(self, monkeypatch, entry):
+        # p_1 = x1, so H_1 is the one row computed; adding p_1 * x1 keeps it
+        # divisible by p_1, and only Q g = 0 catches the changed quotient
+        corrupt_cofactor_row(monkeypatch, entry, parse("x1^2", R20652))
+        with pytest.raises(UnprojectionError, match="Q g != 0 in row 2"):
+            build_unprojection(matrix_20652(), TomFormat(1), s_weight=2)
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_corrupted_q_breaks_left_kernel(self, monkeypatch, paired):
+        # one changed entry of Q; the paired change also keeps Q . y, so the
+        # recombination of the linear pfaffians cannot see it
+        y = R20652.gen
+        changes = ({(0, 0): y("y2"), (0, 1): -y("y1")} if paired
+                   else {(0, 0): y("x1")})
+        corrupt_q(monkeypatch, changes)
+        with pytest.raises(UnprojectionError, match=r"p\^T Q != 0 in column 1"):
             build_unprojection(matrix_20652(), TomFormat(1), s_weight=2)
 
     def test_all_p_zero(self):
@@ -163,11 +202,47 @@ class TestBuildUnprojection:
             build_unprojection(M, TomFormat(1), s_weight=2)
 
     def test_ph_identity_20652(self):
-        res = build_unprojection(matrix_20652(), TomFormat(1), s_weight=2)
+        # the rows of the reference cofactor matrix are proportional as p is,
+        # whatever the build computes
+        Q, p = normalised_q(matrix_20652(), TomFormat(1))
+        C = reference_cofactors(Q)
         for i in range(4):
             for j in range(4):
                 for c in range(4):
-                    assert res.p[i] * res.H[j][c] == res.p[j] * res.H[i][c]
+                    assert p[i] * C[j][c] == p[j] * C[i][c]
+
+
+# the bundled matrices (seed None) include 11005, whose p_4 has 15 terms;
+# the seeded members have the weights of the three worked examples
+@pytest.mark.parametrize("name, seed", [
+    ("20652", None), ("10985", None), ("11005", None), ("5963", None),
+    ("10985", 3), ("20652", 3), ("24097", 3),
+])
+def test_cofactor_matrix_is_p_times_g(name, seed):
+    # the conclusion of the one-row certificate, against all 16 minors by det
+    case = load_bundled(name).to_fano_case()
+    fmt = TomFormat(case.tom_k)
+    M = (case.build_matrix(0) if seed is None
+         else build_general_tom(case.matrix_weights, fmt, case.ambient6, seed))
+    res = build_unprojection(M, fmt, case.r)
+    Q, p = normalised_q(M, fmt)
+    assert p == res.p
+    C = reference_cofactors(Q)
+    for k in range(4):
+        for j in range(4):
+            assert C[k][j] == p[k] * res.g[j]
+
+
+def test_renamed_ideal_variables_verify():
+    ring = Ring(("x1", "x2", "x3", "u1", "u2", "u3", "u4"), [(1, 1, 1, 2, 2, 1, 1)])
+    rename = dict(zip(IDEAL_VARS, ("u1", "u2", "u3", "u4")))
+    M = matrix_20652()
+    entries = {ij: substitute(q, {y: ring.gen(u) for y, u in rename.items()}, ring)
+               for ij, q in M.entries.items()}
+    fmt = TomFormat(1, ("u1", "u2", "u3", "u4"))
+    res = build_unprojection(SkewMatrix5(entries, W20652, ring), fmt, s_weight=2)
+    assert verify_unprojection(res, (2, 2, 1, 1)).ok()
+    assert res.ideal_vars == fmt.ideal_vars
 
 
 class TestVerify:
@@ -199,8 +274,6 @@ def test_eliminating_s_recovers_pfaffians():
     assert el.generators
     order = MatrixOrder.grevlex(res.ring_x)
     gb = buchberger(el, order)
-    from tomlinks.algebra import substitute
-
     lift = {n: res.ring_x.gen(n) for n in R20652.names}
     for pf in res.pfaffians:
         assert normal_form(substitute(pf, lift, res.ring_x), gb).is_zero()
