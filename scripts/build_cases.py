@@ -146,7 +146,7 @@ def test_drive(case: FanoCase, seed: int = 0):
     old = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(DRIVE_SECONDS)
     try:
-        trace = trace_link(case, seed=seed, strict_basket=False, count_nodes=False)
+        trace = trace_link(case, seed=seed, strict_basket=False)
     except Exception:
         return None
     finally:

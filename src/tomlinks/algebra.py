@@ -17,7 +17,7 @@ width that holds the largest exponent of one factor plus the largest
 exponent of the other.  So a product of two terms costs one int addition,
 and no field ever carries into the next.  An exponent sum of 2^64 or more
 raises AlgebraError instead of wrapping.  `dot` sums signed products
-(a determinant expansion, a pfaffian, a matrix-vector row) in one packed
+(a minor's expansion, a pfaffian, a matrix-vector row) in one packed
 accumulator, with one field width for all of them, and unpacks only the
 sum; `Polynomial.__mul__` is its one-product case.
 
@@ -36,6 +36,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from numbers import Number
 from operator import add, le, mul, sub
 from typing import Callable, Iterable, Mapping, Sequence
@@ -620,11 +621,24 @@ def divides(m1: Mono, m2: Mono) -> bool:
 
 
 def det(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Determinant of a square matrix by Laplace expansion along the first row."""
-    if len(m) == 1:
-        return m[0][0]
-    return dot((-1 if k % 2 else 1, a, det([row[:k] + row[k + 1:] for row in m[1:]]))
-               for k, a in enumerate(m[0]))
+    """Determinant of a square matrix: its one maximal minor."""
+    return minors(m)[tuple(range(len(m)))]
+
+
+def minors(rows: Sequence[Sequence[Polynomial]]) -> dict[tuple[int, ...], Polynomial]:
+    """Every maximal minor of a k x n matrix, k <= n, keyed by the tuple of
+    its columns in `combinations` order.
+
+    Each minor is expanded along the first row over the maximal minors of
+    the rows below, which are built once for all of them, so a 4x4
+    determinant takes four 1x1, six 2x2, four 3x3 and one 4x4 minor.
+    """
+    if len(rows) == 1:
+        return {(c,): a for c, a in enumerate(rows[0])}
+    below = minors(rows[1:])
+    return {cols: dot((-1 if k % 2 else 1, rows[0][c], below[cols[:k] + cols[k + 1:]])
+                      for k, c in enumerate(cols))
+            for cols in combinations(range(len(rows[0])), len(rows))}
 
 
 def dot(products: Iterable[tuple[int, Polynomial, Polynomial]]) -> Polynomial:

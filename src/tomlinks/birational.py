@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -27,6 +28,7 @@ from .algebra import (
     det,
     divide_out,
     exact_divide,
+    minors,
     mix_seed,
     substitute,
 )
@@ -313,49 +315,34 @@ class FlopData:
     matrix_a: list[list[Polynomial]]
 
 
-def coefficient_matrix(res: UnprojectionResult, case: FanoCase) -> list[list[Polynomial]]:
-    """A[i][j]: the orbinate coefficient of y_i in the j-th linear pfaffian."""
-    ring = case.ambient6
-    yi = [ring.index[n] for n in Y_NAMES]
-    pf = res.pfaffians
-    order = [k for k in range(1, 6) if k != case.tom_k]
-    A: list[list[Polynomial]] = [[None] * 4 for _ in range(4)]
-    for col, k in enumerate(order):
-        for row in range(4):
-            picked = {}
-            for m, c in pf[k - 1].terms.items():
-                ydeg = sum(m[i] for i in yi)
-                if ydeg == 1 and m[yi[row]] == 1:
-                    reduced = tuple(e - 1 if i == yi[row] else e for i, e in enumerate(m))
-                    picked[reduced] = c
-            A[row][col] = Polynomial(ring, picked, _clean=True)
-    return A
-
-
 def minors_ideal(A: list[list[Polynomial]], ring: Ring, size: int = 3) -> Ideal:
-    from itertools import combinations
-
-    n = len(A)
-    gens = []
-    for rows in combinations(range(n), size):
-        for cols in combinations(range(n), size):
-            gens.append(det([[A[r][c] for c in cols] for r in rows]))
-    return Ideal([g for g in gens if not g.is_zero()], ring)
+    """The ideal of the size x size minors of A."""
+    return Ideal([d for rows in combinations(A, size) for d in minors(rows).values()], ring)
 
 
 def count_flops(res: UnprojectionResult, case: FanoCase,
                 budget: int = DEFAULT_BUDGET) -> FlopData:
     """Number of nodes on the unprojected plane: the length of the rank<=2
-    locus of the coefficient matrix, counted in P^2(a,b,c)."""
+    locus of A = Q^T at y = 0, counted in P^2(a,b,c).
+
+    The 3x3 minors of Q are its cofactors up to sign, C[k][j] = p_k * g_j,
+    which `build_unprojection` certifies, and setting y = 0 is a ring map,
+    so the 3x3 minors of A span the ideal of the sixteen products
+    p_k * g_j at y = 0 (DECISIONS.md, "The flop locus from the cofactor
+    identity").
+    """
     if case.abc != (1, 1, 1):
         raise LinkError("node counting implemented for P^2(1,1,1) planes only")
-    A = coefficient_matrix(res, case)
     P2 = Ring(X_NAMES, ((1, 1, 1),))
     into = {n: P2.gen(n) for n in X_NAMES} | {n: 0 for n in Y_NAMES}
-    A2 = [[substitute(e, into, P2) for e in row] for row in A]
-    ideal = minors_ideal(A2, P2, 3)
-    count = zero_dim_degree(ideal, budget)
-    return FlopData(count, A2)
+
+    def plane(q: Polynomial) -> Polynomial:
+        return substitute(q, into, P2)
+
+    A = [[plane(q) for q in column] for column in zip(*res.Q)]
+    p, g = [plane(q) for q in res.p], [plane(q) for q in res.g]
+    count = zero_dim_degree(Ideal([pk * gj for pk in p for gj in g], P2), budget)
+    return FlopData(count, A)
 
 
 def rank_at_point(A2: list[list[Polynomial]], point: Sequence[Fraction]) -> int:
@@ -459,9 +446,6 @@ class QuadExt:
 
     def __truediv__(self, other):
         return self * self._lift(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._lift(other) * self.inverse()
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -1209,7 +1193,7 @@ ENDPOINT_KIND = {
 
 
 def trace_link(case: FanoCase, seed: int = 0, budget: int = DEFAULT_BUDGET,
-               count_nodes: bool | None = None, strict_basket: bool = True) -> LinkTrace:
+               strict_basket: bool = True) -> LinkTrace:
     """Run the full birational link for one case."""
     M = case.build_matrix(seed)
     fmt = TomFormat(case.tom_k)
@@ -1222,9 +1206,7 @@ def trace_link(case: FanoCase, seed: int = 0, budget: int = DEFAULT_BUDGET,
 
     steps: list = [KawamataBlowup((case.r, case.abc))]
     flop_data = None
-    if count_nodes is None:
-        count_nodes = case.abc == (1, 1, 1)
-    if count_nodes:
+    if case.abc == (1, 1, 1):
         flop_data = count_flops(res, case, budget)
         steps.append(Flop(flop_data.count, case.declared_nodes))
     else:

@@ -512,7 +512,7 @@ def saturate(ideal: Ideal, var: str, budget: int = DEFAULT_BUDGET,
     """
     gb = buchberger(ideal, _saturation_order(ideal, var, weights), budget)
     out = [divide_out(g, var)[0] for g in gb.elements]
-    return Ideal(out, ideal.ring) if out else _trivial_ideal(ideal.ring)
+    return Ideal(out, ideal.ring)
 
 
 def is_saturated(ideal: Ideal, var: str, budget: int = DEFAULT_BUDGET,
@@ -561,14 +561,7 @@ def eliminate(ideal: Ideal, names: Iterable[str], budget: int = DEFAULT_BUDGET) 
     order = MatrixOrder.block(ring, names, weights=(1,) * ring.nvars)
     gb = buchberger(ideal, order, budget)
     out = [g for g in gb.elements if all(g.max_degree_in(nm) == 0 for nm in names)]
-    return Ideal(out, ring) if out else _trivial_ideal(ring)
-
-
-def _trivial_ideal(ring: Ring) -> Ideal:
-    ideal = Ideal.__new__(Ideal)
-    ideal.generators = []
-    ideal.ring = ring
-    return ideal
+    return Ideal(out, ring)
 
 
 # ---------------------------------------------------------------------------

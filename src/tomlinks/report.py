@@ -7,12 +7,10 @@ attached on request so golden files stay stable.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any
 
 from . import __version__
 from .birational import (
-    Basket,
     ConicBundle,
     DelPezzoFibration,
     DivisorialContractionToFano,
@@ -27,10 +25,6 @@ from .unprojection import UnprojectionResult, VerificationReport
 
 
 def _clean(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return str(value) if value.denominator != 1 else value.numerator
-    if isinstance(value, Basket):
-        return str(value)
     if isinstance(value, (list, tuple)):
         return [_clean(v) for v in value]
     if isinstance(value, dict):

@@ -42,6 +42,7 @@ from .algebra import (
     bidegree,
     dot,
     exact_divide,
+    minors,
 )
 from .groebner import DEFAULT_BUDGET, Ideal, MatrixOrder, buchberger, normal_form
 from .pfaffian import (
@@ -96,6 +97,7 @@ def decompose_entries(M: SkewMatrix5,
 class UnprojectionResult:
     g: list[Polynomial]           # right-hand sides of s*y_j = g_j
     p: list[Polynomial]           # unconstrained row entries of the normalised matrix
+    Q: list[list[Polynomial]]     # Q . y = the linear pfaffians of the normalised matrix
     pfaffians: list[Polynomial]   # the five pfaffians of the input matrix
     X_ideal: Ideal                # 9 generators in the ring extended by s
     ring_x: Ring                  # ambient of X (with s)
@@ -103,31 +105,15 @@ class UnprojectionResult:
     ideal_vars: tuple[str, ...]   # the y_j of s*y_j = g_j
 
 
-def _pfaffian_linear_rows(Mn: SkewMatrix5) -> list[Polynomial]:
-    """Pfaffians 2..5 of the Tom_1-normalised matrix (the y-linear ones)."""
-    return maximal_pfaffians(Mn)[1:]
-
-
 def _cofactor_row(Q: list[list[Polynomial]], i: int) -> list[Polynomial]:
     """(H_i)_j = (-1)^(i+j) det(Q with row i and column j removed); 1-based i, j.
 
-    Each 3x3 minor is expanded along its first row, as `det` does, over the
-    2x2 minors of its other two rows; the four minors share those two rows,
-    so the six 2x2 minors on their column pairs are built once.
+    The four 3x3 minors are the `minors` of Q without row i, built from the
+    six 2x2 minors of its last two rows.
     """
-    r0, ra, rb = [r for r in range(4) if r != i - 1]
-    minors = {(ca, cb): dot(((1, Q[ra][ca], Q[rb][cb]), (-1, Q[ra][cb], Q[rb][ca])))
-              for ca in range(4) for cb in range(ca + 1, 4)}
-    out = []
-    for j in range(1, 5):
-        cols = [c for c in range(4) if c != j - 1]
-        sign = 1 if (i + j) % 2 == 0 else -1
-        terms = []
-        for c in cols:
-            terms.append((sign, Q[r0][c], minors[tuple(x for x in cols if x != c)]))
-            sign = -sign
-        out.append(dot(terms))
-    return out
+    kept = minors([row for k, row in enumerate(Q, 1) if k != i])
+    # in `combinations` order the column tuples leave out columns 4, 3, 2, 1
+    return [h if (i + j) % 2 == 0 else -h for j, h in enumerate(reversed(kept.values()), 1)]
 
 
 def _linear_pfaffian_matrix(Mn: SkewMatrix5,
@@ -145,9 +131,9 @@ def _linear_pfaffian_matrix(Mn: SkewMatrix5,
         for (k, l) in constrained_pairs(fmt1):
             entries[(k, l)] = alpha[(k, l)][slot]
             wts[(k, l)] = Mn.weights[(k, l)] - d_slot
-        lin = _pfaffian_linear_rows(SkewMatrix5(entries, WeightMatrix5(wts), ring))
+        lin = maximal_pfaffians(SkewMatrix5(entries, WeightMatrix5(wts), ring))
         for i in range(4):
-            Q[i][slot] = lin[i]
+            Q[i][slot] = lin[i + 1]
     return Q
 
 
@@ -179,10 +165,10 @@ def build_unprojection(M: SkewMatrix5, fmt: TomFormat, s_weight: int) -> Unproje
         if dot((1, pk, Q[k][slot]) for k, pk in enumerate(p)):
             raise UnprojectionError(f"p^T Q != 0 in column {slot + 1}")
     # consistency: Q . y reproduces the linear pfaffians of Mn
-    lin_pf = _pfaffian_linear_rows(Mn)
+    pf_n = maximal_pfaffians(Mn)
     ygens = [ring.gen(v) for v in fmt.ideal_vars]
     for i in range(4):
-        if dot((1, q, y) for q, y in zip(Q[i], ygens)) != lin_pf[i]:
+        if dot((1, q, y) for q, y in zip(Q[i], ygens)) != pf_n[i + 1]:
             raise UnprojectionError(f"Q row {i + 1} does not recombine its pfaffian")
 
     i = next(i for i in range(4) if not p[i].is_zero())
@@ -197,12 +183,12 @@ def build_unprojection(M: SkewMatrix5, fmt: TomFormat, s_weight: int) -> Unproje
 
     ring_x = extend_ring_by_s(ring, s_weight)
     s = ring_x.gen("s")
-    pf_orig = maximal_pfaffians(M)
+    pf_orig = pf_n if Mn is M else maximal_pfaffians(M)
     gens = [_append_s(q, ring_x) for q in pf_orig]
     for j, v in enumerate(fmt.ideal_vars):
         gens.append(s * ring_x.gen(v) - _append_s(g[j], ring_x))
     return UnprojectionResult(
-        g=g, p=p, pfaffians=pf_orig, X_ideal=Ideal(gens, ring_x), ring_x=ring_x,
+        g=g, p=p, Q=Q, pfaffians=pf_orig, X_ideal=Ideal(gens, ring_x), ring_x=ring_x,
         s_weight=s_weight, ideal_vars=fmt.ideal_vars,
     )
 

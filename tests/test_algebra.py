@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +19,7 @@ from tomlinks.algebra import (
     divides,
     dot,
     exact_divide,
+    minors,
     monomials_of_degree,
     parse,
     random_general,
@@ -430,14 +431,18 @@ class TestMatrixOrderKey:
             MatrixOrder.grevlex(R3).key(m)
 
 
+def det3(m):
+    """The six-term formula for a 3x3 determinant."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * e * i + b * f * g + c * d * h - c * e * g - b * d * i - a * f * h
+
+
 class TestDet:
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_3x3_formula(self, seed):
-        (a, b, c), (d, e, f), (g, h, i) = m = [
-            [rand_poly(R7, seed + 3 * r + k, degree=2) for k in range(3)] for r in range(3)]
-        expected = a * e * i + b * f * g + c * d * h - c * e * g - b * d * i - a * f * h
-        assert det(m) == expected
+        m = [[rand_poly(R7, seed + 3 * r + k, degree=2) for k in range(3)] for r in range(3)]
+        assert det(m) == det3(m)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=10, deadline=None)
@@ -445,6 +450,17 @@ class TestDet:
         m = [[rand_poly(R7, seed + 4 * r + k, degree=2) for k in range(4)] for r in range(3)]
         m.append(list(m[1]))
         assert det(m).is_zero()
+
+
+class TestMinors:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_3x4_against_six_term_formula(self, seed):
+        m = [[rand_poly(R7, seed + 4 * r + k, degree=2) for k in range(4)] for r in range(3)]
+        got = minors(m)
+        assert list(got) == list(combinations(range(4), 3))
+        for cols, minor in got.items():
+            assert minor == det3([[row[c] for c in cols] for row in m])
 
 
 class TestBidegree:

@@ -26,7 +26,6 @@ from tomlinks.birational import (
     SimultaneousFlips,
     blowup_ideal,
     classify_case,
-    coefficient_matrix,
     count_flops,
     compute_deltas,
     detect_weight_config,
@@ -206,14 +205,37 @@ PLANE_CASES = [name for name in bundled_case_names()
                if load_bundled(name).to_fano_case().abc == (1, 1, 1)]
 
 
+@lru_cache(maxsize=None)
+def plane_flops(name):
+    """(case, unprojection, flop data) of a bundled P^2 case."""
+    case = load_bundled(name).to_fano_case()
+    res = build_unprojection(case.build_matrix(0), TomFormat(case.tom_k), case.r)
+    return case, res, count_flops(res, case)
+
+
 class TestFlops:
     @pytest.mark.parametrize("name", PLANE_CASES)
     def test_counts(self, name):
-        case = load_bundled(name).to_fano_case()
-        res = build_unprojection(case.build_matrix(0), TomFormat(case.tom_k), case.r)
+        case, _, fd = plane_flops(name)
         # 24097's declared 8 contradicts its displayed matrix (known defect 3a)
         expected = 6 if name == "24097" else case.declared_nodes
-        assert count_flops(res, case).count == expected
+        assert fd.count == expected
+
+    @pytest.mark.parametrize("name", PLANE_CASES)
+    def test_minors_are_the_cofactor_products(self, name):
+        # count_flops counts the ideal of the products p_k*g_j at y = 0; the
+        # 3x3 minors of A, by the independent route, are the same sixteen
+        # polynomials up to sign
+        _, res, fd = plane_flops(name)
+        P2 = Ring(("x1", "x2", "x3"), [(1, 1, 1)])
+        into = {n: P2.gen(n) for n in ("x1", "x2", "x3")} | {y: 0 for y in res.ideal_vars}
+        p, g = ([substitute(q, into, P2) for q in qs] for qs in (res.p, res.g))
+        products = [pk * gj for pk in p for gj in g]
+
+        def up_to_sign(polys):
+            return sorted(sorted((str(q), str(-q))) for q in polys if q)
+
+        assert up_to_sign(minors_ideal(fd.matrix_a, P2, 3).generators) == up_to_sign(products)
 
     def test_24097_six_distinct_nodes(self, case_24097):
         # second, independent count for DECISIONS.md (3a): sympy finds six

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses
 or a module outside the standard library and the package, no module-level
-private function or class goes unreferenced, and no function takes a
-parameter it never reads.
+private function or class goes unreferenced, no function takes a
+parameter it never reads, and every package attribute the benchmark's
+tracer and workloads name still exists.
 
 A name counts as used if it appears as a bare name anywhere in the module,
 including inside a string annotation such as "Polynomial | None".  The
@@ -12,13 +13,16 @@ the package outside its own definition.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tomlinks"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tomlinks"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = ROOT / "perfbench"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -230,3 +234,61 @@ def test_foreign_import_scanner():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_runtime_is_stdlib_only(path):
     assert foreign_imports(path.read_text()) == []
+
+
+def tracer_attributes(source: str) -> list[tuple[str, str]]:
+    """(module, attribute) of every entry of the tracer's LAYER_FUNCTIONS."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "LAYER_FUNCTIONS" for t in node.targets):
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    raise AssertionError("no LAYER_FUNCTIONS list")
+
+
+def workload_attributes(source: str) -> list[tuple[str, str]]:
+    """(module, attribute) of every `module.attribute` the source reads or
+    writes on a module it imports from the package."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "tomlinks"
+               for alias in node.names}
+    return sorted({(modules[node.value.id], node.attr) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in modules})
+
+
+def resolves(module: str, attribute: str) -> bool:
+    obj = importlib.import_module(f"tomlinks.{module}")
+    for part in attribute.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_benchmark_attribute_scanners():
+    tracer = (
+        "LAYER_FUNCTIONS = [\n"
+        "    ('algebra', 'exact_divide', 'algebra.exact_divide', None),\n"
+        "    ('casefile', 'CaseFile.to_fano_case', 'casefile.parse', lambda r: r),\n"
+        "]\n"
+    )
+    assert tracer_attributes(tracer) == [
+        ("algebra", "exact_divide"), ("casefile", "CaseFile.to_fano_case")]
+    workloads = (
+        "from tomlinks import birational, report as rp\n"
+        "import json\n"
+        "birational.trace_link = rp.emit(json.dumps(birational.missing))\n"
+    )
+    assert workload_attributes(workloads) == [
+        ("birational", "missing"), ("birational", "trace_link"), ("report", "emit")]
+    assert resolves("casefile", "CaseFile.to_fano_case")
+    assert not resolves("birational", "coefficient_matrix")
+
+
+@pytest.mark.parametrize("name, scan", [("tracer.py", tracer_attributes),
+                                        ("workloads.py", workload_attributes)])
+def test_benchmark_attributes_resolve(name, scan):
+    named = scan((PERFBENCH / name).read_text())
+    assert named
+    assert [f"{m}.{a}" for m, a in named if not resolves(m, a)] == []

@@ -106,10 +106,17 @@ def corrupt_q(monkeypatch, changes):
     monkeypatch.setattr(unprojection, "_linear_pfaffian_matrix", corrupted)
 
 
+def det3(m):
+    """The six-term formula for a 3x3 determinant."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * e * i + b * f * g + c * d * h - c * e * g - b * d * i - a * f * h
+
+
 def reference_cofactors(Q):
-    """All 16 signed 3x3 minors of Q by `det`, independently of _cofactor_row."""
+    """All 16 signed 3x3 minors of Q by the six-term formula, independently
+    of `algebra.minors`, which _cofactor_row calls."""
     return [[(1 if (k + j) % 2 == 0 else -1)
-             * det([[Q[r][c] for c in range(4) if c != j] for r in range(4) if r != k])
+             * det3([[Q[r][c] for c in range(4) if c != j] for r in range(4) if r != k])
              for j in range(4)] for k in range(4)]
 
 
@@ -139,10 +146,7 @@ class TestCofactorRow:
     @settings(max_examples=40, deadline=None)
     def test_adjugate(self, Q):
         H = [unprojection._cofactor_row(Q, i) for i in range(1, 5)]
-        for i in range(4):
-            for j in range(4):
-                sub = [[Q[r][c] for c in range(4) if c != j] for r in range(4) if r != i]
-                assert H[i][j] == (det(sub) if (i + j) % 2 == 0 else -det(sub))
+        assert H == reference_cofactors(Q)
         detQ = det(Q)
         for i in range(4):
             for k in range(4):
@@ -219,7 +223,8 @@ class TestBuildUnprojection:
     ("10985", 3), ("20652", 3), ("24097", 3),
 ])
 def test_cofactor_matrix_is_p_times_g(name, seed):
-    # the conclusion of the one-row certificate, against all 16 minors by det
+    # the conclusion of the one-row certificate, against all 16 minors by
+    # the six-term formula
     case = load_bundled(name).to_fano_case()
     fmt = TomFormat(case.tom_k)
     M = (case.build_matrix(0) if seed is None
