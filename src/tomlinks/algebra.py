@@ -21,6 +21,9 @@ raises AlgebraError instead of wrapping.  `dot` sums signed products
 accumulator, with one field width for all of them, and unpacks only the
 sum; `Polynomial.__mul__` is its one-product case.
 
+`MatrixOrder` is the one monomial order definition: `grevlex(ring)` orders
+printed terms and `exact_divide`, and Groebner takes any well-ordered one.
+
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely.
 """
@@ -38,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from numbers import Number
-from operator import add, le, mul, sub
+from operator import add, le, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 Mono = tuple  # tuple[int, ...], one exponent per ring variable
@@ -177,10 +180,6 @@ class Ring:
         w = self.weights[row]
         return sum(w[i] * e for i, e in enumerate(mono) if e)
 
-    def display_key(self, mono: Mono):
-        # graded reverse lex on the top weight row; fixed choice for printing
-        return (self.mono_degree(mono), tuple(-e for e in reversed(mono)))
-
 
 class MatrixOrder:
     """Monomial order given by stacked integer weight rows.
@@ -205,9 +204,14 @@ class MatrixOrder:
       borrows into, and sets, the guard bit of its field;
     * a sum of two keys overflowed an exponent iff it has a guard bit set;
     * `unpack(key(m)) == m`.
+
+    By Dickson's lemma the order is a well-order iff every variable exceeds
+    1, iff the first nonzero entry of each column of `rows` is positive (a
+    zero column counts, by the tie-break).  `well_ordered` says which; the
+    Groebner routines refuse an order that is not one.
     """
 
-    __slots__ = ("ring", "rows", "guard", "_coeffs", "_shifts")
+    __slots__ = ("ring", "rows", "guard", "well_ordered", "_coeffs", "_shifts")
 
     def __init__(self, ring: Ring, rows: Sequence[Sequence[int]]):
         object.__setattr__(self, "ring", ring)
@@ -225,6 +229,8 @@ class MatrixOrder:
             bound = sum(map(abs, r)) * (_EXP_BOUND - 1)
             unit <<= (2 * bound + 1).bit_length()
         object.__setattr__(self, "guard", sum(1 << (s + _FIELD_BITS - 1) for s in shifts))
+        # coeffs[i] = key(x_i), which has the sign of column i's first nonzero entry
+        object.__setattr__(self, "well_ordered", min(coeffs, default=1) > 0)
         object.__setattr__(self, "_coeffs", tuple(coeffs))
         object.__setattr__(self, "_shifts", shifts)
 
@@ -247,22 +253,17 @@ class MatrixOrder:
                 last: str | None = None) -> "MatrixOrder":
         """Weighted graded reverse lexicographic order (top row by default).
 
-        Among monomials of equal weight the one with the lower exponent of
-        `last` (default: the last ring variable) is larger, then the other
-        variables follow in reverse ring order.  A weight row with
-        non-positive entries would not give a well-order, so it falls back
-        to total degree.
+        The weight row, then a row -e_i for every variable: among monomials
+        of equal weight the one with the lower exponent of `last` (default:
+        the last ring variable) is larger, then the other variables follow
+        in reverse ring order.  `grevlex(ring)` is the print order.  The
+        order is a well-order iff every weight is positive.
         """
         w = tuple(weights) if weights is not None else ring.top
-        if any(x <= 0 for x in w):
-            w = (1,) * ring.nvars
         n = ring.nvars
         v = ring.index[last] if last is not None else n - 1
         rev = [v] + [i for i in range(n - 1, -1, -1) if i != v]
-        rows = [w]
-        for i in rev[:-1]:
-            rows.append(tuple(-1 if j == i else 0 for j in range(n)))
-        return cls(ring, rows)
+        return cls(ring, [w] + [tuple(-1 if j == i else 0 for j in range(n)) for i in rev])
 
     @classmethod
     def block(cls, ring: Ring, first: Iterable[str], weights: Sequence[int] | None = None) -> "MatrixOrder":
@@ -425,8 +426,9 @@ _TOKEN = re.compile(r"\s*(\d+(?:/\d+)?|[A-Za-z][A-Za-z0-9_]*|\^|\*|\+|-)")
 def parse(text: str, ring: Ring) -> Polynomial:
     """Parse a +/- separated sum of integer- or rational-coefficient monomial words.
 
-    Products are written with `*` or by juxtaposition, powers with `^`.
-    Underscores in variable names are ignored, so `x_2` reads as `x2`.
+    Products are written with `*` or by juxtaposition, powers with `^`; a
+    `*` must stand between two factors.  Underscores in variable names are
+    ignored, so `x_2` reads as `x2`.
     """
     pos = 0
     tokens: list[str] = []
@@ -469,6 +471,8 @@ def parse(text: str, ring: Ring) -> Polynomial:
         while i < ntok and tokens[i] not in "+-":
             tok = tokens[i]
             if tok == "*":
+                if not saw_factor or i + 1 == ntok or tokens[i + 1] in "+-*^":
+                    raise ParseError("a '*' must join two factors")
                 i += 1
                 continue
             if tok == "^":
@@ -515,12 +519,15 @@ def _split_variables(word: str, ring: Ring) -> list[str]:
     return out
 
 
+_print_order = lru_cache(maxsize=256)(MatrixOrder.grevlex)  # one build per ring
+
+
 def format_polynomial(p: Polynomial) -> str:
-    """Canonical text form: terms in descending graded-revlex order on the top row."""
+    """Canonical text form: terms in descending `MatrixOrder.grevlex` order."""
     if p.is_zero():
         return "0"
     ring = p.ring
-    monos = sorted(p.terms, key=ring.display_key, reverse=True)
+    monos = sorted(p.terms, key=_print_order(ring).key, reverse=True)
     pieces: list[str] = []
     for k, m in enumerate(monos):
         c = p.terms[m]
@@ -563,44 +570,51 @@ def bidegree(p: Polynomial) -> BiDegree:
 def exact_divide(p: Polynomial, q: Polynomial) -> Polynomial:
     """Return u with u*q == p, or raise NotDivisible.
 
-    Each step pops the leading remainder monomial from a heap on the negated
-    display order (after Monagan-Pearce, Sparse polynomial division using a
-    heap, 2011, whose heap holds the pending products instead); a monomial
-    is pushed once while it has a term.  A nonzero remainder signals a
-    violated unprojection precondition upstream.
+    As in the Groebner reducer, each step pops the leading remainder key of
+    the print order from a heap of negated packed keys (after Monagan-Pearce,
+    Sparse polynomial division using a heap, 2011, whose heap holds the
+    pending products instead); a key is pushed once while it has a term.
+    A nonzero remainder signals a violated unprojection precondition upstream.
+
+    If q divides p, a remainder term is a quotient term times a term of q,
+    so it lies in p's Newton polytope (Ostrowski) and exponent box; a term
+    outside raises NotDivisible, which also ends division under a non-well-order.
     """
     if q.is_zero():
         raise AlgebraError("division by zero polynomial")
     p._check(q)
+    if p.is_zero():
+        return p
     ring = p.ring
-
-    def neg_key(m: Mono):  # reverses ring.display_key
-        return (-ring.mono_degree(m), m[::-1])
-
-    qlead = max(q.terms, key=ring.display_key)
-    qc = q.terms[qlead]
-    qtail = [(mq, cq) for mq, cq in q.terms.items() if mq != qlead]
-    work = dict(p.terms)
-    heap = [(neg_key(m), m) for m in work]
+    order = _print_order(ring)
+    key, guard = order.key, order.guard
+    box = key(tuple(map(max, zip(*p.terms))))
+    qtail = {key(m): c for m, c in q.terms.items()}
+    qlead = max(qtail)
+    qc = qtail.pop(qlead)
+    work = {key(m): c for m, c in p.terms.items()}
+    heap = [-k for k in work]
     heapq.heapify(heap)
     quot: dict = {}
     while heap:
-        m = heapq.heappop(heap)[1]
-        c = work.pop(m, 0)
+        k = -heapq.heappop(heap)
+        c = work.pop(k)
         if not c:
             continue
-        shift = tuple(map(sub, m, qlead))
-        if any(e < 0 for e in shift):
-            raise NotDivisible(f"remainder starts with {ring.monomial(m, c)}")
+        shift = k - qlead
+        if shift & guard:
+            raise NotDivisible(f"remainder starts with {ring.monomial(order.unpack(k), c)}")
         factor = exact(Fraction(c, qc))
         quot[shift] = factor
-        for mq, cq in qtail:
-            mm = tuple(map(add, shift, mq))
-            s = work.get(mm, 0) - factor * cq
-            if mm not in work:
-                heapq.heappush(heap, (neg_key(mm), mm))
-            work[mm] = s
-    return Polynomial(ring, quot, _clean=True)
+        for kq, cq in qtail.items():
+            kk = shift + kq
+            if (box - kk) & guard:
+                raise NotDivisible("a remainder term leaves the exponent box of p")
+            s = work.get(kk, 0) - factor * cq
+            if kk not in work:
+                heapq.heappush(heap, -kk)
+            work[kk] = s
+    return Polynomial(ring, {order.unpack(k): c for k, c in quot.items()}, _clean=True)
 
 
 def divide_out(p: Polynomial, var: str) -> tuple[Polynomial, int]:

@@ -1210,7 +1210,7 @@ def trace_link(case: FanoCase, seed: int = 0, budget: int = DEFAULT_BUDGET,
         flop_data = count_flops(res, case, budget)
         steps.append(Flop(flop_data.count, case.declared_nodes))
     else:
-        steps.append(Flop(case.declared_nodes, case.declared_nodes))
+        steps.append(Flop(None, case.declared_nodes))  # nodes are counted on P^2 only
 
     groups = wall_groups(case.d)
     divisorial = len(groups[-1]) == 1

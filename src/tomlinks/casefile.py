@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .algebra import ParseError, parse
+from .algebra import AlgebraError, bidegree, parse
 from .birational import Basket, FanoCase
-from .pfaffian import PAIRS, SkewMatrix5, TomFormat, WeightMatrix5, check_tom
+from .pfaffian import PAIRS, PfaffianError, SkewMatrix5, TomFormat, WeightMatrix5, check_tom
 
 
 class CaseFileError(Exception):
@@ -34,8 +34,10 @@ class CaseFile:
     basket: Basket
     declared_nodes: int | None
     matrix_weights: WeightMatrix5
-    matrix_entries: dict[tuple[int, int], str] | None   # None for GENERAL
+    # (text, line) of each entry; None for GENERAL
+    matrix_entries: dict[tuple[int, int], tuple[str, int]] | None
     general_seed: int | None
+    tom_line: int
 
     def to_fano_case(self) -> FanoCase:
         a, b, c, d1, d2, d3, d4, r = self.ambient
@@ -48,15 +50,21 @@ class CaseFile:
         if self.matrix_entries is not None:
             ring = case.ambient6
             entries = {}
-            for (i, j) in PAIRS:
+            for (i, j), (text, line) in self.matrix_entries.items():
+                weight = self.matrix_weights[(i, j)]
                 try:
-                    entries[(i, j)] = parse(self.matrix_entries[(i, j)], ring)
-                except ParseError as e:
-                    raise CaseFileError(f"entry m{i}{j}: {e}")
+                    p = parse(text, ring)
+                    degree = bidegree(p).top if p else weight
+                except AlgebraError as e:  # a parse error or an inhomogeneous entry
+                    raise CaseFileError(f"entry m{i}{j}: {e}", line)
+                if degree != weight:
+                    raise CaseFileError(
+                        f"entry m{i}{j} has degree {degree}, declared {weight}", line)
+                entries[(i, j)] = p
             matrix = SkewMatrix5(entries, self.matrix_weights, ring)
             if not check_tom(matrix, TomFormat(self.tom_index)):
                 raise CaseFileError(
-                    f"matrix is not in Tom_{self.tom_index} format"
+                    f"matrix is not in Tom_{self.tom_index} format", self.tom_line
                 )
             case.matrix = matrix
         return case
@@ -109,11 +117,11 @@ def parse_case_text(text: str) -> CaseFile:
     case_id, _ = need("id")
     ambient = ints("ambient", 8)
     a, b, c, d1, d2, d3, d4, r = ambient
-    if not (d1 >= d2 >= d3 >= d4):
-        raise CaseFileError("ideal weights not sorted", fields["ambient"][1])
-    if min(a, b, c) != 1:
-        raise CaseFileError("no orbinate of weight 1 (Fano index 1 needs one)",
-                            fields["ambient"][1])
+    ambient_line = fields["ambient"][1]
+    if not (d1 >= d2 >= d3 >= d4 >= 1):
+        raise CaseFileError("ideal weights not sorted d1 >= d2 >= d3 >= d4 >= 1", ambient_line)
+    if not 1 == a <= b <= c:
+        raise CaseFileError("orbinate weights not ascending 1 = a <= b <= c", ambient_line)
 
     centre_text, centre_line = need("centre")
     centre = _parse_quotient(centre_text, centre_line)
@@ -145,9 +153,12 @@ def parse_case_text(text: str) -> CaseFile:
         except ValueError:
             raise CaseFileError("nodes must be an integer", lineno)
 
-    weights = WeightMatrix5.from_list(ints("matrix_weights", 10))
+    try:
+        weights = WeightMatrix5.from_list(ints("matrix_weights", 10))
+    except PfaffianError as e:
+        raise CaseFileError(f"matrix_weights: {e}", fields["matrix_weights"][1])
 
-    entries: dict[tuple[int, int], str] | None
+    entries: dict[tuple[int, int], tuple[str, int]] | None
     seed = None
     if "matrix" in fields:
         value, lineno = fields["matrix"]
@@ -164,14 +175,12 @@ def parse_case_text(text: str) -> CaseFile:
     else:
         entries = {}
         for (i, j) in PAIRS:
-            key = f"m{i}{j}"
-            value, lineno = need(key)
-            entries[(i, j)] = value
+            entries[(i, j)] = need(f"m{i}{j}")
 
     return CaseFile(
         id=case_id, ambient=ambient, centre=centre, tom_index=tom_index,
         basket=basket, declared_nodes=declared, matrix_weights=weights,
-        matrix_entries=entries, general_seed=seed,
+        matrix_entries=entries, general_seed=seed, tom_line=tom_line,
     )
 
 

@@ -195,10 +195,14 @@ class _Reducer:
     and the pending terms go out unreduced: enough for a caller that only
     reads the lead or asks whether the remainder is zero.  `routine` names
     the Groebner routine that owns the budget, for `BudgetExceeded`.
+    Reduction need not stop under an order that is not a well-order, so
+    such an order raises AlgebraError.
     """
 
-    def __init__(self, guard: int, budget: int, routine: str, lead_only: bool = False):
-        self.guard = guard
+    def __init__(self, order: MatrixOrder, budget: int, routine: str, lead_only: bool = False):
+        if not order.well_ordered:
+            raise AlgebraError(f"{routine} needs a well-order, got rows {order.rows}")
+        self.guard = order.guard
         self.budget = budget
         self.routine = routine
         self.lead_only = lead_only
@@ -379,7 +383,7 @@ def buchberger(ideal: Ideal, order: MatrixOrder, budget: int = DEFAULT_BUDGET) -
     Sugar is measured by the ring's top weight row.
     """
     guard = order.guard
-    red = _Reducer(guard, budget, "buchberger")
+    red = _Reducer(order, budget, "buchberger")
     ring = ideal.ring
     queue = _PairQueue(order, ring.top)
     packed = [(_to_int(g.terms, order)[0], g.degree()) for g in ideal.generators]
@@ -449,7 +453,7 @@ def minimal_generators(ideal: Ideal, order: MatrixOrder,
     if any(x <= 0 for x in w):
         raise AlgebraError(f"minimal generators need a positive grading, got weights {w}")
     _require_homogeneous(ideal, w)
-    red = _Reducer(order.guard, budget, "minimal_generators", lead_only=True)
+    red = _Reducer(order, budget, "minimal_generators", lead_only=True)
     queue = _PairQueue(order, w)
 
     def degree(g: Polynomial) -> int:
@@ -486,7 +490,7 @@ def normal_form(p: Polynomial, basis, order: MatrixOrder | None = None,
             order = MatrixOrder.grevlex(p.ring)
         prepped = sorted((_entry(_to_int(g.terms, order)[0]) for g in basis if not g.is_zero()),
                          key=lambda e: e[0])
-    red = _Reducer(order.guard, budget, "normal_form")
+    red = _Reducer(order, budget, "normal_form")
     target, scale = _to_int(p.terms, order)
     rem, lam = red.reduce_scaled(target, prepped)
     return _polynomial(p.ring, order, rem, lam * scale)

@@ -20,6 +20,7 @@ from .birational import (
     KawamataBlowup,
     LinkTrace,
     SimultaneousFlips,
+    kawamata_scroll,
 )
 from .unprojection import UnprojectionResult, VerificationReport
 
@@ -123,7 +124,7 @@ def unprojection_dict(res: UnprojectionResult, verification: VerificationReport 
 
 def trace_dict(trace: LinkTrace, seed: int) -> dict:
     case = trace.case
-    scroll_top = (0, case.r) + case.abc + case.d
+    scroll = kawamata_scroll(case)
     return {
         "tool_version": __version__,
         "seed": seed,
@@ -140,10 +141,7 @@ def trace_dict(trace: LinkTrace, seed: int) -> dict:
             "weight_configuration": trace.config.tag,
             "pi": trace.config.pi,
         },
-        "scroll": {
-            "top": list(scroll_top),
-            "bottom": [1, 1, 0, 0, 0, -1, -1, -1, -1],
-        },
+        "scroll": {"top": list(scroll.top), "bottom": list(scroll.bottom)},
         "deltas": list(trace.blowup.deltas),
         "blowup_equations": [str(h) for h in trace.blowup.generators],
         "steps": [step_dict(s) for s in trace.steps],

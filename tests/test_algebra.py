@@ -74,6 +74,15 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("x1^", R7)
 
+    @pytest.mark.parametrize("text", ["x1*", "*x1", "x1**x2", "2*", "x1 +* x2"])
+    def test_star_must_join_two_factors(self, text):
+        with pytest.raises(ParseError, match="must join two factors"):
+            parse(text, R7)
+
+    def test_juxtaposition_beside_star(self):
+        assert parse("2x1y4 - 3*y1", R7).terms == {(1, 0, 0, 0, 0, 0, 1): 2,
+                                                   (0, 0, 0, 1, 0, 0, 0): -3}
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_print_parse_identity(self, seed):
@@ -108,6 +117,31 @@ class TestExactDivide:
     def test_not_divisible(self):
         with pytest.raises(NotDivisible):
             exact_divide(parse("x1+1", R7), parse("x2", R7))
+
+    def test_exponent_overflow_is_not_divisible(self):
+        # the first remainder term would be y^(2^31 + 1), past the packed
+        # field; were q a divisor, it would lie in the exponent box of p
+        R = Ring(("x", "y"), [(1, 1)])
+        n = 1 << 30
+        with pytest.raises(NotDivisible, match="exponent box"):
+            exact_divide(R.monomial((n, n + 1)), R.monomial((n, 1)) + R.monomial((0, n + 1)))
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_scroll_round_trip(self, seed):
+        # t has weight 0, so the print order is no well-order; a product
+        # still divides, one quotient term per step from the top
+        p, q = rand_poly(SCROLL, seed), rand_poly(SCROLL, seed + 1)
+        assume(not q.is_zero())
+        assert exact_divide(p * q, q) == p
+
+    def test_scroll_not_divisible(self):
+        with pytest.raises(NotDivisible, match="remainder starts with s"):
+            exact_divide(parse("t*x1 + s", SCROLL), parse("t*x2", SCROLL))
+        # 1 > t in the print order, so without the exponent box the
+        # remainders x1*t^k would run on for ever
+        with pytest.raises(NotDivisible, match="exponent box"):
+            exact_divide(parse("x1", SCROLL), parse("1 - t", SCROLL))
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
@@ -188,7 +222,7 @@ class TestExactDivideRational:
     @given(R3_POLYS, R3_POLYS)
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, u, q):
-        lead = max(q.terms, key=R3.display_key)
+        lead = max(q.terms, key=MatrixOrder.grevlex(R3).key)
         assume(q.terms[lead] != 1)
         assert exact_divide(u * q, q) == u
 
@@ -429,6 +463,37 @@ class TestMatrixOrderKey:
     def test_out_of_range_raises(self, m):
         with pytest.raises(AlgebraError, match="2\\^31"):
             MatrixOrder.grevlex(R3).key(m)
+
+
+def localised(ring, weight):
+    """The scroll ring with top row top + weight * bottom, as at a wall."""
+    return Ring(ring.names, [tuple(t + weight * b for t, b in zip(ring.top, ring.bottom)),
+                             ring.bottom])
+
+
+# top weights positive, with a zero (t; y4 at weight 3) and with negatives
+PRINT_RINGS = [R3, R7, SCROLL, localised(SCROLL, 3), localised(SCROLL, 5),
+               Ring(("a", "b", "c"), [(2, -1, 0)])]
+
+
+def display_tuple(ring, m):
+    """The print order as a tuple: top degree, then reverse lex."""
+    return (ring.mono_degree(m), tuple(-e for e in reversed(m)))
+
+
+class TestPrintOrder:
+    @given(st.sampled_from(PRINT_RINGS).flatmap(lambda ring: st.tuples(
+        st.just(ring), st.lists(monos(ring.nvars), min_size=2, max_size=12, unique=True))))
+    @settings(max_examples=100, deadline=None)
+    def test_grevlex_key_is_the_display_tuple(self, ring_and_monos):
+        ring, ms = ring_and_monos
+        order = MatrixOrder.grevlex(ring)
+        assert sorted(ms, key=order.key) == sorted(ms, key=lambda m: display_tuple(ring, m))
+
+    def test_well_ordered_iff_top_weights_positive(self):
+        assert [MatrixOrder.grevlex(r).well_ordered for r in PRINT_RINGS] == \
+            [all(w > 0 for w in r.top) for r in PRINT_RINGS] == \
+            [True, True, False, False, False, False]
 
 
 def det3(m):

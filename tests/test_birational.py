@@ -237,6 +237,14 @@ class TestFlops:
 
         assert up_to_sign(minors_ideal(fd.matrix_a, P2, 3).generators) == up_to_sign(products)
 
+    def test_weighted_plane_records_no_count(self):
+        # nodes are counted on P^2 only: a declared count stays a declaration
+        case = dataclasses.replace(load_bundled("11455").to_fano_case(), declared_nodes=5)
+        assert case.abc != (1, 1, 1)
+        flop = trace_link(case).steps[1]
+        assert isinstance(flop, Flop)
+        assert flop.count is None and flop.declared == 5
+
     def test_24097_six_distinct_nodes(self, case_24097):
         # second, independent count for DECISIONS.md (3a): sympy finds six
         # distinct points on the rank <= 2 locus, chart by chart of P^2, so the

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +91,30 @@ class TestCli:
 
     def test_input_error_exit_2(self, capsys):
         assert main(["trace", "--case", "/no/such/file.case"]) == 2
+
+    @pytest.mark.parametrize("old, new, line, message", [
+        ("matrix_weights = 1 2 3 4 3 4 5 5 6 7", "matrix_weights = 1 2 3 4 3 4 5 5 6 8", 8,
+         "matrix_weights: pfaffian 1 would be inhomogeneous"),
+        ("m23 = y4", "m23 = y3", 13, "entry m23 has degree 4, declared 3"),
+        ("m23 = y4", "m23 = y4 + y3", 13, "entry m23: mixed degrees"),
+        ("ambient = 1 1 1 6 5 4 3 2", "ambient = 1 2 1 6 5 4 3 2", 3,
+         "orbinate weights not ascending"),
+        ("ambient = 1 1 1 6 5 4 3 2", "ambient = 1 1 1 6 5 4 0 2", 3,
+         "ideal weights not sorted"),
+        ("m12 = x1", "m12 = x1 + w", 9, "entry m12: unknown variable"),
+        ("m12 = x1", "m12 = x1 +* x2", 9, "entry m12: a '\\*' must join two factors"),
+    ], ids=["pfaffian-weights", "entry-degree", "entry-inhomogeneous", "orbinates",
+            "ideal-weight-zero", "entry-unknown-variable", "entry-stray-star"])
+    def test_case_file_error_exits_2_naming_its_line(self, tmp_path, capsys, old, new, line,
+                                                     message):
+        text = CASES.joinpath("10985.case").read_text()
+        assert old in text
+        bad = tmp_path / "bad.case"
+        bad.write_text(text.replace(old, new))
+        assert main(["trace", "--case", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: line {line}: ")
+        assert re.search(message, err), err
 
     def test_budget_exceeded_exit_3(self, capsys):
         assert main(["blowup", "--case", "20652", "--budget", "5"]) == 3

@@ -407,6 +407,45 @@ class TestMinimalGenerators:
             minimal_generators(gens, MatrixOrder.grevlex(P2), budget=6)
 
 
+# the 10985 scroll ring: t has top weight 0, so t < 1 under its grevlex order
+SCROLL = Ring(("t", "s", "x1", "x2", "x3", "y1", "y2", "y3", "y4"),
+              [(0, 2, 1, 1, 1, 6, 5, 4, 3), (1, 1, 0, 0, 0, -1, -1, -1, -1)])
+
+
+class TestWellOrder:
+    @pytest.mark.parametrize("order", [MatrixOrder.grevlex(SCROLL), MatrixOrder(P2, [(-1, 1, 1)])],
+                             ids=["scroll-grevlex", "negative-row"])
+    def test_routines_refuse_a_non_well_order(self, order):
+        assert not order.well_ordered
+        x = order.ring.gens()
+        f, g = x[0] * x[1] - x[2] ** 2, x[0] ** 2 - x[1]
+        with pytest.raises(AlgebraError, match="buchberger needs a well-order"):
+            buchberger(Ideal([f, g]), order)
+        with pytest.raises(AlgebraError, match="normal_form needs a well-order"):
+            normal_form(f, [g], order)
+        # a first row that is no positive grading is refused before the order
+        with pytest.raises(AlgebraError, match="positive grading"):
+            minimal_generators(Ideal([f, g]), order)
+
+    def test_default_order_of_the_scroll_is_refused(self):
+        f, g = parse("t*x1 - s", SCROLL), parse("x2^2 - s", SCROLL)
+        with pytest.raises(AlgebraError, match="normal_form needs a well-order"):
+            normal_form(f, [g])
+
+    @pytest.mark.parametrize("ring, first", [(SCROLL, ["t"]), (P2, ["x1"])],
+                             ids=["scroll", "P2"])
+    def test_block_orders_are_accepted(self, ring, first):
+        # the block row puts each first variable above 1, and the grevlex
+        # rows below it the others
+        order = MatrixOrder.block(ring, first)
+        assert order.well_ordered
+        x = ring.gens()
+        f, g = x[0] * x[1] - x[2] ** 2, x[0] ** 2 - x[1]
+        gb = buchberger(Ideal([f, g]), order)
+        assert normal_form(f * x[2] + g * x[1], gb).is_zero()
+        assert normal_form(f * x[2], [f], order).is_zero()
+
+
 class TestEliminate:
     def test_single_relation(self):
         R = Ring(("s", "x1", "y1"), [(1, 1, 1)])
