@@ -151,7 +151,9 @@ def parse_case_text(text: str) -> CaseFile:
         try:
             declared = int(value)
         except ValueError:
-            raise CaseFileError("nodes must be an integer", lineno)
+            declared = None
+        if declared is None or declared < 0:
+            raise CaseFileError("nodes must be an integer >= 0", lineno)
 
     try:
         weights = WeightMatrix5.from_list(ints("matrix_weights", 10))

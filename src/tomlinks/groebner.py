@@ -1,9 +1,10 @@
 """Buchberger-based ideal computations under matrix monomial orders.
 
 Covers reduced Groebner bases, multivariate division / normal forms,
-minimal generators of a graded ideal, saturation by a single variable and
-the test whether an ideal is already saturated (both from one basis, by
-Bayer's revlex saturation of a homogeneous ideal), variable elimination,
+minimal generators of a graded ideal, membership in a graded ideal,
+saturation by a single variable and the test whether an ideal is already
+saturated (both from one basis, by Bayer's revlex saturation of a
+homogeneous ideal), variable elimination,
 and the dimension and degree of a projective scheme read off the Hilbert
 series of one lead-term ideal, which for a zero-dimensional scheme is its
 length.
@@ -22,6 +23,15 @@ in the ideal J of the generators kept so far, so a zero remainder against
 the basis built so far is a standard representation and certifies g in J
 however few pairs have been reduced, while a nonzero remainder certifies
 g not in J only against a basis complete up to g's degree.
+
+`contains` decides membership in a fixed graded ideal by the same loop,
+`_PairQueue.settle`.  Once every pair of sugar <= d has been reduced the
+basis is d-truncated Groebner (Kreuzer-Robbiano, 4.5): a basis lead
+divides the lead of every ideal element of degree <= d.  So a target of
+top degree d is decided without any pair above d, and a member often
+before most pairs below it.  The unprojection needs exactly this check,
+y_i g_j - y_j g_i in the pfaffian ideal, where a complete reduced basis
+and six normal forms reduce many pairs that decide nothing.
 
 Polynomials are the sparse ones from `algebra`, whose coefficients are
 ints when integral and Fractions otherwise.  Reduction is fraction-free:
@@ -73,8 +83,8 @@ class BudgetExceeded(Exception):
     """The configured cap on reduction steps was hit; the instance is beyond desk scale.
 
     `routine` names the Groebner routine whose run hit the cap (buchberger,
-    minimal_generators or normal_form), or is None when the raiser did not
-    say.
+    minimal_generators, contains or normal_form), or is None when the raiser
+    did not say.
     """
 
     def __init__(self, budget: int, routine: str | None = None):
@@ -366,6 +376,36 @@ class _PairQueue:
             self.add(_normalize_int(rem), sug)
         return bool(rem)
 
+    def settle(self, red: _Reducer, target: dict, d: int) -> dict:
+        """The lead-only remainder of a packed integer target of top degree d
+        against the basis, reducing the pending pairs of sugar <= d one at a
+        time while it is nonzero and reducing it again after each pair that
+        adds a basis element.
+
+        Every basis element lies in the ideal J the basis generates, so a
+        zero remainder is a standard representation and proves the target
+        in J however few pairs have been reduced.  A nonzero remainder is
+        returned only once no pair of sugar <= d is left; the basis is then
+        a d-truncated Groebner basis of J (with the generators of degree
+        <= d in it, w positive and every element w-homogeneous), so every
+        element of J of degree <= d has a lead that a basis lead divides,
+        and the remainder proves the target not in J.
+
+        Lead-only reduction, of a pair or of the target, stops at the first
+        term that no basis lead divides; that term is the lead of the full
+        remainder too, so zero versus nonzero is unchanged.  A basis element
+        with an unreduced tail is still an element of J with the same lead,
+        and any reduction to zero is a standard representation, so
+        Buchberger's criterion holds for the truncated basis without reduced
+        tails (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, Ch. 2
+        Sec. 6).
+        """
+        rem = red.reduce(target, self.basis)
+        while rem and (sug := self.next_sugar()) is not None and sug <= d:
+            if self.reduce_next(red):
+                rem = red.reduce(rem, self.basis)
+        return rem
+
 
 def _lcm(m1: Mono, m2: Mono) -> Mono:
     return tuple(map(max, m1, m2))
@@ -420,39 +460,22 @@ def minimal_generators(ideal: Ideal, order: MatrixOrder,
     generator is homogeneous (see the module docstring for the theorem);
     otherwise AlgebraError.  Generators enter in increasing (w-degree,
     length) order, input order breaking ties.  A generator g of degree d is
-    first reduced against the basis built so far; then the pending pairs of
-    sugar <= d are reduced one at a time, and each pair that adds a basis
-    element reduces g's remainder further, until the remainder is zero or
-    no such pair is left.  Both verdicts are certified:
+    settled by `_PairQueue.settle` against the basis of the generators kept
+    so far, an ideal J that grows as generators are kept:
 
-    - every basis element lies in the ideal J of the generators kept so
-      far, so a zero remainder is a standard representation and proves g
-      in J (as for a raw generator list in `normal_form`), and g is
-      dropped with the remaining pairs still queued;
-    - once every pair of sugar <= d is done, the basis is a d-truncated
-      Groebner basis of J: every element of J of degree <= d reduces to
-      zero against it, so a nonzero remainder proves g not in J; g is
-      kept, and the remainder joins the basis with sugar d.
+    - a zero remainder proves g in J, and g is dropped with the remaining
+      pairs still queued;
+    - a nonzero remainder comes back only once every pair of sugar <= d is
+      done, and proves g not in J; g is kept, and the remainder joins the
+      basis with sugar d.
 
     Later generators have degree >= d, so a pair left queued by a dropped
     generator is still reduced before any later verdict of "not in J".
     The run stops after the last generator, so no pair above the top
     generator degree is reduced.  Kept generators are returned unchanged,
     in entry order.
-
-    Every reduction here, of a pair or of a generator, is lead-only: it
-    stops at the first term that no basis lead divides.  That term is the
-    lead of the full remainder too, so zero versus nonzero, all this run
-    asks, is unchanged.  A basis element with an unreduced tail is still an
-    element of the ideal with the same lead, and any reduction to zero is
-    a standard representation, so Buchberger's criterion holds for the
-    truncated basis without reduced tails (Cox-Little-O'Shea, Ideals,
-    Varieties, and Algorithms, Ch. 2 Sec. 6).
     """
-    w = order.rows[0]
-    if any(x <= 0 for x in w):
-        raise AlgebraError(f"minimal generators need a positive grading, got weights {w}")
-    _require_homogeneous(ideal, w)
+    w = _grading(ideal, order, "minimal_generators")
     red = _Reducer(order, budget, "minimal_generators", lead_only=True)
     queue = _PairQueue(order, w)
 
@@ -462,14 +485,45 @@ def minimal_generators(ideal: Ideal, order: MatrixOrder,
     kept: list[Polynomial] = []
     for g in sorted(ideal.generators, key=lambda g: (degree(g), len(g))):
         d = degree(g)
-        rem = red.reduce(_to_int(g.terms, order)[0], queue.basis)
-        while rem and (sug := queue.next_sugar()) is not None and sug <= d:
-            if queue.reduce_next(red):
-                rem = red.reduce(rem, queue.basis)
+        rem = queue.settle(red, _to_int(g.terms, order)[0], d)
         if rem:
             kept.append(g)
             queue.add(_normalize_int(rem), d)
     return kept
+
+
+def contains(ideal: Ideal, polys: Sequence[Polynomial], order: MatrixOrder,
+             budget: int = DEFAULT_BUDGET) -> list[bool]:
+    """Whether each polynomial lies in a graded ideal, in input order.
+
+    Same hypotheses as `minimal_generators`: w, the order's first row, must
+    be a positive grading for which every generator is homogeneous, else
+    AlgebraError.  All generators enter one pair queue, and the targets are
+    settled by `_PairQueue.settle` in increasing top w-degree d: a zero
+    remainder proves membership however few pairs have been reduced, a
+    nonzero one comes back only from a d-truncated basis and proves
+    non-membership.  That holds for a target that is not homogeneous too:
+    the ideal is homogeneous, so a member's homogeneous parts are members,
+    and the order is w-graded, so the remainder's lead is that of its top
+    part.  A remainder never joins the basis, and no pair of sugar above
+    the top target degree is reduced.  The zero polynomial is a member.
+    """
+    ring = ideal.ring
+    red = _Reducer(order, budget, "contains", lead_only=True)
+    queue = _PairQueue(order, _grading(ideal, order, "contains"))
+    for ig in sorted((_to_int(g.terms, order)[0] for g in ideal.generators), key=max):
+        queue.add(ig, queue.wdeg(order.unpack(max(ig))))
+    targets = []
+    for k, p in enumerate(polys):
+        if p.ring != ring:
+            raise AlgebraError("a polynomial and the ideal live in different rings")
+        if not p.is_zero():
+            t = _to_int(p.terms, order)[0]
+            targets.append((queue.wdeg(order.unpack(max(t))), k, t))
+    verdicts = [True] * len(polys)
+    for d, k, t in sorted(targets, key=lambda dkt: dkt[:2]):
+        verdicts[k] = not queue.settle(red, t, d)
+    return verdicts
 
 
 def normal_form(p: Polynomial, basis, order: MatrixOrder | None = None,
@@ -545,6 +599,16 @@ def _saturation_order(ideal: Ideal, var: str, weights: Sequence[int] | None) -> 
         raise AlgebraError(f"saturation needs a positive grading, got weights {w}")
     _require_homogeneous(ideal, w)
     return MatrixOrder.grevlex(ring, w, last=var)
+
+
+def _grading(ideal: Ideal, order: MatrixOrder, routine: str) -> tuple[int, ...]:
+    """The order's first row, once it is a positive grading for which every
+    generator is homogeneous."""
+    w = order.rows[0]
+    if any(x <= 0 for x in w):
+        raise AlgebraError(f"{routine} needs a positive grading, got weights {w}")
+    _require_homogeneous(ideal, w)
+    return w
 
 
 def _require_homogeneous(ideal: Ideal, w: Sequence[int]) -> None:

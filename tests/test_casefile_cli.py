@@ -103,8 +103,11 @@ class TestCli:
          "ideal weights not sorted"),
         ("m12 = x1", "m12 = x1 + w", 9, "entry m12: unknown variable"),
         ("m12 = x1", "m12 = x1 +* x2", 9, "entry m12: a '\\*' must join two factors"),
+        ("nodes = 24", "nodes = -3", 7, "nodes must be an integer >= 0"),
+        ("nodes = 24", "nodes = 2.5", 7, "nodes must be an integer >= 0"),
     ], ids=["pfaffian-weights", "entry-degree", "entry-inhomogeneous", "orbinates",
-            "ideal-weight-zero", "entry-unknown-variable", "entry-stray-star"])
+            "ideal-weight-zero", "entry-unknown-variable", "entry-stray-star",
+            "negative-nodes", "non-integer-nodes"])
     def test_case_file_error_exits_2_naming_its_line(self, tmp_path, capsys, old, new, line,
                                                      message):
         text = CASES.joinpath("10985.case").read_text()

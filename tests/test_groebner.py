@@ -22,6 +22,7 @@ from tomlinks.groebner import (
     Ideal,
     NotZeroDimensional,
     buchberger,
+    contains,
     eliminate,
     hilbert_numerator,
     is_saturated,
@@ -444,6 +445,105 @@ class TestWellOrder:
         gb = buchberger(Ideal([f, g]), order)
         assert normal_form(f * x[2] + g * x[1], gb).is_zero()
         assert normal_form(f * x[2], [f], order).is_zero()
+
+
+@st.composite
+def membership_problems(draw):
+    """(ideal, order, targets, planted): an ideal from `planted_ideals`, and
+    targets that are members (combinations of the generators with form
+    coefficients), planted non-members (a member plus a nonzero normal
+    form), sums of two parts of different degrees, and zero.  `planted`
+    holds the verdict each target was built to have."""
+    R, order, _, gens = draw(planted_ideals())
+    w = order.rows[0]
+    W = Ring(R.names, [w])
+    rnd = draw(st.randoms(use_true_random=False))
+    gb = buchberger(Ideal(gens, R), order)
+
+    def degree(f):
+        return sum(a * e for a, e in zip(w, next(iter(f.terms))))
+
+    def form(d):
+        monos = monomials_of_degree(W, d) if d >= 0 else []
+        return sum((R.monomial(m, rnd.choice((-2, -1, 1, 3)))
+                    for m in rnd.sample(monos, min(3, len(monos)))), R.zero())
+
+    def member(d):
+        return sum((form(d - degree(g)) * g for g in rnd.sample(gens, 2)), R.zero())
+
+    top = max(map(degree, gens))
+    targets, planted = [R.zero()], [True]
+    for _ in range(3):
+        d = rnd.randint(1, top + 2)
+        low = rnd.randint(0, d - 1)
+        m, r, r_low = member(d), normal_form(form(d), gb), normal_form(form(low), gb)
+        targets += [m, m + member(low)]
+        planted += [True, True]
+        if not r.is_zero():
+            targets.append(m + r + form(low))
+            planted.append(False)
+        if not r_low.is_zero():
+            # the top-degree part is a member, a lower one is not
+            targets.append(m + r_low)
+            planted.append(False)
+    return Ideal(gens, R), order, targets, planted
+
+
+class TestContains:
+    @given(membership_problems())
+    @settings(max_examples=40, deadline=None)
+    def test_verdicts_match_full_basis_normal_forms(self, problem):
+        ideal, order, targets, planted = problem
+        gb = buchberger(ideal, order)
+        expected = [normal_form(f, gb).is_zero() for f in targets]
+        assert expected == planted
+        assert contains(ideal, targets, order) == expected
+
+    def test_needs_an_s_pair(self):
+        # x3^3 = x3*f1 - x2*f2 lies in (f1, f2), but no generator lead
+        # divides its lead: only the degree-3 pair shows it
+        f1, f2 = parse("x1*x2 - x3^2", P2), parse("x1*x3", P2)
+        targets = [parse("x3^3", P2), parse("x3^2", P2), parse("x3^3 + x1*x3", P2),
+                   parse("x3^3 + x1", P2), P2.zero()]
+        assert contains(Ideal([f1, f2]), targets, MatrixOrder.grevlex(P2)) == \
+            [True, False, True, False, True]
+
+    def test_rejects_inhomogeneous_generator(self):
+        with pytest.raises(AlgebraError, match="not homogeneous"):
+            contains(Ideal([parse("x1^2 - x2", P2)]), [parse("x1", P2)],
+                     MatrixOrder.grevlex(P2))
+
+    def test_rejects_non_positive_grading(self):
+        order = MatrixOrder(P2, [(1, 0, 1), (0, 1, 0)])
+        assert order.well_ordered
+        with pytest.raises(AlgebraError, match="contains needs a positive grading"):
+            contains(Ideal([parse("x1*x2", P2)]), [parse("x1", P2)], order)
+
+    @pytest.mark.parametrize("order", [MatrixOrder.grevlex(SCROLL), MatrixOrder(P2, [(-1, 1, 1)])],
+                             ids=["scroll-grevlex", "negative-row"])
+    def test_refuses_a_non_well_order(self, order):
+        x = order.ring.gens()
+        with pytest.raises(AlgebraError, match="contains needs a well-order"):
+            contains(Ideal([x[0] * x[1] - x[2] ** 2]), [x[0]], order)
+
+    def test_rejects_a_target_of_another_ring(self):
+        with pytest.raises(AlgebraError, match="different rings"):
+            contains(Ideal([parse("x1", P2)]), [parse("x1", R2)], MatrixOrder.grevlex(P2))
+
+    def test_budget(self):
+        f1, f2 = parse("x1*x2 - x3^2", P2), parse("x1*x3", P2)
+        with pytest.raises(BudgetExceeded, match="exceeded in contains"):
+            contains(Ideal([f1, f2]), [parse("x3^3", P2)], MatrixOrder.grevlex(P2), budget=0)
+
+    def test_member_settles_before_any_pair(self):
+        # x1*q0 + x3*q2 reduces to zero against the three general quadrics
+        # themselves, so the run takes 5 lead-only steps, all on the target,
+        # and reduces none of the degree-3 pairs
+        q = [random_general(2, P2, seed=s) for s in range(3)]
+        target = parse("x1", P2) * q[0] + parse("x3", P2) * q[2]
+        assert contains(Ideal(q), [target], MatrixOrder.grevlex(P2), budget=5) == [True]
+        with pytest.raises(BudgetExceeded):
+            contains(Ideal(q), [target], MatrixOrder.grevlex(P2), budget=4)
 
 
 class TestEliminate:

@@ -272,6 +272,44 @@ class TestVerify:
         assert rep.ok()
 
 
+def reference_consistency(res):
+    """(i, j, y_i g_j - y_j g_i in (Pf)) for the six pairs, each decided by
+    its normal form against the full reduced Groebner basis."""
+    ring = res.pfaffians[0].ring
+    gb = buchberger(Ideal(res.pfaffians, ring), MatrixOrder.grevlex(ring))
+    y = [ring.gen(v) for v in res.ideal_vars]
+    return [(i + 1, j + 1, normal_form(y[i] * res.g[j] - y[j] * res.g[i], gb).is_zero())
+            for i, j in combinations(range(4), 2)]
+
+
+# 20652 as bundled and a seeded 10985 member.  g_j gains a form of its own
+# degree e: x1^e, which takes the three pairs with g_j out of (Pf), or the
+# x1-multiples of the pfaffians of degree <= e, which leaves all six in it
+# (10985's g_4 has degree 5, below every pfaffian, so it stays as built)
+@pytest.mark.parametrize("name, seed", [("20652", None), ("10985", 5)])
+@pytest.mark.parametrize("j", range(4))
+@pytest.mark.parametrize("member", [False, True], ids=["monomial", "pfaffian-multiple"])
+def test_corrupted_g_verdicts_match_reference(name, seed, j, member):
+    case = load_bundled(name).to_fano_case()
+    fmt = TomFormat(case.tom_k)
+    M = (case.build_matrix(0) if seed is None
+         else build_general_tom(case.matrix_weights, fmt, case.ambient6, seed))
+    res = build_unprojection(M, fmt, case.r)
+    e = case.r + case.d[j]
+    x1 = case.ambient6.gen("x1")
+    if member:
+        extra = sum((x1 ** (e - bidegree(pf).top) * pf for pf in res.pfaffians
+                     if bidegree(pf).top <= e), case.ambient6.zero())
+    else:
+        extra = x1 ** e
+    res.g[j] = res.g[j] + extra
+    expected = reference_consistency(res)
+    assert expected == [(a, b, member or j + 1 not in (a, b)) for a, b, _ in expected]
+    rep = verify_unprojection(res, case.d)
+    assert rep.consistency_detail == expected
+    assert rep.consistency_ok == member
+
+
 def test_eliminating_s_recovers_pfaffians():
     M = matrix_20652()
     res = build_unprojection(M, TomFormat(1), s_weight=2)
