@@ -3,9 +3,11 @@
 For families where only the ambient weights are known, this searches for a
 consistent graded matrix format (virtual row weights u_1 <= ... <= u_5 with
 2*sum(u) = r + sum(d), all ten entry weights positive integers and the
-ideal block fillable), test-drives the full link on a seeded general
-member, and freezes the result as a .case file with a link-consistent
-basket and the computed node count where available.
+ideal block fillable), traces the full link once on a seeded general
+member, and freezes the result as a .case file with the computed node
+count where available.  The basket written is the centre plus the points
+the link removes, so it agrees with the link by construction; ROADMAP
+item 3 replaces that circular choice.
 
 Run from the repository root:  python scripts/build_cases.py
 """
@@ -13,19 +15,11 @@ Run from the repository root:  python scripts/build_cases.py
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tomlinks.birational import (
-    Basket,
-    FanoCase,
-    LinkError,
-    classify_case,
-    trace_link,
-)
+from tomlinks.birational import Basket, FanoCase, classify_case, trace_link
 from tomlinks.pfaffian import PAIRS, WeightMatrix5
 from tomlinks.unprojection import tom_normalising_permutation
 
@@ -139,60 +133,61 @@ def _alarm(signum, frame):
     raise _DriveTimeout()
 
 
-def test_drive(case: FanoCase, seed: int = 0):
-    """Trace with a permissive basket; returns (trace, required basket) or None."""
+class _RecordingBasket(Basket):
+    """A probe basket whose `remove` records a target it lacks instead of
+    raising; every copy shares the one record."""
+
+    def __init__(self, entries, missing):
+        super().__init__(entries)
+        self.missing = missing
+
+    def copy(self) -> "_RecordingBasket":
+        return _RecordingBasket(list(self.entries), self.missing)
+
+    def remove(self, r, weights):
+        key = Basket.normal(r, weights)
+        if r > 1 and key not in self.entries:
+            self.missing.append(key)
+        else:
+            super().remove(r, weights)
+
+
+def drive(case: FanoCase, seed: int):
+    """Trace once under the alarm; the trace, or None if it fails or breaks
+    the wall or endpoint template."""
     import signal
 
     old = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(DRIVE_SECONDS)
     try:
-        trace = trace_link(case, seed=seed, strict_basket=False)
+        trace = trace_link(case, seed=seed)
     except Exception:
         return None
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
-    bad = [n for n in trace.template_notes
-           if n.startswith("wall") or n.startswith("endpoint")]
-    if bad:
-        return None
-    missing = []
-    for note in trace.template_notes:
-        if note.startswith("basket removals missing"):
-            missing = eval(note.split(": ", 1)[1])  # list of (r, (a,b,c))
-    return trace, missing
+    return trace if trace.template_ok else None
 
 
 def finalize(case_id: str, abc, d, r, tom_index, W: WeightMatrix5, seed: int,
              comment: str) -> str | None:
+    missing: list = []
     probe = FanoCase(id=case_id, abc=abc, d=d, r=r, tom_k=1,
                      matrix_weights=W, matrix=None,
-                     basket=Basket([(r, abc)]), matrix_seed=seed)
-    driven = test_drive(probe, seed)
-    if driven is None:
+                     basket=_RecordingBasket([(r, abc)], missing), matrix_seed=seed)
+    trace = drive(probe, seed)
+    if trace is None:
         return None
-    trace, missing = driven
+    # The written basket is the centre plus the points the link removed but
+    # the probe lacked.  A strict trace of it would add nothing: neither the
+    # steps nor template_ok read the basket, and with the recorded points
+    # added up front, by induction over the steps the strict basket after
+    # each step is the recorder's plus the points recorded at later steps,
+    # so every removal succeeds.
     basket = Basket([(r, abc)])
     for entry_r, local in missing:
         basket.add(entry_r, local)
-    final = FanoCase(id=case_id, abc=abc, d=d, r=r, tom_k=1,
-                     matrix_weights=W, matrix=None, basket=basket,
-                     declared_nodes=None, matrix_seed=seed)
-    import signal
-
-    old = signal.signal(signal.SIGALRM, _alarm)
-    signal.alarm(4 * DRIVE_SECONDS)
-    try:
-        strict = trace_link(final, seed=seed)  # must now pass strictly
-    except Exception:
-        return None
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-    if not strict.template_ok:
-        return None
-    nodes = strict.flop.count if strict.flop is not None else None
-    final.declared_nodes = nodes
+    nodes = trace.flop.count if trace.flop is not None else None
 
     weights_file = W
     if tom_index != 1:

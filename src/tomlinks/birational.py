@@ -88,16 +88,20 @@ class Basket:
             return
         key = Basket.normal(r, weights)
         if key not in self.entries:
-            raise LinkError(f"basket removal target 1/{key[0]}{key[1]} absent: {self}")
+            raise LinkError(f"basket removal target {_token(key)} absent: {self}")
         self.entries.remove(key)
 
     def __str__(self):
-        if not self.entries:
-            return "{}"
-        return "{" + ", ".join(f"1/{r}({a},{b},{c})" for r, (a, b, c) in self.entries) + "}"
+        return "{" + ", ".join(_token(e) for e in self.entries) + "}"
 
     def __eq__(self, other):
         return sorted(self.entries) == sorted(other.entries)
+
+
+def _token(entry: tuple[int, tuple[int, int, int]]) -> str:
+    """A basket entry as the quotient token of a case file, `1/r(a,b,c)`."""
+    r, (a, b, c) = entry
+    return f"1/{r}({a},{b},{c})"
 
 
 @dataclass
@@ -1047,52 +1051,35 @@ def _flip_basket_moves(flip: Flip):
     return removed, added
 
 
-def track_basket(steps: Sequence, case: FanoCase,
-                 strict: bool = True) -> tuple[list[Basket], list]:
+def track_basket(steps: Sequence, case: FanoCase) -> list[Basket]:
     """Basket after each step.
 
-    A removal target missing from the current basket signals an inconsistent
-    trace and raises in strict mode; with strict=False it is recorded in the
-    returned missing list instead (used when assembling new case data).
+    A removal target absent from the current basket means the declared
+    basket and the link disagree; `Basket.remove` raises LinkError naming
+    it.  The divisorial contraction moves nothing: it is read as a
+    contraction to a Gorenstein point, and a non-Gorenstein one is flagged
+    on the endpoint (`EndpointFano.gorenstein`) rather than in the basket.
+    That reading is unchecked; ROADMAP item 2 gives the step its move.
     """
     basket = case.basket.copy()
     out = [basket.copy()]
-    missing: list = []
     a, b, c = case.abc
-
-    def take(r, local):
-        try:
-            basket.remove(r, local)
-        except LinkError:
-            if strict:
-                raise
-            missing.append(Basket.normal(r, local))
-
     for step in steps:
         if isinstance(step, KawamataBlowup):
-            take(case.r, (a, b, c))
+            basket.remove(case.r, (a, b, c))
             for w, others in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
                 if w > 1:
                     basket.add(w, (others[0], others[1], -case.r))
-        elif isinstance(step, (Flop, Isomorphism)):
-            pass
-        elif isinstance(step, Flip):
-            removed, added = _flip_basket_moves(step)
-            for r, local in removed:
-                take(r, local)
-            for r, local in added:
-                basket.add(r, local)
-        elif isinstance(step, SimultaneousFlips):
-            for flip in step.flips:
+        elif isinstance(step, (Flip, SimultaneousFlips)):
+            flips = step.flips if isinstance(step, SimultaneousFlips) else (step,)
+            for flip in flips:
                 removed, added = _flip_basket_moves(flip)
                 for r, local in removed:
-                    take(r, local)
+                    basket.remove(r, local)
                 for r, local in added:
                     basket.add(r, local)
-        elif isinstance(step, DivisorialContractionToFano):
-            pass  # Gorenstein point contraction; singular survivors are flagged upstream
         out.append(basket.copy())
-    return out, missing
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1192,8 +1179,7 @@ ENDPOINT_KIND = {
 }
 
 
-def trace_link(case: FanoCase, seed: int = 0, budget: int = DEFAULT_BUDGET,
-               strict_basket: bool = True) -> LinkTrace:
+def trace_link(case: FanoCase, seed: int = 0, budget: int = DEFAULT_BUDGET) -> LinkTrace:
     """Run the full birational link for one case."""
     M = case.build_matrix(seed)
     fmt = TomFormat(case.tom_k)
@@ -1228,11 +1214,9 @@ def trace_link(case: FanoCase, seed: int = 0, budget: int = DEFAULT_BUDGET,
         pf_part = blow.generators[:5]
         steps.append(conic_discriminant_or_note(pf_part, S, groups[-1], budget))
 
-    baskets, missing = track_basket(steps, case, strict=strict_basket)
+    baskets = track_basket(steps, case)
 
     notes: list[str] = []
-    if missing:
-        notes.append(f"basket removals missing from input data: {missing}")
     expected = expected_middle_kinds(middle, norm_weights, case.d)
     ok = True
     for want, got, wall in zip(expected, steps[2:], middle):
@@ -1251,8 +1235,6 @@ def trace_link(case: FanoCase, seed: int = 0, budget: int = DEFAULT_BUDGET,
     if flop_data is not None and case.declared_nodes is not None \
             and flop_data.count != case.declared_nodes:
         notes.append(f"computed {flop_data.count} nodes, declared {case.declared_nodes}")
-    if missing:
-        ok = False
 
     return LinkTrace(case, tag, config, steps, baskets, flop_data, blow, ok, notes)
 

@@ -214,16 +214,18 @@ def verify_unprojection(res: UnprojectionResult, d_weights: Sequence[int],
     """Certify what build_unprojection does not: the degrees of the g_j and
     the membership of y_i g_j - y_j g_i in the pfaffian ideal, all six
     decided by one `contains` run over the pfaffians, which reduces pairs
-    only while a verdict is open and none above the targets' degree."""
+    only while a verdict is open and none above the targets' degree.  A g_j
+    that is not homogeneous of degree r + d_j fails `degrees_ok`; its
+    detail records its top degree."""
     ring = res.pfaffians[0].ring
 
     degree_detail = []
     degrees_ok = True
-    for j in range(4):
+    for j, g in enumerate(res.g):
         expected = res.s_weight + d_weights[j]
-        actual = bidegree(res.g[j]).top if not res.g[j].is_zero() else expected
+        actual = g.degree() if not g.is_zero() else expected
         degree_detail.append((expected, actual))
-        degrees_ok = degrees_ok and expected == actual
+        degrees_ok = degrees_ok and all(ring.mono_degree(m) == expected for m in g.terms)
 
     ygens = [ring.gen(v) for v in res.ideal_vars]
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]

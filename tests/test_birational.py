@@ -34,6 +34,7 @@ from tomlinks.birational import (
     picard_report,
     rank_at_point,
     trace_link,
+    track_basket,
     verify_blowup_saturation,
     wall_skip_expected,
     zero_dim_degree,
@@ -419,6 +420,72 @@ class TestConicBudget:
         with pytest.raises(BudgetExceeded) as err:
             birational.conic_discriminant(*conic_input, budget=0)
         assert err.value.routine == "buchberger"
+
+
+def basket_case(abc, r, points):
+    """A case with only what track_basket reads: abc, r and the basket."""
+    basket = Basket()
+    for q, weights in points:
+        basket.add(q, weights)
+    return FanoCase(id="toy", abc=abc, d=(4, 3, 2, 1), r=r, tom_k=1,
+                    matrix_weights=WeightMatrix5.from_list([1, 1, 1, 1, 3, 3, 3, 3, 3, 3]),
+                    matrix=None, basket=basket)
+
+
+# a toric flip: a 1/2 point at t is removed, a 1/3 point at y4 is added and
+# the weight-1 survivors x1 and y3 carry no point
+TORIC = Flip(wall=("y1",), survivors=("t", "x1", "y3", "y4"), weights=(2, 1, -1, -3),
+             hypersurface_degree=None, eliminated=("s", "x2", "x3"), point="P_y1")
+# 10985's flip: the cutting equation pairs t with y4, so at each of the two
+# points the partner is eliminated and three local weights remain
+HYPERSURFACE = Flip(wall=("y1",), survivors=("t", "x2", "x3", "y2", "y4"),
+                    weights=(6, 1, 1, -1, -3), hypersurface_degree=3,
+                    eliminated=("s", "x1", "y3"), point="P_y1", hyp_pair=("t", "y4"))
+
+
+class TestTrackBasket:
+    def test_blowup_swaps_the_centre_for_the_orbinate_points(self):
+        case = basket_case((1, 1, 3), 4, [(4, (1, 1, 3)), (2, (1, 1, 1))])
+        got = track_basket([KawamataBlowup((4, (1, 1, 3)))], case)
+        # at P_c the local weights are (a, b, -r) = (1, 1, -4), i.e. 1/3(1,1,2)
+        assert [str(b) for b in got] == ["{1/2(1,1,1), 1/4(1,1,3)}",
+                                         "{1/2(1,1,1), 1/3(1,1,2)}"]
+
+    def test_toric_flip(self):
+        assert birational._flip_basket_moves(TORIC) == (
+            [(2, [1, -1, -3])], [(3, [2, 1, -1])])
+        got = track_basket([TORIC], basket_case((1, 1, 1), 2, [(2, (1, 1, 1))]))
+        assert [str(b) for b in got] == ["{1/2(1,1,1)}", "{1/3(1,2,2)}"]
+
+    def test_hypersurface_flip_drops_the_partner(self):
+        assert birational._flip_basket_moves(HYPERSURFACE) == (
+            [(6, [1, 1, -1])], [(3, [1, 1, -1])])
+        got = track_basket([HYPERSURFACE], basket_case((1, 1, 1), 2, [(6, (1, 1, 5))]))
+        assert [str(b) for b in got] == ["{1/6(1,1,5)}", "{1/3(1,1,2)}"]
+        with pytest.raises(LinkError, match="cannot read 3 local weights at P_t"):
+            birational._flip_basket_moves(dataclasses.replace(HYPERSURFACE, hyp_pair=None))
+
+    def test_simultaneous_flips_apply_both(self):
+        step = SimultaneousFlips(wall=("y1", "y2"), flips=(TORIC, HYPERSURFACE),
+                                 quadratic_form="y1^2 + y2^2")
+        case = basket_case((1, 1, 1), 2, [(2, (1, 1, 1)), (6, (1, 1, 5))])
+        got = track_basket([step], case)
+        assert [str(b) for b in got] == ["{1/2(1,1,1), 1/6(1,1,5)}",
+                                         "{1/3(1,1,2), 1/3(1,2,2)}"]
+
+    def test_other_steps_leave_the_basket(self):
+        steps = [Flop(24, None), Isomorphism(("y2",), "y2^2"),
+                 DivisorialContractionToFano((2, 0), ("y3",), None)]
+        got = track_basket(steps, basket_case((1, 1, 1), 2, [(3, (1, 1, 2))]))
+        assert [str(b) for b in got] == ["{1/3(1,1,2)}"] * 4
+
+    def test_absent_target_raises_naming_it(self):
+        case = basket_case((1, 1, 1), 2, [(3, (1, 1, 2))])
+        with pytest.raises(LinkError, match=re.escape(
+                "basket removal target 1/2(1,1,1) absent: {1/3(1,1,2)}")):
+            track_basket([KawamataBlowup((2, (1, 1, 1)))], case)
+        with pytest.raises(LinkError, match=re.escape("basket removal target 1/6(1,1,5)")):
+            track_basket([HYPERSURFACE], case)
 
 
 class TestWallSkipPredicate:

@@ -92,6 +92,16 @@ class TestCli:
     def test_input_error_exit_2(self, capsys):
         assert main(["trace", "--case", "/no/such/file.case"]) == 2
 
+    def test_absent_basket_point_exits_1_naming_it(self, tmp_path, capsys):
+        text = CASES.joinpath("10985.case").read_text()
+        old = "basket = 1/2(1,1,1) 1/6(1,1,5)"
+        assert old in text
+        bad = tmp_path / "bad.case"
+        bad.write_text(text.replace(old, "basket = none"))
+        assert main(["trace", "--case", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: basket removal target 1/2(1,1,1) absent: {}\n"
+
     @pytest.mark.parametrize("old, new, line, message", [
         ("matrix_weights = 1 2 3 4 3 4 5 5 6 7", "matrix_weights = 1 2 3 4 3 4 5 5 6 8", 8,
          "matrix_weights: pfaffian 1 would be inhomogeneous"),

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses
 or a module outside the standard library and the package, no module-level
 private function or class goes unreferenced, no function takes a
-parameter it never reads, and every package attribute the benchmark's
-tracer and workloads name still exists.
+parameter it never reads, neither the package nor the scripts call `eval`
+or `exec`, and every package attribute the benchmark's tracer and
+workloads name still exists.
 
 A name counts as used if it appears as a bare name anywhere in the module,
 including inside a string annotation such as "Polynomial | None".  The
@@ -23,6 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "tomlinks"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PERFBENCH = ROOT / "perfbench"
+SCRIPTS = ROOT / "scripts"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -234,6 +236,36 @@ def test_foreign_import_scanner():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_runtime_is_stdlib_only(path):
     assert foreign_imports(path.read_text()) == []
+
+
+def dynamic_code_calls(source: str) -> list[str]:
+    """Every call of `eval` or `exec`, bare or as an attribute such as
+    `builtins.eval`."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in ("eval", "exec"):
+                out.append(f"{name} (line {node.lineno})")
+    return out
+
+
+def test_dynamic_code_scanner():
+    source = (
+        "import builtins\n"
+        "x = eval('1')\n"
+        "builtins.exec('y = 2')\n"
+        "evaluate = 'eval'\n"
+        "def f(literal_eval):\n    return literal_eval('3')\n"
+    )
+    assert dynamic_code_calls(source) == ["eval (line 2)", "exec (line 3)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_eval_or_exec(path):
+    assert dynamic_code_calls(path.read_text()) == []
 
 
 def tracer_attributes(source: str) -> list[tuple[str, str]]:

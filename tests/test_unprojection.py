@@ -263,6 +263,17 @@ class TestVerify:
         rep = verify_unprojection(res, (2, 2, 1, 1))
         assert not rep.consistency_ok
 
+    @pytest.mark.parametrize("replace", [False, True], ids=["inhomogeneous", "wrong-degree"])
+    def test_bad_g_degree_fails_degrees(self, replace):
+        # g_3 has degree r + d_3 = 3; adding x1^4 leaves it inhomogeneous
+        res = build_unprojection(matrix_20652(), TomFormat(1), s_weight=2)
+        before = verify_unprojection(res, (2, 2, 1, 1)).degree_detail
+        x1_4 = parse("x1^4", R20652)
+        res.g[2] = x1_4 if replace else res.g[2] + x1_4
+        rep = verify_unprojection(res, (2, 2, 1, 1))
+        assert not rep.degrees_ok and not rep.ok()
+        assert rep.degree_detail == before[:2] + [(3, 4)] + before[3:]
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=5, deadline=None)
     def test_seeded_members(self, seed):
