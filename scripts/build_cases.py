@@ -19,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tomlinks.birational import Basket, FanoCase, classify_case, trace_link
+from tomlinks.birational import Basket, FanoCase, classify_case, quotient_token, trace_link
 from tomlinks.pfaffian import PAIRS, WeightMatrix5
 from tomlinks.unprojection import tom_normalising_permutation
 
@@ -198,9 +198,9 @@ def finalize(case_id: str, abc, d, r, tom_index, W: WeightMatrix5, seed: int,
     lines = [f"# {comment}"]
     lines.append(f"id = {case_id}")
     lines.append(f"ambient = {a} {b} {c} {d[0]} {d[1]} {d[2]} {d[3]} {r}")
-    lines.append(f"centre = 1/{r}({a},{b},{c})")
+    lines.append(f"centre = {quotient_token((r, abc))}")
     lines.append(f"tom_index = {tom_index}")
-    toks = " ".join(f"1/{er}({w1},{w2},{w3})" for er, (w1, w2, w3) in basket.entries)
+    toks = " ".join(quotient_token(e) for e in basket.entries)
     lines.append(f"basket = {toks}" if toks else "basket = none")
     if nodes is not None:
         lines.append(f"nodes = {nodes}")

@@ -265,13 +265,6 @@ class MatrixOrder:
         rev = [v] + [i for i in range(n - 1, -1, -1) if i != v]
         return cls(ring, [w] + [tuple(-1 if j == i else 0 for j in range(n)) for i in rev])
 
-    @classmethod
-    def block(cls, ring: Ring, first: Iterable[str], weights: Sequence[int] | None = None) -> "MatrixOrder":
-        """Elimination order: monomials involving `first` variables dominate."""
-        idx = {ring.index[n] for n in first}
-        head = tuple(1 if i in idx else 0 for i in range(ring.nvars))
-        return cls(ring, (head,) + cls.grevlex(ring, weights).rows)
-
 
 # Polynomial.__mul__ packs monomials into fields of these (bytes, array
 # typecode) pairs, smallest first; arrays are in native byte order
@@ -398,13 +391,6 @@ class Polynomial:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def coefficient(self, mono: Mono) -> "int | Fraction":
-        return self.terms.get(tuple(mono), 0)
-
-    def max_degree_in(self, var: str) -> int:
-        i = self.ring.index[var]
-        return max((m[i] for m in self.terms), default=0)
 
     def degree(self, row: int = 0) -> int:
         """Max weighted degree of the terms (0 for the zero polynomial)."""
@@ -697,7 +683,7 @@ def dot(products: Iterable[tuple[int, Polynomial, Polynomial]]) -> Polynomial:
 
 
 def substitute(p: Polynomial, assignments: Mapping[str, "Polynomial | int | Fraction"],
-               target: Ring | None = None) -> Polynomial:
+               target: Ring) -> Polynomial:
     """Simultaneous substitution of variables; unassigned names must exist in target.
 
     Each source variable occurring in p gets an image.  A value of at most
@@ -714,15 +700,10 @@ def substitute(p: Polynomial, assignments: Mapping[str, "Polynomial | int | Frac
         if name not in ring.index:
             raise AlgebraError(f"{name!r} is not a variable of the source ring")
         if isinstance(v, Polynomial):
-            if target is None:
-                target = v.ring
-            elif v.ring != target:
-                raise RingMismatch("assignment values live in different rings")
+            if v.ring != target:
+                raise RingMismatch(f"the value of {name!r} lives outside the target ring")
             values[ring.index[name]] = v
-    if target is None:
-        target = ring
-    for name, v in assignments.items():
-        if not isinstance(v, Polynomial):
+        else:
             values[ring.index[name]] = target.const(v)
 
     occurring = set()

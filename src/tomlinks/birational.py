@@ -45,6 +45,7 @@ from .groebner import (
     zero_dim_degree,
 )
 from .pfaffian import (
+    IDEAL_VARS,
     SkewMatrix5,
     TomFormat,
     WeightMatrix5,
@@ -53,7 +54,7 @@ from .pfaffian import (
 from .unprojection import UnprojectionResult, build_unprojection
 
 SCROLL_NAMES = ("t", "s", "x1", "x2", "x3", "y1", "y2", "y3", "y4")
-Y_NAMES = ("y1", "y2", "y3", "y4")
+Y_NAMES = IDEAL_VARS
 X_NAMES = ("x1", "x2", "x3")
 
 
@@ -88,17 +89,17 @@ class Basket:
             return
         key = Basket.normal(r, weights)
         if key not in self.entries:
-            raise LinkError(f"basket removal target {_token(key)} absent: {self}")
+            raise LinkError(f"basket removal target {quotient_token(key)} absent: {self}")
         self.entries.remove(key)
 
     def __str__(self):
-        return "{" + ", ".join(_token(e) for e in self.entries) + "}"
+        return "{" + ", ".join(quotient_token(e) for e in self.entries) + "}"
 
     def __eq__(self, other):
         return sorted(self.entries) == sorted(other.entries)
 
 
-def _token(entry: tuple[int, tuple[int, int, int]]) -> str:
+def quotient_token(entry: tuple[int, tuple[int, int, int]]) -> str:
     """A basket entry as the quotient token of a case file, `1/r(a,b,c)`."""
     r, (a, b, c) = entry
     return f"1/{r}({a},{b},{c})"

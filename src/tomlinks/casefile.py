@@ -29,7 +29,6 @@ ENTRY_KEYS = tuple(f"m{i}{j}" for (i, j) in PAIRS)
 class CaseFile:
     id: str
     ambient: tuple[int, ...]            # a b c d1 d2 d3 d4 r
-    centre: tuple[int, tuple[int, int, int]]
     tom_index: int
     basket: Basket
     declared_nodes: int | None
@@ -47,7 +46,19 @@ class CaseFile:
             matrix=None, basket=self.basket, declared_nodes=self.declared_nodes,
             matrix_seed=self.general_seed,
         )
-        if self.matrix_entries is not None:
+        if self.matrix_entries is None:
+            # a = 1, so x1 fills any degree: an entry off row and column k
+            # has a form in (y1..y4) iff weight >= d4, any other iff >= 0
+            k = self.tom_index
+            for (i, j) in PAIRS:
+                w = self.matrix_weights[(i, j)]
+                if k not in (i, j) and w < d4:
+                    raise CaseFileError(f"Tom_{k} puts m{i}{j} in (y1..y4), but its "
+                                        f"weight {w} is below d4 = {d4}", self.tom_line)
+                if w < 0:
+                    raise CaseFileError(f"GENERAL entry m{i}{j} has negative weight {w}",
+                                        self.tom_line)
+        else:
             ring = case.ambient6
             entries = {}
             for (i, j), (text, line) in self.matrix_entries.items():
@@ -180,7 +191,7 @@ def parse_case_text(text: str) -> CaseFile:
             entries[(i, j)] = need(f"m{i}{j}")
 
     return CaseFile(
-        id=case_id, ambient=ambient, centre=centre, tom_index=tom_index,
+        id=case_id, ambient=ambient, tom_index=tom_index,
         basket=basket, declared_nodes=declared, matrix_weights=weights,
         matrix_entries=entries, general_seed=seed, tom_line=tom_line,
     )

@@ -4,10 +4,9 @@ Covers reduced Groebner bases, multivariate division / normal forms,
 minimal generators of a graded ideal, membership in a graded ideal,
 saturation by a single variable and the test whether an ideal is already
 saturated (both from one basis, by Bayer's revlex saturation of a
-homogeneous ideal), variable elimination,
-and the dimension and degree of a projective scheme read off the Hilbert
-series of one lead-term ideal, which for a zero-dimensional scheme is its
-length.
+homogeneous ideal), and the dimension and degree of a projective scheme
+read off the Hilbert series of one lead-term ideal, which for a
+zero-dimensional scheme is its length.
 
 Minimal generators come from graded Nakayama (Kreuzer-Robbiano,
 Computational Commutative Algebra 2, 4.6): let I be generated by forms
@@ -551,7 +550,7 @@ def normal_form(p: Polynomial, basis, order: MatrixOrder | None = None,
 
 
 # ---------------------------------------------------------------------------
-# saturation and elimination
+# saturation
 
 def saturate(ideal: Ideal, var: str, budget: int = DEFAULT_BUDGET,
              weights: Sequence[int] | None = None) -> Ideal:
@@ -615,21 +614,6 @@ def _require_homogeneous(ideal: Ideal, w: Sequence[int]) -> None:
     for g in ideal.generators:
         if len({sum(a * e for a, e in zip(w, m)) for m in g.terms}) > 1:
             raise AlgebraError(f"generator is not homogeneous for weights {w}: {g}")
-
-
-def eliminate(ideal: Ideal, names: Iterable[str], budget: int = DEFAULT_BUDGET) -> Ideal:
-    """Generators of I intersected with the subring omitting `names`."""
-    names = list(names)
-    if not names:
-        return ideal
-    ring = ideal.ring
-    for nm in names:
-        if nm not in ring.index:
-            raise AlgebraError(f"{nm!r} is not a ring variable")
-    order = MatrixOrder.block(ring, names, weights=(1,) * ring.nvars)
-    gb = buchberger(ideal, order, budget)
-    out = [g for g in gb.elements if all(g.max_degree_in(nm) == 0 for nm in names)]
-    return Ideal(out, ring)
 
 
 # ---------------------------------------------------------------------------

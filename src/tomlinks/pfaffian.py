@@ -16,7 +16,6 @@ from typing import Iterable, Mapping
 
 from .algebra import (
     AlgebraError,
-    Mono,
     Polynomial,
     Ring,
     bidegree,
@@ -27,6 +26,7 @@ from .algebra import (
 
 PAIRS = tuple((i, j) for i in range(1, 6) for j in range(i + 1, 6))
 
+# the ideal variables of every Tom format, in ring order
 IDEAL_VARS = ("y1", "y2", "y3", "y4")
 
 
@@ -87,7 +87,6 @@ def _complement_pairs(k: int):
 @dataclass(frozen=True)
 class TomFormat:
     k: int
-    ideal_vars: tuple[str, ...] = IDEAL_VARS
 
     def __post_init__(self):
         if not 1 <= self.k <= 5:
@@ -162,9 +161,9 @@ def is_ideal_element(p: Polynomial, ideal_indices: tuple[int, ...]) -> bool:
     return all(any(m[i] for i in ideal_indices) for m in p.terms)
 
 
-def _ideal_indices(ring: Ring, fmt: TomFormat) -> tuple[int, ...]:
+def _ideal_indices(ring: Ring) -> tuple[int, ...]:
     try:
-        return tuple(ring.index[v] for v in fmt.ideal_vars)
+        return tuple(ring.index[v] for v in IDEAL_VARS)
     except KeyError as e:
         raise PfaffianError(f"ring lacks ideal variable {e}")
 
@@ -175,45 +174,8 @@ def constrained_pairs(fmt: TomFormat) -> list[tuple[int, int]]:
 
 def check_tom(M: SkewMatrix5, fmt: TomFormat) -> bool:
     """True iff all six entries avoiding row/column k lie in (y1..y4)."""
-    idx = _ideal_indices(M.ring, fmt)
+    idx = _ideal_indices(M.ring)
     return all(is_ideal_element(M.entries[p], idx) for p in constrained_pairs(fmt))
-
-
-@dataclass
-class QuasilinearityReport:
-    """Where ideal and orbinate variables appear with scalar coefficient."""
-
-    y_linear: dict[str, list[tuple[int, int]]]
-    x_linear: dict[str, list[tuple[int, int]]]
-    ideal_linear_count: int
-    violates_bound: bool  # fewer than three constrained entries carry a linear y
-
-    def ok(self) -> bool:
-        return not self.violates_bound
-
-
-def check_quasilinearity(M: SkewMatrix5, fmt: TomFormat) -> QuasilinearityReport:
-    """Locate linear variable occurrences of the kind a general Tom member shows."""
-    ring = M.ring
-    y_linear: dict[str, list[tuple[int, int]]] = {v: [] for v in fmt.ideal_vars}
-    x_names = [n for n in ring.names if n.startswith("x")]
-    x_linear: dict[str, list[tuple[int, int]]] = {v: [] for v in x_names}
-
-    def var_mono(name: str) -> Mono:
-        i = ring.index[name]
-        return tuple(1 if j == i else 0 for j in range(ring.nvars))
-
-    constrained = set(constrained_pairs(fmt))
-    for p_ij in PAIRS:
-        entry = M.entries[p_ij]
-        for v in fmt.ideal_vars:
-            if p_ij in constrained and entry.coefficient(var_mono(v)) != 0:
-                y_linear[v].append(p_ij)
-        for v in x_names:
-            if entry.coefficient(var_mono(v)) != 0:
-                x_linear[v].append(p_ij)
-    count = sum(len(v) for v in y_linear.values())
-    return QuasilinearityReport(y_linear, x_linear, count, count < 3)
 
 
 def build_general_tom(weights: WeightMatrix5, fmt: TomFormat, ambient: Ring,
@@ -221,7 +183,7 @@ def build_general_tom(weights: WeightMatrix5, fmt: TomFormat, ambient: Ring,
     """Seeded general Tom matrix: constrained entries are general elements of
     (y1..y4) in their degree, the rest general forms; deterministic per seed.
     """
-    idx = _ideal_indices(ambient, fmt)
+    idx = _ideal_indices(ambient)
     entries = {}
     for (i, j) in PAIRS:
         d = weights[(i, j)]

@@ -21,6 +21,7 @@ from .birational import (
     LinkTrace,
     SimultaneousFlips,
     kawamata_scroll,
+    quotient_token,
 )
 from .unprojection import UnprojectionResult, VerificationReport
 
@@ -57,8 +58,7 @@ def render_tree(data: dict, indent: int = 0) -> str:
 
 def step_dict(step) -> dict:
     if isinstance(step, KawamataBlowup):
-        r, (a, b, c) = step.centre
-        return {"kind": "KawamataBlowup", "centre": f"1/{r}({a},{b},{c})"}
+        return {"kind": "KawamataBlowup", "centre": quotient_token(step.centre)}
     if isinstance(step, Flop):
         return {"kind": "Flop", "count": step.count, "declared": step.declared}
     if isinstance(step, Isomorphism):
@@ -131,7 +131,7 @@ def trace_dict(trace: LinkTrace, seed: int) -> dict:
         "case": {
             "id": case.id,
             "ambient": list(case.abc + case.d + (case.r,)),
-            "centre": f"1/{case.r}({case.abc[0]},{case.abc[1]},{case.abc[2]})",
+            "centre": quotient_token((case.r, case.abc)),
             "tom_index": case.tom_k,
             "basket": str(case.basket),
             "declared_nodes": case.declared_nodes,

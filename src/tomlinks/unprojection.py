@@ -46,6 +46,7 @@ from .algebra import (
 )
 from .groebner import DEFAULT_BUDGET, Ideal, MatrixOrder, contains
 from .pfaffian import (
+    IDEAL_VARS,
     SkewMatrix5,
     TomFormat,
     WeightMatrix5,
@@ -69,11 +70,11 @@ def decompose_entries(M: SkewMatrix5,
     if not check_tom(M, fmt):
         raise UnprojectionError(f"matrix is not in Tom_{fmt.k} format")
     ring = M.ring
-    yidx = [ring.index[v] for v in fmt.ideal_vars]
+    yidx = [ring.index[v] for v in IDEAL_VARS]
     alpha: dict[tuple[int, int], list[Polynomial]] = {}
     for (k, l) in constrained_pairs(fmt):
         entry = M.entries[(k, l)]
-        parts: list[dict] = [dict() for _ in fmt.ideal_vars]
+        parts: list[dict] = [dict() for _ in IDEAL_VARS]
         for mono, c in entry.terms.items():
             for slot, i in enumerate(yidx):
                 if mono[i]:
@@ -86,7 +87,7 @@ def decompose_entries(M: SkewMatrix5,
                 )
         alpha[(k, l)] = [Polynomial(ring, p, _clean=True) for p in parts]
     # recombination must reproduce each entry exactly
-    ygens = [ring.gen(v) for v in fmt.ideal_vars]
+    ygens = [ring.gen(v) for v in IDEAL_VARS]
     for (k, l), parts in alpha.items():
         if dot((1, a, y) for a, y in zip(parts, ygens)) != M.entries[(k, l)]:
             raise UnprojectionError(f"decomposition failed to recombine entry {(k, l)}")
@@ -102,7 +103,6 @@ class UnprojectionResult:
     X_ideal: Ideal                # 9 generators in the ring extended by s
     ring_x: Ring                  # ambient of X (with s)
     s_weight: int
-    ideal_vars: tuple[str, ...]   # the y_j of s*y_j = g_j
 
 
 def _cofactor_row(Q: list[list[Polynomial]], i: int) -> list[Polynomial]:
@@ -116,18 +116,17 @@ def _cofactor_row(Q: list[list[Polynomial]], i: int) -> list[Polynomial]:
     return [h if (i + j) % 2 == 0 else -h for j, h in enumerate(reversed(kept.values()), 1)]
 
 
-def _linear_pfaffian_matrix(Mn: SkewMatrix5,
-                            ideal_vars: tuple[str, ...]) -> list[list[Polynomial]]:
+def _linear_pfaffian_matrix(Mn: SkewMatrix5) -> list[list[Polynomial]]:
     """Q for the Tom_1 matrix Mn: column j holds the linear pfaffians of N_j,
     Mn with each constrained entry replaced by its alpha_j."""
     ring = Mn.ring
-    fmt1 = TomFormat(1, ideal_vars)
+    fmt1 = TomFormat(1)
     alpha = decompose_entries(Mn, fmt1)
     Q = [[None] * 4 for _ in range(4)]
     for slot in range(4):
         entries = {(1, j): Mn.entries[(1, j)] for j in range(2, 6)}
         wts = {(1, j): Mn.weights[(1, j)] for j in range(2, 6)}
-        d_slot = bidegree(ring.gen(ideal_vars[slot])).top
+        d_slot = bidegree(ring.gen(IDEAL_VARS[slot])).top
         for (k, l) in constrained_pairs(fmt1):
             entries[(k, l)] = alpha[(k, l)][slot]
             wts[(k, l)] = Mn.weights[(k, l)] - d_slot
@@ -154,7 +153,7 @@ def build_unprojection(M: SkewMatrix5, fmt: TomFormat, s_weight: int) -> Unproje
     ring = M.ring
     perm = tom_normalising_permutation(fmt.k)
     Mn = M.permuted(perm) if fmt.k != 1 else M
-    Q = _linear_pfaffian_matrix(Mn, fmt.ideal_vars)
+    Q = _linear_pfaffian_matrix(Mn)
 
     p = [Mn.entries[(1, j)] for j in range(2, 6)]
     if all(pi.is_zero() for pi in p):
@@ -166,7 +165,7 @@ def build_unprojection(M: SkewMatrix5, fmt: TomFormat, s_weight: int) -> Unproje
             raise UnprojectionError(f"p^T Q != 0 in column {slot + 1}")
     # consistency: Q . y reproduces the linear pfaffians of Mn
     pf_n = maximal_pfaffians(Mn)
-    ygens = [ring.gen(v) for v in fmt.ideal_vars]
+    ygens = [ring.gen(v) for v in IDEAL_VARS]
     for i in range(4):
         if dot((1, q, y) for q, y in zip(Q[i], ygens)) != pf_n[i + 1]:
             raise UnprojectionError(f"Q row {i + 1} does not recombine its pfaffian")
@@ -185,12 +184,11 @@ def build_unprojection(M: SkewMatrix5, fmt: TomFormat, s_weight: int) -> Unproje
     s = ring_x.gen("s")
     pf_orig = pf_n if Mn is M else maximal_pfaffians(M)
     gens = [_append_s(q, ring_x) for q in pf_orig]
-    for j, v in enumerate(fmt.ideal_vars):
+    for j, v in enumerate(IDEAL_VARS):
         gens.append(s * ring_x.gen(v) - _append_s(g[j], ring_x))
     return UnprojectionResult(
         g=g, p=p, Q=Q, pfaffians=pf_orig, X_ideal=Ideal(gens, ring_x), ring_x=ring_x,
-        s_weight=s_weight, ideal_vars=fmt.ideal_vars,
-    )
+        s_weight=s_weight)
 
 
 def _append_s(q: Polynomial, ring_x: Ring) -> Polynomial:
@@ -227,7 +225,7 @@ def verify_unprojection(res: UnprojectionResult, d_weights: Sequence[int],
         degree_detail.append((expected, actual))
         degrees_ok = degrees_ok and all(ring.mono_degree(m) == expected for m in g.terms)
 
-    ygens = [ring.gen(v) for v in res.ideal_vars]
+    ygens = [ring.gen(v) for v in IDEAL_VARS]
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     targets = [dot(((1, ygens[i], res.g[j]), (-1, ygens[j], res.g[i]))) for i, j in pairs]
     verdicts = contains(Ideal(res.pfaffians, ring), targets, MatrixOrder.grevlex(ring), budget)

@@ -27,6 +27,8 @@ from tomlinks.algebra import (
 )
 from tomlinks.groebner import Ideal, MatrixOrder, buchberger, normal_form
 
+from reference import block_order
+
 R7 = Ring(("x1", "x2", "x3", "y1", "y2", "y3", "y4"), [(1, 1, 1, 6, 5, 4, 3)])
 SCROLL = Ring(
     ("t", "s", "x1", "x2", "x3", "y1", "y2", "y3", "y4"),
@@ -52,8 +54,8 @@ class TestParse:
     def test_two_term(self):
         p = parse("x1*x2^2 - y4", R7)
         assert len(p) == 2
-        assert p.coefficient((1, 2, 0, 0, 0, 0, 0)) == 1
-        assert p.coefficient((0, 0, 0, 0, 0, 0, 1)) == -1
+        assert p.terms.get((1, 2, 0, 0, 0, 0, 0), 0) == 1
+        assert p.terms.get((0, 0, 0, 0, 0, 0, 1), 0) == -1
 
     def test_zero(self):
         assert parse("0", R7).is_zero()
@@ -172,7 +174,7 @@ class TestExactCoefficients:
         for p in (f, g, f + g, f - g, f * g, f * c, c * g, -f, f ** 2):
             assert_exact(p)
         assert_exact(exact_divide(f * g, g))
-        assert_exact(substitute(f, {"x": g, "y": Fraction(1, 2)}))
+        assert_exact(substitute(f, {"x": g, "y": Fraction(1, 2)}, R3))
 
     @given(R3_POLYS, R3_POLYS)
     @settings(max_examples=30, deadline=None)
@@ -336,7 +338,7 @@ class TestDot:
                    (1, f, g)]
         total = dot(triples)
         assert total.terms == reference_dot(triples)
-        assert total.coefficient((top, 0)) == 0 and total.coefficient((0, 2)) == -2
+        assert total.terms.get((top, 0), 0) == 0 and total.terms.get((0, 2), 0) == -2
 
     def test_exponent_sum_of_2_64_raises(self):
         x = R1.monomial((1 << 63,))
@@ -371,7 +373,7 @@ class TestPackedProduct:
         f = R2.monomial((a, 0)) + R2.gen("y")
         g = R2.monomial((b, 0)) - R2.gen("y")
         assert (f * g).terms == reference_product(f, g)
-        assert (f * g).coefficient((top, 0)) == 1
+        assert (f * g).terms.get((top, 0), 0) == 1
 
     def test_exponent_sum_of_2_64_raises(self):
         x = R1.monomial((1 << 63,))
@@ -398,7 +400,7 @@ def orders(draw):
     if kind == "last":
         return MatrixOrder.grevlex(ring, weights, last=draw(st.sampled_from(ring.names)))
     first = draw(st.lists(st.sampled_from(ring.names), min_size=1, max_size=n - 1, unique=True))
-    return MatrixOrder.block(ring, first, weights)
+    return block_order(ring, first, weights)
 
 
 def monos(n):
@@ -595,11 +597,12 @@ class TestSubstitute:
 
     def test_unknown_source_name(self):
         with pytest.raises(AlgebraError, match="not a variable of the source ring"):
-            substitute(parse("x1", R7), {"w": 1})
+            substitute(parse("x1", R7), {"w": 1}, R7)
 
     def test_values_in_different_rings(self):
         with pytest.raises(RingMismatch):
-            substitute(parse("x1*y1", R7), {"x1": SCROLL.gen("t"), "y1": TARGET.gen("t")})
+            substitute(parse("x1*y1", R7), {"x1": SCROLL.gen("t"), "y1": TARGET.gen("t")},
+                       SCROLL)
 
     def test_unassigned_variable_missing_from_target(self):
         with pytest.raises(AlgebraError, match="'x1' missing from target ring"):
@@ -607,11 +610,11 @@ class TestSubstitute:
 
     def test_unit_substitution(self):
         p = parse("y1^2 - x1*y1", R7)
-        assert substitute(p, {"y1": 1}) == parse("1 - x1", R7)
+        assert substitute(p, {"y1": 1}, R7) == parse("1 - x1", R7)
 
     def test_identity(self):
         p = rand_poly(R7, 11)
-        assert substitute(p, {"y1": R7.gen("y1")}) == p
+        assert substitute(p, {"y1": R7.gen("y1")}, R7) == p
 
     def test_pullback_to_scroll(self):
         # y -> t*y realises the map contracting the ideal variables

@@ -41,7 +41,7 @@ from tomlinks.birational import (
 )
 from tomlinks.casefile import bundled_case_names, load_bundled
 from tomlinks.groebner import BudgetExceeded, Ideal, MatrixOrder, buchberger, saturate
-from tomlinks.pfaffian import TomFormat, WeightMatrix5, build_general_tom
+from tomlinks.pfaffian import IDEAL_VARS, TomFormat, WeightMatrix5, build_general_tom
 from tomlinks.report import step_dict
 from tomlinks.unprojection import build_unprojection
 
@@ -229,7 +229,7 @@ class TestFlops:
         # polynomials up to sign
         _, res, fd = plane_flops(name)
         P2 = Ring(("x1", "x2", "x3"), [(1, 1, 1)])
-        into = {n: P2.gen(n) for n in ("x1", "x2", "x3")} | {y: 0 for y in res.ideal_vars}
+        into = {n: P2.gen(n) for n in ("x1", "x2", "x3")} | {y: 0 for y in IDEAL_VARS}
         p, g = ([substitute(q, into, P2) for q in qs] for qs in (res.p, res.g))
         products = [pk * gj for pk in p for gj in g]
 

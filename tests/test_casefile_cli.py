@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from tomlinks.casefile import (
     CaseFileError,
@@ -129,6 +131,24 @@ class TestCli:
         assert err.startswith(f"input error: line {line}: ")
         assert re.search(message, err), err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("tom_index = 1", "tom_index = 3", "Tom_3 puts m12 in \\(y1..y4\\), but its weight 1 is "
+         "below d4 = 2"),
+        ("matrix_weights = 1 1 1 1 4 4 4 4 4 4", "matrix_weights = -1 -1 -1 -1 6 6 6 6 6 6",
+         "GENERAL entry m12 has negative weight -1"),
+    ], ids=["tom-index", "negative-weight"])
+    def test_general_weights_without_a_form_exit_2(self, tmp_path, capsys, old, new, message):
+        # an entry whose weight leaves no admissible monomial is an input
+        # error on the tom_index line (line 5 of 1218), not a failed trace
+        text = CASES.joinpath("1218.case").read_text()
+        assert old in text
+        bad = tmp_path / "bad.case"
+        bad.write_text(text.replace(old, new))
+        assert main(["trace", "--case", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: line 5: ")
+        assert re.search(message, err), err
+
     def test_budget_exceeded_exit_3(self, capsys):
         assert main(["blowup", "--case", "20652", "--budget", "5"]) == 3
         assert "reduction steps exceeded in buchberger" in capsys.readouterr().err
@@ -202,6 +222,38 @@ class TestGolden:
         out = capsys.readouterr().out
         mutated = golden.replace("count = 24", "count = 25")
         assert out != mutated
+
+
+# values a mutated line may take: numbers, tokens of each field's syntax,
+# and text no field accepts
+FUZZ_TOKENS = st.one_of(
+    st.integers(-3, 9).map(str),
+    st.sampled_from(["", "none", "GENERAL", "GENERAL 3", "GENERAL x", "1/2(1,1,1)",
+                     "1/3(1,1)", "1/0(1,1,1)", "x1", "y4", "x1^2*y4 - y3", "x1 +* x2",
+                     "1 1 1 4 3 3 2 2", "1 2 3 4 3 4 5 5 6 7", "2.5", "=", "#"]))
+
+
+@given(name=st.sampled_from(["10985", "1218"]), line=st.integers(0, 19),
+       kind=st.sampled_from(["delete", "duplicate", "replace"]), token=FUZZ_TOKENS)
+@example(name="1218", line=4, kind="replace", token="3")  # tom_index = 3
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_single_line_mutants_exit_cleanly(tmp_path, capsys, name, line, kind, token):
+    """A case file with one line deleted, duplicated or given another value
+    makes `trace` exit 0, 1, 2 or 3; no exception escapes."""
+    lines = CASES.joinpath(f"{name}.case").read_text().splitlines()
+    i = line % len(lines)
+    if kind == "delete":
+        lines[i:i + 1] = []
+    elif kind == "duplicate":
+        lines[i:i + 1] = [lines[i]] * 2
+    else:
+        key = lines[i].split("=", 1)[0]
+        lines[i] = f"{key}= {token}" if "=" in lines[i] else token
+    mutant = tmp_path / "mutant.case"
+    mutant.write_text("\n".join(lines) + "\n")
+    assert main(["trace", "--case", str(mutant), "--json"]) in (0, 1, 2, 3)
+    capsys.readouterr()
 
 
 def case_data(name: str) -> tuple[str, ...]:

@@ -1,16 +1,19 @@
 """Source hygiene: no module of the package imports a name it never uses
 or a module outside the standard library and the package, no module-level
-private function or class goes unreferenced, no function takes a
-parameter it never reads, neither the package nor the scripts call `eval`
-or `exec`, and every package attribute the benchmark's tracer and
-workloads name still exists.
+function or class goes unreferenced, no function takes a parameter it
+never reads, neither the package nor the scripts call `eval` or `exec`,
+and every package attribute the benchmark's tracer and workloads name
+still exists.
 
 A name counts as used if it appears as a bare name anywhere in the module,
 including inside a string annotation such as "Polynomial | None".  The
 package `__init__.py` is skipped: its imports are the public re-exports.
-A private (`_`-prefixed) module-level function or class counts as
-referenced if its name appears as a bare name or an attribute anywhere in
-the package outside its own definition.
+A module-level function or class counts as referenced if its name appears
+as a bare name, an attribute or a string that parses as a name (an entry
+of `__all__` or of the tracer's table) outside its own definition: a
+private (`_`-prefixed) one in the package, a public one in the package,
+`scripts/` or `perfbench/`.  Tests do not count, so a routine that only
+tests call belongs in the tests.
 """
 
 import ast
@@ -78,15 +81,20 @@ def references(tree: ast.Module) -> list[tuple[int, set[str]]]:
     return out
 
 
-def unreferenced_private(sources: dict[str, str]) -> list[str]:
+def unreferenced(sources: dict[str, str], referrers: dict[str, str],
+                 private: bool) -> list[str]:
+    """`module: name (line n)` for every module-level function or class of
+    `sources`, private or public as `private` says, that nothing in
+    `sources` or `referrers` refers to outside its own definition."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
-    refs = [r for tree in trees.values() for r in references(tree)]
+    refs = [r for tree in [*trees.values(), *map(ast.parse, referrers.values())]
+            for r in references(tree)]
     out = []
     for name, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            if not node.name.startswith("_") or node.name.startswith("__"):
+            if node.name.startswith("__") or node.name.startswith("_") != private:
                 continue
             inside = {id(n) for n in ast.walk(node)}
             if not any(i not in inside and node.name in names for i, names in refs):
@@ -127,13 +135,44 @@ def test_private_scanner():
         ),
         "b.py": "from . import a\nvalue = a._remote()\n",
     }
-    assert unreferenced_private(sources) == [
+    assert unreferenced(sources, {}, private=True) == [
         "a.py: _unused (line 3)", "a.py: _recursive (line 5)"]
 
 
 def test_no_unreferenced_private_definitions():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert unreferenced_private(sources) == []
+    assert unreferenced(sources, {}, private=True) == []
+
+
+def test_public_scanner():
+    sources = {
+        "a.py": (
+            "def used():\n    return 1\n"
+            "def unused():\n    return 2\n"
+            "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+            "class Exported:\n    def method(self):\n        pass\n"
+            "def scripted():\n    return 3\n"
+            "def traced():\n    return 4\n"
+            "def _private():\n    return used()\n"
+        ),
+        "__init__.py": "from .a import Exported\n__all__ = ['Exported']\n",
+    }
+    referrers = {
+        "scripts/build.py": "from tomlinks.a import scripted\nscripted()\n",
+        "perfbench/tracer.py": "LAYERS = [('a', 'traced', 'a.traced')]\n",
+    }
+    assert unreferenced(sources, referrers, private=False) == [
+        "a.py: unused (line 3)", "a.py: recursive (line 5)"]
+    assert unreferenced(sources, {}, private=False) == [
+        "a.py: unused (line 3)", "a.py: recursive (line 5)", "a.py: scripted (line 10)",
+        "a.py: traced (line 12)"]
+
+
+def test_no_unreferenced_public_definitions():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    referrers = {f"{p.parent.name}/{p.name}": p.read_text()
+                 for p in sorted(SCRIPTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))}
+    assert unreferenced(sources, referrers, private=False) == []
 
 
 def unused_parameters(source: str) -> list[str]:

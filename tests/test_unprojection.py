@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tomlinks import unprojection
 from tomlinks.algebra import Polynomial, Ring, bidegree, det, parse, substitute
 from tomlinks.casefile import load_bundled
-from tomlinks.groebner import Ideal, MatrixOrder, buchberger, eliminate, normal_form
+from tomlinks.groebner import Ideal, MatrixOrder, buchberger, normal_form
 from tomlinks.pfaffian import (
     IDEAL_VARS,
     PAIRS,
@@ -24,6 +24,8 @@ from tomlinks.unprojection import (
     tom_normalising_permutation,
     verify_unprojection,
 )
+
+from reference import eliminate
 
 R7 = Ring(("x1", "x2", "x3", "y1", "y2", "y3", "y4"), [(1, 1, 1, 6, 5, 4, 3)])
 W10985 = WeightMatrix5.from_list([1, 2, 3, 4, 3, 4, 5, 5, 6, 7])
@@ -97,8 +99,8 @@ def corrupt_q(monkeypatch, changes):
     """Make _linear_pfaffian_matrix add changes[(row, column)] (0-based) to Q."""
     original = unprojection._linear_pfaffian_matrix
 
-    def corrupted(Mn, ideal_vars):
-        Q = original(Mn, ideal_vars)
+    def corrupted(Mn):
+        Q = original(Mn)
         for (r, c), extra in changes.items():
             Q[r][c] = Q[r][c] + extra
         return Q
@@ -123,7 +125,7 @@ def reference_cofactors(Q):
 def normalised_q(M, fmt):
     """Q as build_unprojection forms it, and the p row it pairs with."""
     Mn = M.permuted(tom_normalising_permutation(fmt.k))
-    return (unprojection._linear_pfaffian_matrix(Mn, fmt.ideal_vars),
+    return (unprojection._linear_pfaffian_matrix(Mn),
             [Mn.entries[(1, j)] for j in range(2, 6)])
 
 
@@ -238,18 +240,6 @@ def test_cofactor_matrix_is_p_times_g(name, seed):
             assert C[k][j] == p[k] * res.g[j]
 
 
-def test_renamed_ideal_variables_verify():
-    ring = Ring(("x1", "x2", "x3", "u1", "u2", "u3", "u4"), [(1, 1, 1, 2, 2, 1, 1)])
-    rename = dict(zip(IDEAL_VARS, ("u1", "u2", "u3", "u4")))
-    M = matrix_20652()
-    entries = {ij: substitute(q, {y: ring.gen(u) for y, u in rename.items()}, ring)
-               for ij, q in M.entries.items()}
-    fmt = TomFormat(1, ("u1", "u2", "u3", "u4"))
-    res = build_unprojection(SkewMatrix5(entries, W20652, ring), fmt, s_weight=2)
-    assert verify_unprojection(res, (2, 2, 1, 1)).ok()
-    assert res.ideal_vars == fmt.ideal_vars
-
-
 class TestVerify:
     def test_bundled_cases_pass(self):
         for M, d in ((matrix_20652(), (2, 2, 1, 1)),):
@@ -288,7 +278,7 @@ def reference_consistency(res):
     its normal form against the full reduced Groebner basis."""
     ring = res.pfaffians[0].ring
     gb = buchberger(Ideal(res.pfaffians, ring), MatrixOrder.grevlex(ring))
-    y = [ring.gen(v) for v in res.ideal_vars]
+    y = [ring.gen(v) for v in IDEAL_VARS]
     return [(i + 1, j + 1, normal_form(y[i] * res.g[j] - y[j] * res.g[i], gb).is_zero())
             for i, j in combinations(range(4), 2)]
 
