@@ -122,17 +122,6 @@ def wall_pivot_potential(W: WeightMatrix5, d, r, abc) -> list[int]:
     return out
 
 
-DRIVE_SECONDS = 25
-
-
-class _DriveTimeout(Exception):
-    pass
-
-
-def _alarm(signum, frame):
-    raise _DriveTimeout()
-
-
 class _RecordingBasket(Basket):
     """A probe basket whose `remove` records a target it lacks instead of
     raising; every copy shares the one record."""
@@ -153,19 +142,12 @@ class _RecordingBasket(Basket):
 
 
 def drive(case: FanoCase, seed: int):
-    """Trace once under the alarm; the trace, or None if it fails or breaks
-    the wall or endpoint template."""
-    import signal
-
-    old = signal.signal(signal.SIGALRM, _alarm)
-    signal.alarm(DRIVE_SECONDS)
+    """Trace once; the trace, or None if it fails or a single-variable wall
+    breaks its prediction.  `trace_link`'s Groebner budget bounds the work."""
     try:
         trace = trace_link(case, seed=seed)
     except Exception:
         return None
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
     return trace if trace.template_ok else None
 
 
@@ -187,7 +169,7 @@ def finalize(case_id: str, abc, d, r, tom_index, W: WeightMatrix5, seed: int,
     basket = Basket([(r, abc)])
     for entry_r, local in missing:
         basket.add(entry_r, local)
-    nodes = trace.flop.count if trace.flop is not None else None
+    nodes = trace.steps[1].count
 
     weights_file = W
     if tom_index != 1:

@@ -314,19 +314,20 @@ def detect_weight_config(w: WeightMatrix5, d: Sequence[int]) -> WeightConfig:
 # ---------------------------------------------------------------------------
 # flops
 
-@dataclass
-class FlopData:
-    count: int
-    matrix_a: list[list[Polynomial]]
-
-
 def minors_ideal(A: list[list[Polynomial]], ring: Ring, size: int = 3) -> Ideal:
     """The ideal of the size x size minors of A."""
     return Ideal([d for rows in combinations(A, size) for d in minors(rows).values()], ring)
 
 
+def on_plane(polys: Iterable[Polynomial]) -> list[Polynomial]:
+    """The polynomials at y = 0, in the ring of the plane P^2(1,1,1)."""
+    P2 = Ring(X_NAMES, ((1, 1, 1),))
+    into = {n: P2.gen(n) for n in X_NAMES} | {n: 0 for n in Y_NAMES}
+    return [substitute(q, into, P2) for q in polys]
+
+
 def count_flops(res: UnprojectionResult, case: FanoCase,
-                budget: int = DEFAULT_BUDGET) -> FlopData:
+                budget: int = DEFAULT_BUDGET) -> int:
     """Number of nodes on the unprojected plane: the length of the rank<=2
     locus of A = Q^T at y = 0, counted in P^2(a,b,c).
 
@@ -334,20 +335,12 @@ def count_flops(res: UnprojectionResult, case: FanoCase,
     which `build_unprojection` certifies, and setting y = 0 is a ring map,
     so the 3x3 minors of A span the ideal of the sixteen products
     p_k * g_j at y = 0 (DECISIONS.md, "The flop locus from the cofactor
-    identity").
+    identity"), and the count is the length of that ideal.
     """
     if case.abc != (1, 1, 1):
         raise LinkError("node counting implemented for P^2(1,1,1) planes only")
-    P2 = Ring(X_NAMES, ((1, 1, 1),))
-    into = {n: P2.gen(n) for n in X_NAMES} | {n: 0 for n in Y_NAMES}
-
-    def plane(q: Polynomial) -> Polynomial:
-        return substitute(q, into, P2)
-
-    A = [[plane(q) for q in column] for column in zip(*res.Q)]
-    p, g = [plane(q) for q in res.p], [plane(q) for q in res.g]
-    count = zero_dim_degree(Ideal([pk * gj for pk in p for gj in g], P2), budget)
-    return FlopData(count, A)
+    p, g = on_plane(res.p), on_plane(res.g)
+    return zero_dim_degree(Ideal([pk * gj for pk in p for gj in g], p[0].ring), budget)
 
 
 def rank_at_point(A2: list[list[Polynomial]], point: Sequence[Fraction]) -> int:
@@ -451,6 +444,9 @@ class QuadExt:
 
     def __truediv__(self, other):
         return self * self._lift(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self._lift(other) * self.inverse()
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -557,18 +553,18 @@ _PRIORITY = ("s", "x1", "x2", "x3", "y1", "y2", "y3", "y4", "t")
 class _PointData:
     """Linear and quadratic coefficients of the generators at a wall point."""
 
-    def __init__(self, gens: Sequence[Polynomial], wall_idx: dict[int, object], one):
-        # wall_idx: variable slot -> point value; `one` is the field unit
+    def __init__(self, gens: Sequence[Polynomial], wall_idx: dict[int, object]):
+        # wall_idx: variable slot -> point value, a Fraction or a QuadExt
         self.rows: list[dict[int, object]] = []
         self.consts: list = []
         self.quads: list[dict[tuple[int, int], object]] = []
         for g in gens:
             lin: dict[int, object] = {}
             quad: dict[tuple[int, int], object] = {}
-            const = one * 0
+            const = 0
             for m, c in g.terms.items():
                 supp = [(i, e) for i, e in enumerate(m) if e and i not in wall_idx]
-                scale = one * c
+                scale = Fraction(c)
                 for i, v in wall_idx.items():
                     if m[i]:
                         scale = scale * v ** m[i]
@@ -576,13 +572,13 @@ class _PointData:
                     const = const + scale
                 elif len(supp) == 1 and supp[0][1] == 1:
                     i = supp[0][0]
-                    lin[i] = lin.get(i, one * 0) + scale
+                    lin[i] = lin.get(i, 0) + scale
                 elif len(supp) == 1 and supp[0][1] == 2:
                     key = (supp[0][0], supp[0][0])
-                    quad[key] = quad.get(key, one * 0) + scale
+                    quad[key] = quad.get(key, 0) + scale
                 elif len(supp) == 2 and supp[0][1] == 1 and supp[1][1] == 1:
                     key = (supp[0][0], supp[1][0])
-                    quad[key] = quad.get(key, one * 0) + scale
+                    quad[key] = quad.get(key, 0) + scale
             self.rows.append({i: v for i, v in lin.items() if v})
             self.quads.append({k: v for k, v in quad.items() if v})
             self.consts.append(const)
@@ -607,16 +603,16 @@ def _greedy_pivots(point: _PointData, ring: Ring, skip: set[int]):
 
 
 def _composed_quad_coeff(point: _PointData, gi: int, t_slot: int, v_slot: int,
-                         L: dict[int, dict[int, object]], pivots: dict[int, int], one):
+                         L: dict[int, dict[int, object]], pivots: dict[int, int]):
     """Coefficient of x_t * x_v in generator gi after eliminating the pivots."""
 
     def image(slot: int) -> dict[int, object]:
         if slot in pivots:
             return L.get(slot, {})
-        return {slot: one}
+        return {slot: 1}
 
     # coefficient of the cross term x_t * x_v (t != v) in the composition
-    total = one * 0
+    total = 0
     for (al, be), c in point.quads[gi].items():
         la, lb = image(al), image(be)
         if al == be:
@@ -641,9 +637,7 @@ def analyze_wall(gens: Sequence[Polynomial], S: Ring,
             for m in g.terms:
                 if m[widx[0]] and all(e == 0 for i, e in enumerate(m) if i != widx[0]):
                     return Isomorphism(wall, f"{wall[0]}^{m[widx[0]]}")
-        flip = _flip_at_point(gens, S, loc, {widx[0]: Fraction(1)}, wall,
-                              point_label=f"P_{wall[0]}", one=Fraction(1))
-        return flip
+        return _flip_at_point(gens, S, loc, {widx[0]: Fraction(1)}, wall, f"P_{wall[0]}")
 
     if len(wall) == 2:
         return _simultaneous_flips(gens, S, loc, wall, widx)
@@ -687,11 +681,11 @@ def _simultaneous_flips(gens, S: Ring, loc: Ring, wall, widx) -> SimultaneousFli
         raise LinkError("wall quadratic form has rank < 2")
     qtext = _quad_text(A, B, C, wall)
 
-    points: list[tuple[dict[int, object], object, str]] = []
+    points: list[tuple[dict[int, object], str]] = []
     if A == 0:
         # roots [1:0] and [-C : B]
-        points.append(({widx[0]: Fraction(1), widx[1]: Fraction(0)}, Fraction(1), "P1"))
-        points.append(({widx[0]: -C / B, widx[1]: Fraction(1)}, Fraction(1), "P2"))
+        points.append(({widx[0]: Fraction(1), widx[1]: Fraction(0)}, "P1"))
+        points.append(({widx[0]: -C / B, widx[1]: Fraction(1)}, "P2"))
     else:
         root = _is_square(disc)
         if disc == 0:
@@ -699,18 +693,15 @@ def _simultaneous_flips(gens, S: Ring, loc: Ring, wall, widx) -> SimultaneousFli
         if root is not None:
             r1 = (-B + root) / (2 * A)
             r2 = (-B - root) / (2 * A)
-            points.append(({widx[0]: r1, widx[1]: Fraction(1)}, Fraction(1), "P1"))
-            points.append(({widx[0]: r2, widx[1]: Fraction(1)}, Fraction(1), "P2"))
+            points.append(({widx[0]: r1, widx[1]: Fraction(1)}, "P1"))
+            points.append(({widx[0]: r2, widx[1]: Fraction(1)}, "P2"))
         else:
             # conjugate pair: analyse over Q[w]/(w^2 - P w - Q0), mirror the result
             P, Q0 = -B / A, -C / A
-            w = QuadExt(0, 1, P, Q0)
-            one = QuadExt(1, 0, P, Q0)
-            points.append(({widx[0]: w, widx[1]: one}, one, "P1"))
+            points.append(({widx[0]: QuadExt(0, 1, P, Q0), widx[1]: QuadExt(1, 0, P, Q0)},
+                           "P1"))
 
-    flips = []
-    for point, one, label in points:
-        flips.append(_flip_at_point(gens, S, loc, point, wall, label, one))
+    flips = [_flip_at_point(gens, S, loc, point, wall, label) for point, label in points]
     if len(flips) == 1:
         flips.append(replace(flips[0], point="P2"))
     return SimultaneousFlips(wall, (flips[0], flips[1]), qtext)
@@ -725,8 +716,8 @@ def _quad_text(A, B, C, wall) -> str:
 
 
 def _flip_at_point(gens, S: Ring, loc: Ring, point: dict[int, object], wall,
-                   point_label: str, one) -> Flip:
-    pd = _PointData(gens, point, one)
+                   point_label: str) -> Flip:
+    pd = _PointData(gens, point)
     for gi, c in enumerate(pd.consts):
         if c:
             raise LinkError(
@@ -755,7 +746,7 @@ def _flip_at_point(gens, S: Ring, loc: Ring, point: dict[int, object], wall,
                 vs = S.index[v]
                 if weights[v] >= 0 or vs == t_slot:
                     continue
-                corrected = _composed_quad_coeff(pd, gi, t_slot, vs, L, pivots, one)
+                corrected = _composed_quad_coeff(pd, gi, t_slot, vs, L, pivots)
                 if corrected:
                     hdeg = bidegree(Polynomial(loc, gens[gi].terms, _clean=True)).top
                     hyp_pair = ("t", v)
@@ -1123,7 +1114,6 @@ class LinkTrace:
     config: WeightConfig
     steps: list
     baskets: list[Basket]
-    flop: FlopData | None
     blowup: BlowupData
     template_ok: bool
     template_notes: list[str]
@@ -1131,15 +1121,6 @@ class LinkTrace:
     @property
     def endpoint(self):
         return self.steps[-1]
-
-
-def normalized_weight_matrix(case: FanoCase) -> WeightMatrix5:
-    from .pfaffian import PAIRS
-    from .unprojection import tom_normalising_permutation
-
-    perm = tom_normalising_permutation(case.tom_k)
-    return WeightMatrix5({(i, j): case.matrix_weights[(perm[i], perm[j])]
-                          for (i, j) in PAIRS})
 
 
 COMPLEMENTARY_PAIRS = (((2, 3), (4, 5)), ((2, 4), (3, 5)), ((2, 5), (3, 4)))
@@ -1154,56 +1135,38 @@ def wall_skip_expected(weights: WeightMatrix5, wall_weight: int) -> bool:
                for p, q in COMPLEMENTARY_PAIRS)
 
 
-def expected_middle_kinds(middle: list[list[str]], norm_weights: WeightMatrix5,
-                          d: Sequence[int]) -> list[str]:
-    out = []
-    weight_of = dict(zip(Y_NAMES, d))
-    for wall in middle:
-        if len(wall) == 2:
-            out.append("SimultaneousFlips")
-        elif wall_skip_expected(norm_weights, weight_of[wall[0]]):
-            out.append("Isomorphism")
-        else:
-            out.append("Flip")
-    return out
-
-
-ENDPOINT_KIND = {
-    "i": ("DivisorialContractionToFano", (2, 0)),
-    "ii": ("DivisorialContractionToFano", (2, 1)),
-    "iii": ("DivisorialContractionToFano", (2, 0)),
-    "iv": ("DelPezzoFibration", None),
-    "v": ("DelPezzoFibration", None),
-    "vi": ("ConicBundle", None),
-    "vii": ("DivisorialContractionToFano", (2, 1)),
-    "viii": ("ConicBundle", None),
-}
-
-
 def trace_link(case: FanoCase, seed: int = 0, budget: int = DEFAULT_BUDGET) -> LinkTrace:
-    """Run the full birational link for one case."""
-    M = case.build_matrix(seed)
-    fmt = TomFormat(case.tom_k)
-    res = build_unprojection(M, fmt, case.r)
+    """Run the full birational link for one case.
+
+    The weights fix the shape of the link: a two-variable wall is two
+    simultaneous flips (`analyze_wall` raises otherwise) and the last wall
+    group picks the endpoint.  Only a single-variable wall can go either
+    way, so the template check compares it alone with its prediction
+    (DECISIONS.md, "The link template compares only what can differ").
+    """
+    res = build_unprojection(case.build_matrix(seed), TomFormat(case.tom_k), case.r)
     S = kawamata_scroll(case)
     blow = blowup_ideal(res, S, case)
     tag = classify_case(case.d)
-    norm_weights = normalized_weight_matrix(case)
-    config = detect_weight_config(norm_weights, case.d)
+    config = detect_weight_config(res.weights, case.d)
 
     steps: list = [KawamataBlowup((case.r, case.abc))]
-    flop_data = None
-    if case.abc == (1, 1, 1):
-        flop_data = count_flops(res, case, budget)
-        steps.append(Flop(flop_data.count, case.declared_nodes))
-    else:
-        steps.append(Flop(None, case.declared_nodes))  # nodes are counted on P^2 only
+    nodes = count_flops(res, case, budget) if case.abc == (1, 1, 1) else None  # P^2 only
+    steps.append(Flop(nodes, case.declared_nodes))
 
     groups = wall_groups(case.d)
     divisorial = len(groups[-1]) == 1
     middle = groups[:-2] if divisorial else groups[:-1]
+    notes: list[str] = []
     for wall in middle:
-        steps.append(analyze_wall(blow.generators, S, wall))
+        step = analyze_wall(blow.generators, S, wall)
+        if len(wall) == 1:
+            skip = wall_skip_expected(res.weights, S.top[S.index[wall[0]]])
+            want, got = "Isomorphism" if skip else "Flip", type(step).__name__
+            if got != want:
+                notes.append(f"wall {wall}: expected {want}, computed {got}")
+        steps.append(step)
+    template_ok = not notes
 
     if divisorial:
         kind = (2, 0) if len(groups[-2]) == 1 else (2, 1)
@@ -1216,28 +1179,10 @@ def trace_link(case: FanoCase, seed: int = 0, budget: int = DEFAULT_BUDGET) -> L
         steps.append(conic_discriminant_or_note(pf_part, S, groups[-1], budget))
 
     baskets = track_basket(steps, case)
+    if nodes is not None and case.declared_nodes is not None and nodes != case.declared_nodes:
+        notes.append(f"computed {nodes} nodes, declared {case.declared_nodes}")
 
-    notes: list[str] = []
-    expected = expected_middle_kinds(middle, norm_weights, case.d)
-    ok = True
-    for want, got, wall in zip(expected, steps[2:], middle):
-        kind = type(got).__name__
-        if kind != want:
-            ok = False
-            notes.append(f"wall {wall}: expected {want}, computed {kind}")
-    want_kind, want_type = ENDPOINT_KIND[tag]
-    last = steps[-1]
-    if type(last).__name__ != want_kind:
-        ok = False
-        notes.append(f"endpoint: expected {want_kind}, computed {type(last).__name__}")
-    elif want_type is not None and last.kind != want_type:
-        ok = False
-        notes.append(f"endpoint type {last.kind} != expected {want_type}")
-    if flop_data is not None and case.declared_nodes is not None \
-            and flop_data.count != case.declared_nodes:
-        notes.append(f"computed {flop_data.count} nodes, declared {case.declared_nodes}")
-
-    return LinkTrace(case, tag, config, steps, baskets, flop_data, blow, ok, notes)
+    return LinkTrace(case, tag, config, steps, baskets, blow, template_ok, notes)
 
 
 def verify_blowup_saturation(blow: BlowupData, budget: int = DEFAULT_BUDGET) -> bool:

@@ -661,9 +661,11 @@ def hilbert_numerator(lead_monos: Sequence[Mono]) -> list[int]:
 
 
 def projective_dim_degree(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
-    """(projective dimension, degree) of Proj(ring/ideal) for weights all 1."""
+    """(projective dimension, degree) of Proj(ring/ideal) for weights all 1;
+    a generator not homogeneous in total degree raises AlgebraError."""
     ring = ideal.ring
     order = MatrixOrder.grevlex(ring, weights=(1,) * ring.nvars)
+    _grading(ideal, order, "projective_dim_degree")
     gb = buchberger(ideal, order, budget)
     leads = [order.unpack(e[0]) for e in gb.entries]
     num = hilbert_numerator(leads)
@@ -695,7 +697,6 @@ def zero_dim_degree(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> int:
     NotZeroDimensional and a generator that is not homogeneous in total
     degree raises AlgebraError, since the theorem does not apply.
     """
-    _require_homogeneous(ideal, (1,) * ideal.ring.nvars)
     dim, deg = projective_dim_degree(ideal, budget)
     if dim > 0:
         raise NotZeroDimensional(f"the scheme has dimension {dim}")

@@ -101,8 +101,8 @@ class UnprojectionResult:
     Q: list[list[Polynomial]]     # Q . y = the linear pfaffians of the normalised matrix
     pfaffians: list[Polynomial]   # the five pfaffians of the input matrix
     X_ideal: Ideal                # 9 generators in the ring extended by s
-    ring_x: Ring                  # ambient of X (with s)
     s_weight: int
+    weights: WeightMatrix5        # of the normalised matrix that p and Q belong to
 
 
 def _cofactor_row(Q: list[list[Polynomial]], i: int) -> list[Polynomial]:
@@ -187,8 +187,8 @@ def build_unprojection(M: SkewMatrix5, fmt: TomFormat, s_weight: int) -> Unproje
     for j, v in enumerate(IDEAL_VARS):
         gens.append(s * ring_x.gen(v) - _append_s(g[j], ring_x))
     return UnprojectionResult(
-        g=g, p=p, Q=Q, pfaffians=pf_orig, X_ideal=Ideal(gens, ring_x), ring_x=ring_x,
-        s_weight=s_weight)
+        g=g, p=p, Q=Q, pfaffians=pf_orig, X_ideal=Ideal(gens, ring_x), s_weight=s_weight,
+        weights=Mn.weights)
 
 
 def _append_s(q: Polynomial, ring_x: Ring) -> Polynomial:

@@ -3,7 +3,7 @@ import hashlib
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -31,15 +31,18 @@ from tomlinks.birational import (
     detect_weight_config,
     kawamata_scroll,
     minors_ideal,
+    on_plane,
     picard_report,
     rank_at_point,
     trace_link,
     track_basket,
     verify_blowup_saturation,
+    wall_groups,
     wall_skip_expected,
     zero_dim_degree,
 )
 from tomlinks.casefile import bundled_case_names, load_bundled
+from tomlinks.cli import main
 from tomlinks.groebner import BudgetExceeded, Ideal, MatrixOrder, buchberger, saturate
 from tomlinks.pfaffian import IDEAL_VARS, TomFormat, WeightMatrix5, build_general_tom
 from tomlinks.report import step_dict
@@ -208,26 +211,31 @@ PLANE_CASES = [name for name in bundled_case_names()
 
 @lru_cache(maxsize=None)
 def plane_flops(name):
-    """(case, unprojection, flop data) of a bundled P^2 case."""
+    """(case, unprojection, node count) of a bundled P^2 case."""
     case = load_bundled(name).to_fano_case()
     res = build_unprojection(case.build_matrix(0), TomFormat(case.tom_k), case.r)
     return case, res, count_flops(res, case)
 
 
+def flop_matrix(res):
+    """A = Q^T at y = 0."""
+    return [on_plane(column) for column in zip(*res.Q)]
+
+
 class TestFlops:
     @pytest.mark.parametrize("name", PLANE_CASES)
     def test_counts(self, name):
-        case, _, fd = plane_flops(name)
+        case, _, count = plane_flops(name)
         # 24097's declared 8 contradicts its displayed matrix (known defect 3a)
         expected = 6 if name == "24097" else case.declared_nodes
-        assert fd.count == expected
+        assert count == expected
 
     @pytest.mark.parametrize("name", PLANE_CASES)
     def test_minors_are_the_cofactor_products(self, name):
         # count_flops counts the ideal of the products p_k*g_j at y = 0; the
         # 3x3 minors of A, by the independent route, are the same sixteen
         # polynomials up to sign
-        _, res, fd = plane_flops(name)
+        _, res, _ = plane_flops(name)
         P2 = Ring(("x1", "x2", "x3"), [(1, 1, 1)])
         into = {n: P2.gen(n) for n in ("x1", "x2", "x3")} | {y: 0 for y in IDEAL_VARS}
         p, g = ([substitute(q, into, P2) for q in qs] for qs in (res.p, res.g))
@@ -236,7 +244,7 @@ class TestFlops:
         def up_to_sign(polys):
             return sorted(sorted((str(q), str(-q))) for q in polys if q)
 
-        assert up_to_sign(minors_ideal(fd.matrix_a, P2, 3).generators) == up_to_sign(products)
+        assert up_to_sign(minors_ideal(flop_matrix(res), P2, 3).generators) == up_to_sign(products)
 
     def test_weighted_plane_records_no_count(self):
         # nodes are counted on P^2 only: a declared count stays a declaration
@@ -253,7 +261,7 @@ class TestFlops:
         sp = pytest.importorskip("sympy")
         res = build_unprojection(case_24097.build_matrix(0), TomFormat(1), 2)
         A = sp.Matrix([[sp.sympify(str(e).replace("^", "**")) for e in row]
-                       for row in count_flops(res, case_24097).matrix_a])
+                       for row in flop_matrix(res)])
         x1, x2, x3 = sp.symbols("x1 x2 x3")
         minors = [A.extract(list(r), list(c)).det() for r in combinations(range(4), 3)
                   for c in combinations(range(4), 3)]
@@ -265,9 +273,8 @@ class TestFlops:
 
     def test_nodes_avoid_x1_zero(self, case_10985):
         res = build_unprojection(case_10985.build_matrix(0), TomFormat(1), 2)
-        fd = count_flops(res, case_10985)
         P2 = Ring(("x1", "x2", "x3"), [(1, 1, 1)])
-        minors = minors_ideal(fd.matrix_a, P2, 3)
+        minors = minors_ideal(flop_matrix(res), P2, 3)
         cut = Ideal(minors.generators + [P2.gen("x1")], P2)
         assert zero_dim_degree(cut) == 0
 
@@ -275,21 +282,17 @@ class TestFlops:
         import random
 
         res = build_unprojection(case_10985.build_matrix(0), TomFormat(1), 2)
-        fd = count_flops(res, case_10985)
+        A = flop_matrix(res)
         rng = random.Random(11)
         for _ in range(20):
             point = [Fraction(rng.randint(-30, 30)) for _ in range(3)]
             if all(v == 0 for v in point):
                 point[0] = Fraction(1)
-            assert rank_at_point(fd.matrix_a, point) == 3
+            assert rank_at_point(A, point) == 3
         # rank never drops below 2 anywhere on the node locus: the combined
         # 2x2 + 3x3 minor scheme is empty
         P2 = Ring(("x1", "x2", "x3"), [(1, 1, 1)])
-        both = Ideal(
-            minors_ideal(fd.matrix_a, P2, 2).generators
-            + minors_ideal(fd.matrix_a, P2, 3).generators,
-            P2,
-        )
+        both = Ideal(minors_ideal(A, P2, 2).generators + minors_ideal(A, P2, 3).generators, P2)
         assert zero_dim_degree(both) == 0
 
 
@@ -331,6 +334,8 @@ class TestQuadExt:
         assert (x + y) * (x - y) == x * x - y * y
         if x:
             assert x * x.inverse() == QuadExt(1, 0, 1, -1)
+            # a rational on the left stays in the field: wall points mix the two
+            assert Fraction(c) / x == QuadExt(c, 0, 1, -1) / x
 
     def test_root_property(self):
         w = QuadExt(0, 1, 1, -1)
@@ -494,6 +499,67 @@ class TestWallSkipPredicate:
         assert not wall_skip_expected(case_10985.matrix_weights, 6)
 
 
+@lru_cache(maxsize=None)
+def bundled_trace(name):
+    return trace_link(load_bundled(name).to_fano_case(), seed=0)
+
+
+# the paper's endpoint for each equality pattern of the ideal weights: the
+# class of the last step and, for a divisorial contraction, its type
+ENDPOINT_KIND = {
+    "i": (DivisorialContractionToFano, (2, 0)),
+    "ii": (DivisorialContractionToFano, (2, 1)),
+    "iii": (DivisorialContractionToFano, (2, 0)),
+    "iv": (DelPezzoFibration, None),
+    "v": (DelPezzoFibration, None),
+    "vi": (ConicBundle, None),
+    "vii": (DivisorialContractionToFano, (2, 1)),
+    "viii": (ConicBundle, None),
+}
+# every sorted d in {1..5}^4
+PATTERNS = [d for d in product(range(5, 0, -1), repeat=4) if list(d) == sorted(d, reverse=True)]
+
+
+class TestLinkTemplate:
+    @pytest.mark.parametrize("name", bundled_case_names())
+    def test_endpoint_matches_the_tag(self, name):
+        trace = bundled_trace(name)
+        cls, kind = ENDPOINT_KIND[trace.tag]
+        assert type(trace.endpoint) is cls
+        assert kind is None or trace.endpoint.kind == kind
+
+    def test_middle_walls_have_one_or_two_variables(self):
+        # a two-variable wall is always SimultaneousFlips, so the template
+        # compares only the single-variable walls with their prediction;
+        # and the last groups give the table's endpoint on every pattern
+        assert len(PATTERNS) == 70
+        assert {classify_case(d) for d in PATTERNS} == set(ENDPOINT_KIND)
+        for d in PATTERNS:
+            groups = wall_groups(d)
+            sizes = [len(g) for g in groups]
+            middle = sizes[:-2] if sizes[-1] == 1 else sizes[:-1]
+            assert set(middle) <= {1, 2}, d
+            if sizes[-1] == 1:
+                got = (DivisorialContractionToFano, (2, 0) if sizes[-2] == 1 else (2, 1))
+            else:
+                got = (DelPezzoFibration if sizes[-1] == 2 else ConicBundle, None)
+            assert got == ENDPOINT_KIND[classify_case(d)], d
+
+    def test_a_broken_prediction_fails_the_template(self, case_10985, monkeypatch):
+        real = birational.wall_skip_expected
+        monkeypatch.setattr(birational, "wall_skip_expected", lambda *args: not real(*args))
+        trace = trace_link(case_10985, seed=0)
+        assert not trace.template_ok
+        assert trace.template_notes == ["wall ['y1']: expected Isomorphism, computed Flip",
+                                        "wall ['y2']: expected Flip, computed Isomorphism"]
+        assert main(["trace", "--case", "10985"]) == 1
+
+    def test_declared_nodes_note_leaves_the_template(self, case_10985):
+        trace = trace_link(dataclasses.replace(case_10985, declared_nodes=23), seed=0)
+        assert trace.template_ok
+        assert trace.template_notes == ["computed 24 nodes, declared 23"]
+
+
 class TestTraces:
     def test_10985_full(self, case_10985):
         trace = trace_link(case_10985, seed=0)
@@ -622,7 +688,7 @@ SCALED_K = pytest.mark.xfail(
 
 @lru_cache(maxsize=None)
 def divisorial_endpoint(name):
-    trace = trace_link(load_bundled(name).to_fano_case(), seed=0)
+    trace = bundled_trace(name)
     assert isinstance(trace.endpoint, DivisorialContractionToFano)
     return trace.endpoint.endpoint
 

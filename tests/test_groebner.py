@@ -628,6 +628,12 @@ class TestHilbert:
         dim, deg = projective_dim_degree(Ideal([parse("x1*x4 - x2*x3", P3)]))
         assert (dim, deg) == (2, 2)
 
+    def test_rejects_inhomogeneous_generator(self):
+        # the Hilbert series of this ideal's lead terms reads (0, 4), a
+        # degree that an inhomogeneous ideal does not have
+        with pytest.raises(AlgebraError, match="not homogeneous"):
+            projective_dim_degree(Ideal([parse("x1^2 - x2", P2), parse("x2^2 - x3", P2)]))
+
     def test_generic_pfaffian_quintic(self):
         # five quadratic pfaffians of a generic skew matrix of linear forms
         # cut a quintic surface: degree 5 by Hilbert series
@@ -737,12 +743,12 @@ class TestSympyCrossCheck:
                                                                  ideal.ring)
 
     def test_flop_minor_ideal_of_10985(self, sympy, case_10985):
-        from tomlinks.birational import count_flops, minors_ideal
+        from tomlinks.birational import minors_ideal, on_plane
         from tomlinks.pfaffian import TomFormat
         from tomlinks.unprojection import build_unprojection
 
         res = build_unprojection(case_10985.build_matrix(0), TomFormat(1), 2)
-        A = count_flops(res, case_10985).matrix_a
+        A = [on_plane(column) for column in zip(*res.Q)]
         ideal = minors_ideal(A, A[0][0].ring)
         gb = buchberger(ideal, MatrixOrder.grevlex(ideal.ring))
         assert {terms_of(g) for g in gb.elements} == sympy_basis(sympy, ideal.generators,

@@ -316,8 +316,9 @@ def test_eliminating_s_recovers_pfaffians():
     res = build_unprojection(M, TomFormat(1), s_weight=2)
     el = eliminate(res.X_ideal, ["s"])
     assert el.generators
-    order = MatrixOrder.grevlex(res.ring_x)
+    ring_x = res.X_ideal.ring
+    order = MatrixOrder.grevlex(ring_x)
     gb = buchberger(el, order)
-    lift = {n: res.ring_x.gen(n) for n in R20652.names}
+    lift = {n: ring_x.gen(n) for n in R20652.names}
     for pf in res.pfaffians:
-        assert normal_form(substitute(pf, lift, res.ring_x), gb).is_zero()
+        assert normal_form(substitute(pf, lift, ring_x), gb).is_zero()
