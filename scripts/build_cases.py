@@ -81,7 +81,7 @@ def candidate_weight_matrices(d: tuple[int, ...], r: int):
             yield W
 
 
-def wall_pivot_potential(W: WeightMatrix5, d, r, abc) -> list[int]:
+def wall_pivot_potential(W: WeightMatrix5, d, abc) -> list[int]:
     """Per middle wall, how many variables can show a lone scalar linear term
     at the wall point (s not counted).
 
@@ -92,12 +92,8 @@ def wall_pivot_potential(W: WeightMatrix5, d, r, abc) -> list[int]:
     """
     from tomlinks.birational import wall_groups, wall_skip_expected
 
-    m12, m13, m23 = W[(1, 2)], W[(1, 3)], W[(2, 3)]
-    v1 = m12 + m13 - m23
-    v = [v1] + [2 * W[(1, j)] - v1 for j in (2, 3, 4, 5)]
-    U2 = sum(v)
-    pf_lin_degrees = {(U2 - v[j]) // 2 for j in (1, 2, 3, 4)}
-    pf_quad_degree = (U2 - v[0]) // 2
+    pf_lin_degrees = {W.pfaffian_degree(k) for k in (2, 3, 4, 5)}
+    pf_quad_degree = W.pfaffian_degree(1)
 
     groups = wall_groups(d)
     divisorial = len(groups[-1]) == 1
@@ -171,11 +167,10 @@ def finalize(case_id: str, abc, d, r, tom_index, W: WeightMatrix5, seed: int,
         basket.add(entry_r, local)
     nodes = trace.steps[1].count
 
-    weights_file = W
-    if tom_index != 1:
-        perm = tom_normalising_permutation(tom_index)
-        weights_file = WeightMatrix5({(i, j): W[(perm[i], perm[j])] for (i, j) in PAIRS})
-        # presenting in Tom_k labelling: permuting back must normalise to W
+    # the Tom_k labelling of W: build_unprojection's normalising
+    # permutation takes it back to W
+    perm = tom_normalising_permutation(tom_index)
+    weights_file = W.permuted({old: new for new, old in perm.items()})
     a, b, c = abc
     lines = [f"# {comment}"]
     lines.append(f"id = {case_id}")
@@ -338,7 +333,7 @@ def build_table1(only: str | None = None):
                 continue  # the Picard chain needs a divisorial endpoint
             ranked = []
             for W in candidate_weight_matrices(d, r):
-                pots = wall_pivot_potential(W, d, r, abc)
+                pots = wall_pivot_potential(W, d, abc)
                 if any(p < 3 for p in pots):
                     continue
                 ranked.append((sum(abs(p - 3) for p in pots), W))

@@ -464,7 +464,10 @@ def parse(text: str, ring: Ring) -> Polynomial:
             if tok == "^":
                 raise ParseError("exponent with no base")
             if tok[0].isdigit():
-                coeff *= Fraction(tok)
+                try:
+                    coeff *= Fraction(tok)
+                except ZeroDivisionError:
+                    raise ParseError(f"zero denominator in {tok!r}")
                 i += 1
             else:
                 names = _split_variables(tok, ring)

@@ -46,12 +46,14 @@ from .groebner import (
 )
 from .pfaffian import (
     IDEAL_VARS,
+    PAIRS,
     SkewMatrix5,
     TomFormat,
     WeightMatrix5,
     build_general_tom,
+    complement_pairs,
 )
-from .unprojection import UnprojectionResult, build_unprojection
+from .unprojection import UnprojectionResult, build_unprojection, tom_normalising_permutation
 
 SCROLL_NAMES = ("t", "s", "x1", "x2", "x3", "y1", "y2", "y3", "y4")
 Y_NAMES = IDEAL_VARS
@@ -221,9 +223,8 @@ def blowup_ideal(res: UnprojectionResult, S: Ring, case: FanoCase) -> BlowupData
     raw: list[Polynomial] = []
 
     pf = res.pfaffians
-    # order pfaffians so the y-quadratic one (slot tom_k) comes first
-    order = [case.tom_k] + [i for i in range(1, 6) if i != case.tom_k]
-    for pos, i in enumerate(order):
+    # the y-quadratic pfaffian (slot tom_k) first, the rest in order
+    for pos, i in enumerate(tom_normalising_permutation(case.tom_k).values()):
         pulled = substitute(pf[i - 1], alpha, S)
         raw.append(pulled)
         h, k = divide_out(pulled, "t")
@@ -290,8 +291,7 @@ def detect_weight_config(w: WeightMatrix5, d: Sequence[int]) -> WeightConfig:
     pure square of an ideal variable appear in the blown-up equations, so a
     wall crossing restricts to an isomorphism.
     """
-    m = {p: w[p] for p in ((1, 2), (1, 3), (1, 4), (1, 5),
-                           (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5))}
+    m = {p: w[p] for p in PAIRS}
 
     if m[(2, 4)] == m[(2, 5)] == m[(3, 4)] == m[(3, 5)]:
         pi = m[(2, 4)]
@@ -1123,16 +1123,13 @@ class LinkTrace:
         return self.steps[-1]
 
 
-COMPLEMENTARY_PAIRS = (((2, 3), (4, 5)), ((2, 4), (3, 5)), ((2, 5), (3, 4)))
-
-
 def wall_skip_expected(weights: WeightMatrix5, wall_weight: int) -> bool:
     """A single-variable wall is skipped when the quadratic pfaffian can carry
     a pure square of the wall variable: some complementary pair of ideal
     entries has both weights equal to the wall weight.  (Configuration (b)
     with pi equal to that weight is the typical source.)"""
     return any(weights[p] == wall_weight and weights[q] == wall_weight
-               for p, q in COMPLEMENTARY_PAIRS)
+               for p, q in complement_pairs(1))
 
 
 def trace_link(case: FanoCase, seed: int = 0, budget: int = DEFAULT_BUDGET) -> LinkTrace:

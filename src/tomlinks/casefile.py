@@ -94,6 +94,8 @@ def _parse_quotient(tok: str, line: int) -> tuple[int, tuple[int, int, int]]:
         raise CaseFileError(f"bad quotient singularity {tok!r}", line)
     if len(weights) != 3:
         raise CaseFileError(f"quotient needs three weights: {tok!r}", line)
+    if r < 2:
+        raise CaseFileError(f"quotient index {r} is below 2: {tok!r}", line)
     return (r, weights)
 
 

@@ -46,10 +46,7 @@ class WeightMatrix5:
             raise PfaffianError("weight matrix needs exactly the 10 upper-triangle slots")
         object.__setattr__(self, "m", entries)
         for k in range(1, 6):
-            degs = {
-                entries[_pair(i, j)] + entries[_pair(a, b)]
-                for (i, j), (a, b) in _complement_pairs(k)
-            }
+            degs = {entries[p] + entries[q] for p, q in complement_pairs(k)}
             if len(degs) > 1:
                 raise PfaffianError(
                     f"pfaffian {k} would be inhomogeneous: partial degrees {sorted(degs)}"
@@ -59,8 +56,12 @@ class WeightMatrix5:
         return self.m[_pair(*ij)]
 
     def pfaffian_degree(self, k: int) -> int:
-        (i, j), (a, b) = next(iter(_complement_pairs(k)))
-        return self.m[_pair(i, j)] + self.m[_pair(a, b)]
+        p, q = complement_pairs(k)[0]
+        return self.m[p] + self.m[q]
+
+    def permuted(self, perm: Mapping[int, int]) -> "WeightMatrix5":
+        """Relabel rows and columns: weight (i,j) <- old (perm[i], perm[j])."""
+        return WeightMatrix5({(i, j): self[(perm[i], perm[j])] for (i, j) in PAIRS})
 
     @classmethod
     def from_list(cls, values: Iterable[int]) -> "WeightMatrix5":
@@ -77,11 +78,22 @@ def _pair(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def _complement_pairs(k: int):
-    """The three 2+2 splittings of {1..5} minus {k}."""
-    rest = [i for i in range(1, 6) if i != k]
-    a, b, c, d = rest
+def complement_pairs(k: int):
+    """The three 2+2 splittings of {1..5} minus {k}, as ordered pairs, in
+    the order of the pfaffian expansion ab.cd - ac.bd + ad.bc."""
+    a, b, c, d = (i for i in range(1, 6) if i != k)
     return (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
+
+
+def signed_pfaffian(table: Mapping[tuple[int, int], Polynomial], k: int) -> Polynomial:
+    """Pf_k = (-1)^(k+1) pf(M with row/col k deleted), M given by its
+    upper-triangle entry table.
+
+    The signs are fixed so that M . (Pf_1..Pf_5)^T = 0 identically.
+    """
+    sign = 1 if k % 2 else -1
+    return dot((s * sign, table[p], table[q])
+               for s, (p, q) in zip((1, -1, 1), complement_pairs(k)))
 
 
 @dataclass(frozen=True)
@@ -126,34 +138,13 @@ class SkewMatrix5:
 
     def permuted(self, perm: Mapping[int, int]) -> "SkewMatrix5":
         """Conjugate by a row/column permutation (entry (i,j) <- old (perm[i], perm[j]))."""
-        new_entries = {}
-        new_weights = {}
-        for (i, j) in PAIRS:
-            a, b = perm[i], perm[j]
-            p = self[(a, b)]
-            new_entries[(i, j)] = p
-            new_weights[(i, j)] = self.weights[_pair(a, b)]
-        return SkewMatrix5(new_entries, WeightMatrix5(new_weights), self.ring)
-
-
-def _pf4(m: Mapping[tuple[int, int], Polynomial], idx: tuple[int, int, int, int]) -> Polynomial:
-    a, b, c, d = idx
-    return dot(((1, m[_pair(a, b)], m[_pair(c, d)]), (-1, m[_pair(a, c)], m[_pair(b, d)]),
-                (1, m[_pair(a, d)], m[_pair(b, c)])))
+        return SkewMatrix5({(i, j): self[(perm[i], perm[j])] for (i, j) in PAIRS},
+                           self.weights.permuted(perm), self.ring)
 
 
 def maximal_pfaffians(M: SkewMatrix5) -> list[Polynomial]:
-    """The five signed 4x4 pfaffians: Pf_i = (-1)^(i+1) pf(M with row/col i deleted).
-
-    The signs are fixed so that M . (Pf_1..Pf_5)^T = 0 identically.
-    """
-    table = {p: M.entries[p] for p in PAIRS}
-    out = []
-    for i in range(1, 6):
-        idx = tuple(k for k in range(1, 6) if k != i)
-        pf = _pf4(table, idx)
-        out.append(pf if i % 2 == 1 else -pf)
-    return out
+    """The five signed 4x4 pfaffians Pf_1..Pf_5 (see `signed_pfaffian`)."""
+    return [signed_pfaffian(M.entries, k) for k in range(1, 6)]
 
 
 def is_ideal_element(p: Polynomial, ideal_indices: tuple[int, ...]) -> bool:
@@ -185,11 +176,11 @@ def build_general_tom(weights: WeightMatrix5, fmt: TomFormat, ambient: Ring,
     """
     idx = _ideal_indices(ambient)
     entries = {}
+    constrained = constrained_pairs(fmt)
     for (i, j) in PAIRS:
         d = weights[(i, j)]
-        constrained = i != fmt.k and j != fmt.k
         entry_seed = mix_seed(seed, "tom_entry", i, j)
-        if constrained:
+        if (i, j) in constrained:
             entries[(i, j)] = random_general(
                 d, ambient, constraint=lambda m: any(m[k] for k in idx), seed=entry_seed
             )

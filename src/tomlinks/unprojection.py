@@ -8,7 +8,7 @@ relabelling so the unconstrained row is row 1, with entries p_1..p_4):
   * Q[i][j] = i-th linear pfaffian of N_j, so that Q . y = (linear pfaffians),
   * H_i = i-th row of the cofactor matrix C of Q for the first i with
     p_i != 0, and g = H_i / p_i by four exact divisions,
-  * p^T Q = 0 checked: row 1 of N_j . Pf(N_j) = 0 (see `maximal_pfaffians`),
+  * p^T Q = 0 checked: row 1 of N_j . Pf(N_j) = 0 (see `signed_pfaffian`),
   * Q . g = 0 checked on the three rows k != i.
 
 The first check lets row i stand for the whole cofactor matrix C, so the
@@ -39,7 +39,6 @@ from .algebra import (
     NotDivisible,
     Polynomial,
     Ring,
-    bidegree,
     dot,
     exact_divide,
     minors,
@@ -50,9 +49,9 @@ from .pfaffian import (
     SkewMatrix5,
     TomFormat,
     WeightMatrix5,
-    check_tom,
     constrained_pairs,
     maximal_pfaffians,
+    signed_pfaffian,
 )
 
 
@@ -65,10 +64,11 @@ def decompose_entries(M: SkewMatrix5,
     """alpha[(k, l)][j] with a_{k,l} = sum_j alpha_j * y_{j+1} for the
     constrained entries.
 
-    Greedy decomposition: y1-divisible terms feed alpha_1, then y2, y3, y4.
+    Greedy decomposition: each term c*x^m goes to the part of the first y_s
+    that divides it, as c*x^m / y_s, so distinct terms stay distinct within
+    a part and sum_s y_s * alpha_s is the entry term by term.  A term with
+    no y factor means the matrix is not in Tom format.
     """
-    if not check_tom(M, fmt):
-        raise UnprojectionError(f"matrix is not in Tom_{fmt.k} format")
     ring = M.ring
     yidx = [ring.index[v] for v in IDEAL_VARS]
     alpha: dict[tuple[int, int], list[Polynomial]] = {}
@@ -86,11 +86,6 @@ def decompose_entries(M: SkewMatrix5,
                     f"constrained entry {(k, l)} has a term with no y factor"
                 )
         alpha[(k, l)] = [Polynomial(ring, p, _clean=True) for p in parts]
-    # recombination must reproduce each entry exactly
-    ygens = [ring.gen(v) for v in IDEAL_VARS]
-    for (k, l), parts in alpha.items():
-        if dot((1, a, y) for a, y in zip(parts, ygens)) != M.entries[(k, l)]:
-            raise UnprojectionError(f"decomposition failed to recombine entry {(k, l)}")
     return alpha
 
 
@@ -119,20 +114,12 @@ def _cofactor_row(Q: list[list[Polynomial]], i: int) -> list[Polynomial]:
 def _linear_pfaffian_matrix(Mn: SkewMatrix5) -> list[list[Polynomial]]:
     """Q for the Tom_1 matrix Mn: column j holds the linear pfaffians of N_j,
     Mn with each constrained entry replaced by its alpha_j."""
-    ring = Mn.ring
-    fmt1 = TomFormat(1)
-    alpha = decompose_entries(Mn, fmt1)
+    alpha = decompose_entries(Mn, TomFormat(1))
     Q = [[None] * 4 for _ in range(4)]
     for slot in range(4):
-        entries = {(1, j): Mn.entries[(1, j)] for j in range(2, 6)}
-        wts = {(1, j): Mn.weights[(1, j)] for j in range(2, 6)}
-        d_slot = bidegree(ring.gen(IDEAL_VARS[slot])).top
-        for (k, l) in constrained_pairs(fmt1):
-            entries[(k, l)] = alpha[(k, l)][slot]
-            wts[(k, l)] = Mn.weights[(k, l)] - d_slot
-        lin = maximal_pfaffians(SkewMatrix5(entries, WeightMatrix5(wts), ring))
+        table = Mn.entries | {pair: parts[slot] for pair, parts in alpha.items()}
         for i in range(4):
-            Q[i][slot] = lin[i + 1]
+            Q[i][slot] = signed_pfaffian(table, i + 2)
     return Q
 
 

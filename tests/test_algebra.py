@@ -81,6 +81,11 @@ class TestParse:
         with pytest.raises(ParseError, match="must join two factors"):
             parse(text, R7)
 
+    @pytest.mark.parametrize("text", ["2/0", "0/0*x1", "x1 - 3/00y4"])
+    def test_zero_denominator_names_its_token(self, text):
+        with pytest.raises(ParseError, match=r"zero denominator in '\d+/0+'"):
+            parse(text, R7)
+
     def test_juxtaposition_beside_star(self):
         assert parse("2x1y4 - 3*y1", R7).terms == {(1, 0, 0, 0, 0, 0, 1): 2,
                                                    (0, 0, 0, 1, 0, 0, 0): -3}

@@ -115,10 +115,13 @@ class TestCli:
          "ideal weights not sorted"),
         ("m12 = x1", "m12 = x1 + w", 9, "entry m12: unknown variable"),
         ("m12 = x1", "m12 = x1 +* x2", 9, "entry m12: a '\\*' must join two factors"),
+        ("m12 = x1", "m12 = 1/0*x1", 9, "entry m12: zero denominator in '1/0'"),
+        ("m12 = x1", "m12 = 0/0*x1", 9, "entry m12: zero denominator in '0/0'"),
         ("nodes = 24", "nodes = -3", 7, "nodes must be an integer >= 0"),
         ("nodes = 24", "nodes = 2.5", 7, "nodes must be an integer >= 0"),
     ], ids=["pfaffian-weights", "entry-degree", "entry-inhomogeneous", "orbinates",
             "ideal-weight-zero", "entry-unknown-variable", "entry-stray-star",
+            "entry-zero-denominator", "entry-zero-over-zero",
             "negative-nodes", "non-integer-nodes"])
     def test_case_file_error_exits_2_naming_its_line(self, tmp_path, capsys, old, new, line,
                                                      message):
@@ -148,6 +151,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("input error: line 5: ")
         assert re.search(message, err), err
+
+    @pytest.mark.parametrize("name, old, new, line, token", [
+        ("1218", "basket = 1/2(1,1,1)", "basket = 1/2(1,1,1) 1/0(1,1,1)", 6, "1/0(1,1,1)"),
+        ("10985", "ambient = 1 1 1 6 5 4 3 2\ncentre = 1/2(1,1,1)",
+         "ambient = 1 1 1 6 5 4 3 0\ncentre = 1/0(1,1,1)", 4, "1/0(1,1,1)"),
+        ("10985", "ambient = 1 1 1 6 5 4 3 2\ncentre = 1/2(1,1,1)",
+         "ambient = 1 1 1 6 5 4 3 -2\ncentre = 1/-2(1,1,1)", 4, "1/-2(1,1,1)"),
+        ("10985", "basket = 1/2(1,1,1) 1/6(1,1,5)", "basket = 1/2(1,1,1) 1/1(1,1,1)", 6,
+         "1/1(1,1,1)"),
+    ], ids=["basket-r0", "centre-r0", "centre-negative", "basket-r1"])
+    def test_quotient_index_below_2_exits_2(self, tmp_path, capsys, name, old, new, line,
+                                            token):
+        text = CASES.joinpath(f"{name}.case").read_text()
+        assert old in text
+        bad = tmp_path / "bad.case"
+        bad.write_text(text.replace(old, new))
+        assert main(["trace", "--case", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: line {line}: quotient index "), err
+        assert f"is below 2: '{token}'" in err
 
     def test_budget_exceeded_exit_3(self, capsys):
         assert main(["blowup", "--case", "20652", "--budget", "5"]) == 3
@@ -230,12 +253,14 @@ FUZZ_TOKENS = st.one_of(
     st.integers(-3, 9).map(str),
     st.sampled_from(["", "none", "GENERAL", "GENERAL 3", "GENERAL x", "1/2(1,1,1)",
                      "1/3(1,1)", "1/0(1,1,1)", "x1", "y4", "x1^2*y4 - y3", "x1 +* x2",
-                     "1 1 1 4 3 3 2 2", "1 2 3 4 3 4 5 5 6 7", "2.5", "=", "#"]))
+                     "1 1 1 4 3 3 2 2", "1 2 3 4 3 4 5 5 6 7", "2.5", "=", "#",
+                     "1/0*x1"]))
 
 
 @given(name=st.sampled_from(["10985", "1218"]), line=st.integers(0, 19),
        kind=st.sampled_from(["delete", "duplicate", "replace"]), token=FUZZ_TOKENS)
 @example(name="1218", line=4, kind="replace", token="3")  # tom_index = 3
+@example(name="10985", line=8, kind="replace", token="1/0*x1")  # m12 = 1/0*x1
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_single_line_mutants_exit_cleanly(tmp_path, capsys, name, line, kind, token):

@@ -1,9 +1,9 @@
-"""Source hygiene: no module of the package imports a name it never uses
-or a module outside the standard library and the package, no module-level
-function or class goes unreferenced, no function takes a parameter it
-never reads, neither the package nor the scripts call `eval` or `exec`,
-and every package attribute the benchmark's tracer and workloads name
-still exists.
+"""Source hygiene: no module of the package or of `scripts/` imports a name
+it never uses, has a function that takes a parameter it never reads, or
+calls `eval` or `exec`; no module of the package imports a module outside
+the standard library and the package, and no module-level function or
+class goes unreferenced; every package attribute the benchmark's tracer
+and workloads name still exists.
 
 A name counts as used if it appears as a bare name anywhere in the module,
 including inside a string annotation such as "Polynomial | None".  The
@@ -118,7 +118,8 @@ def test_modules_found():
     assert len(MODULES) >= 8
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(SCRIPTS.glob("*.py")),
+                         ids=lambda p: f"scripts/{p.name}" if p.parent == SCRIPTS else p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -238,6 +239,8 @@ def test_unused_parameter_scanner():
 def test_no_unused_parameters():
     found = [f"{p.name}: {entry}" for p in sorted(SRC.glob("*.py"))
              for entry in unused_parameters(p.read_text())]
+    found += [f"scripts/{p.name}: {entry}" for p in sorted(SCRIPTS.glob("*.py"))
+              for entry in unused_parameters(p.read_text())]
     assert [f for f in found if f not in UNUSED_ALLOWED] == []
     assert sorted(set(UNUSED_ALLOWED) - set(found)) == []
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tomlinks import unprojection
 from tomlinks.algebra import Polynomial, Ring, bidegree, det, parse, substitute
-from tomlinks.casefile import load_bundled
+from tomlinks.casefile import bundled_case_names, load_bundled
 from tomlinks.groebner import Ideal, MatrixOrder, buchberger, normal_form
 from tomlinks.pfaffian import (
     IDEAL_VARS,
@@ -16,6 +16,7 @@ from tomlinks.pfaffian import (
     TomFormat,
     WeightMatrix5,
     build_general_tom,
+    constrained_pairs,
 )
 from tomlinks.unprojection import (
     UnprojectionError,
@@ -60,6 +61,19 @@ class TestDecompose:
         entries[(2, 4)] = parse("x1*y3 + x2*y3", ring)  # weight 2 entry
         M = SkewMatrix5(entries, W20652, ring)
         assert decompose_entries(M, TomFormat(1))[(2, 4)][2] == parse("x1 + x2", ring)
+
+    @pytest.mark.parametrize("name", bundled_case_names())
+    def test_parts_recombine_each_entry(self, name):
+        # each term goes to exactly one part, so sum_j alpha_j * y_j is the
+        # entry itself; build_unprojection relies on this without a check
+        case = load_bundled(name).to_fano_case()
+        fmt = TomFormat(case.tom_k)
+        M = case.build_matrix(0)
+        ys = [M.ring.gen(v) for v in IDEAL_VARS]
+        alpha = decompose_entries(M, fmt)
+        assert sorted(alpha) == constrained_pairs(fmt)
+        for pair, parts in alpha.items():
+            assert sum((a * y for a, y in zip(parts, ys)), M.ring.zero()) == M.entries[pair]
 
     def test_non_ideal_term_rejected(self):
         entries = dict(matrix_20652().entries)
@@ -194,6 +208,15 @@ class TestBuildUnprojection:
                    else {(0, 0): y("x1")})
         corrupt_q(monkeypatch, changes)
         with pytest.raises(UnprojectionError, match=r"p\^T Q != 0 in column 1"):
+            build_unprojection(matrix_20652(), TomFormat(1), s_weight=2)
+
+    def test_corrupted_q_keeping_the_left_kernel_breaks_recombination(self, monkeypatch):
+        # p = (x1, x2, ...): adding p_2 to Q[1][1] and -p_1 to Q[2][1] keeps
+        # p^T Q = 0, so only the check of Q . y against the linear
+        # pfaffians can see the change
+        x = R20652.gen
+        corrupt_q(monkeypatch, {(0, 0): x("x2"), (1, 0): -x("x1")})
+        with pytest.raises(UnprojectionError, match="Q row 1 does not recombine its pfaffian"):
             build_unprojection(matrix_20652(), TomFormat(1), s_weight=2)
 
     def test_all_p_zero(self):
