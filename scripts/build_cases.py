@@ -15,11 +15,20 @@ Run from the repository root:  python scripts/build_cases.py
 from __future__ import annotations
 
 import sys
+from math import gcd
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tomlinks.birational import Basket, FanoCase, classify_case, quotient_token, trace_link
+from tomlinks.birational import (
+    Basket,
+    FanoCase,
+    classify_case,
+    quotient_token,
+    trace_link,
+    wall_groups,
+    wall_skip_expected,
+)
 from tomlinks.pfaffian import PAIRS, WeightMatrix5
 from tomlinks.unprojection import tom_normalising_permutation
 
@@ -90,8 +99,6 @@ def wall_pivot_potential(W: WeightMatrix5, d, abc) -> list[int]:
     y-quadratic one.  A flip needs about three such pivots, so candidates
     far from that are pruned before the expensive drive.
     """
-    from tomlinks.birational import wall_groups, wall_skip_expected
-
     pf_lin_degrees = {W.pfaffian_degree(k) for k in (2, 3, 4, 5)}
     pf_quad_degree = W.pfaffian_degree(1)
 
@@ -207,8 +214,6 @@ SKIP_DEMO_D_CHOICES = [
 def build_skip_demos():
     """d1>d2=d3>d4 families with a square pairing at weight d1 (the first
     wall crossing restricts to an isomorphism), one per demo id."""
-    from tomlinks.birational import wall_skip_expected
-
     todo = ["1218", "1413"]
     used: set[tuple] = set()
     for case_id in todo:
@@ -256,8 +261,6 @@ TABLE1 = [
 
 
 def centre_candidates(weights: tuple[int, ...], prefer: int | None):
-    from math import gcd
-
     ws = list(weights)
     rs = sorted(set(ws), reverse=True)
     if prefer is not None:
@@ -302,8 +305,6 @@ def build_fixed():
 
 def build_tag_iv():
     """Search a d1>d2>d3=d4 family where neither flip wall is skipped."""
-    from tomlinks.birational import wall_skip_expected
-
     for d in [(3, 2, 1, 1), (4, 3, 2, 2), (4, 2, 1, 1), (4, 3, 1, 1), (5, 4, 3, 3)]:
         tried = 0
         for W in candidate_weight_matrices(d, 2):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -46,7 +46,6 @@ from .groebner import (
 )
 from .pfaffian import (
     IDEAL_VARS,
-    PAIRS,
     SkewMatrix5,
     TomFormat,
     WeightMatrix5,
@@ -286,28 +285,20 @@ def detect_weight_config(w: WeightMatrix5, d: Sequence[int]) -> WeightConfig:
     """Match the two special weight patterns of the ideal block.
 
     (a): the four entries (2,4),(2,5),(3,4),(3,5) share one weight pi.
-    (b): only (2,5),(3,4) share pi, which must be d1 or d2, with the rest of
-    the matrix forced by homogeneity.  Configuration (b) is what makes a
-    pure square of an ideal variable appear in the blown-up equations, so a
-    wall crossing restricts to an isomorphism.
+    (b): (2,5) and (3,4) share pi, which must be d1 or d2.  Configuration
+    (b) is what makes a pure square of an ideal variable appear in the
+    blown-up equations, so a wall crossing restricts to an isomorphism.
+
+    Each pattern is its defining equalities alone.  The homogeneity that
+    `WeightMatrix5` enforces is ten equations of rank 5, so every weight
+    matrix is m_ij = (v_i + v_j)/2 for some row weights v; (a) then means
+    v2 = v3 and v4 = v5, (b) means v2 + v5 = v3 + v4, and v fixes the rest
+    (DECISIONS.md, "Each link-engine quantity has one owner").
     """
-    m = {p: w[p] for p in PAIRS}
-
-    if m[(2, 4)] == m[(2, 5)] == m[(3, 4)] == m[(3, 5)]:
-        pi = m[(2, 4)]
-        sigma, tau = m[(1, 2)], m[(2, 3)]
-        if (m[(1, 3)] == sigma and m[(1, 4)] == m[(1, 5)] == pi + sigma - tau
-                and m[(4, 5)] == 2 * pi - tau):
-            return WeightConfig("a", pi)
-
-    if m[(2, 5)] == m[(3, 4)] and m[(2, 5)] in (d[0], d[1]):
-        pi = m[(2, 5)]
-        sigma, tau, ups = m[(1, 2)], m[(2, 3)], m[(2, 4)]
-        if (m[(1, 3)] == pi + sigma - ups and m[(1, 4)] == pi + sigma - tau
-                and m[(1, 5)] == 2 * pi + sigma - tau - ups
-                and m[(3, 5)] == 2 * pi - ups and m[(4, 5)] == 2 * pi - tau):
-            return WeightConfig("b", pi)
-
+    if w[(2, 4)] == w[(2, 5)] == w[(3, 4)] == w[(3, 5)]:
+        return WeightConfig("a", w[(2, 4)])
+    if w[(2, 5)] == w[(3, 4)] and w[(2, 5)] in (d[0], d[1]):
+        return WeightConfig("b", w[(2, 5)])
     return WeightConfig("neither", None)
 
 
@@ -327,9 +318,10 @@ def on_plane(polys: Iterable[Polynomial]) -> list[Polynomial]:
 
 
 def count_flops(res: UnprojectionResult, case: FanoCase,
-                budget: int = DEFAULT_BUDGET) -> int:
+                budget: int = DEFAULT_BUDGET) -> int | None:
     """Number of nodes on the unprojected plane: the length of the rank<=2
-    locus of A = Q^T at y = 0, counted in P^2(a,b,c).
+    locus of A = Q^T at y = 0, counted in P^2(1,1,1); None on a weighted
+    plane, where the count is not implemented (ROADMAP item 4).
 
     The 3x3 minors of Q are its cofactors up to sign, C[k][j] = p_k * g_j,
     which `build_unprojection` certifies, and setting y = 0 is a ring map,
@@ -338,25 +330,15 @@ def count_flops(res: UnprojectionResult, case: FanoCase,
     identity"), and the count is the length of that ideal.
     """
     if case.abc != (1, 1, 1):
-        raise LinkError("node counting implemented for P^2(1,1,1) planes only")
+        return None
     p, g = on_plane(res.p), on_plane(res.g)
     return zero_dim_degree(Ideal([pk * gj for pk in p for gj in g], p[0].ring), budget)
 
 
 def rank_at_point(A2: list[list[Polynomial]], point: Sequence[Fraction]) -> int:
-    rows = [{j: v for j, v in enumerate(_eval_xpoly(e, point) for e in row) if v}
-            for row in A2]
+    at = dict(enumerate(point))
+    rows = [{j: v for j, v in enumerate(_PointData(row, at).consts) if v} for row in A2]
     return len(_gauss_jordan(rows, range(len(A2[0]))))
-
-
-def _eval_xpoly(p: Polynomial, point: Sequence[Fraction]) -> Fraction:
-    out = Fraction(0)
-    for m, c in p.terms.items():
-        v = c
-        for e, x in zip(m, point):
-            v *= x ** e
-        out += v
-    return out
 
 
 def _gauss_jordan(rows: list[dict], columns: Iterable) -> dict:
@@ -551,7 +533,8 @@ _PRIORITY = ("s", "x1", "x2", "x3", "y1", "y2", "y3", "y4", "t")
 
 
 class _PointData:
-    """Linear and quadratic coefficients of the generators at a wall point."""
+    """Constant, linear and quadratic coefficients of the generators at a
+    point; with every variable fixed, `consts` are their values there."""
 
     def __init__(self, gens: Sequence[Polynomial], wall_idx: dict[int, object]):
         # wall_idx: variable slot -> point value, a Fraction or a QuadExt
@@ -637,10 +620,10 @@ def analyze_wall(gens: Sequence[Polynomial], S: Ring,
             for m in g.terms:
                 if m[widx[0]] and all(e == 0 for i, e in enumerate(m) if i != widx[0]):
                     return Isomorphism(wall, f"{wall[0]}^{m[widx[0]]}")
-        return _flip_at_point(gens, S, loc, {widx[0]: Fraction(1)}, wall, f"P_{wall[0]}")
+        return _flip_at_point(gens, loc, {widx[0]: Fraction(1)}, wall, f"P_{wall[0]}")
 
     if len(wall) == 2:
-        return _simultaneous_flips(gens, S, loc, wall, widx)
+        return _simultaneous_flips(gens, loc, wall, widx)
 
     raise LinkError(f"wall group of size {len(wall)} is not a flip wall")
 
@@ -674,7 +657,7 @@ def _is_square(f: Fraction) -> Fraction | None:
     return Fraction(rn, rd)
 
 
-def _simultaneous_flips(gens, S: Ring, loc: Ring, wall, widx) -> SimultaneousFlips:
+def _simultaneous_flips(gens, loc: Ring, wall, widx) -> SimultaneousFlips:
     A, B, C = _wall_quadratic(gens, widx)
     disc = B * B - 4 * A * C
     if A == 0 and B == 0:
@@ -701,7 +684,7 @@ def _simultaneous_flips(gens, S: Ring, loc: Ring, wall, widx) -> SimultaneousFli
             points.append(({widx[0]: QuadExt(0, 1, P, Q0), widx[1]: QuadExt(1, 0, P, Q0)},
                            "P1"))
 
-    flips = [_flip_at_point(gens, S, loc, point, wall, label) for point, label in points]
+    flips = [_flip_at_point(gens, loc, point, wall, label) for point, label in points]
     if len(flips) == 1:
         flips.append(replace(flips[0], point="P2"))
     return SimultaneousFlips(wall, (flips[0], flips[1]), qtext)
@@ -715,7 +698,7 @@ def _quad_text(A, B, C, wall) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-def _flip_at_point(gens, S: Ring, loc: Ring, point: dict[int, object], wall,
+def _flip_at_point(gens, loc: Ring, point: dict[int, object], wall,
                    point_label: str) -> Flip:
     pd = _PointData(gens, point)
     for gi, c in enumerate(pd.consts):
@@ -724,8 +707,8 @@ def _flip_at_point(gens, S: Ring, loc: Ring, point: dict[int, object], wall,
                 f"generator {gi + 1} does not vanish at the wall point {point_label}"
             )
     skip = set(point)
-    pivots, L = _greedy_pivots(pd, S, skip)
-    surv = [n for n in _PRIORITY if S.index[n] not in pivots and S.index[n] not in skip]
+    pivots, L = _greedy_pivots(pd, loc, skip)
+    surv = [n for n in _PRIORITY if loc.index[n] not in pivots and loc.index[n] not in skip]
     weights = {n: loc.top[loc.index[n]] for n in surv}
     ordered = sorted(surv, key=lambda n: -weights[n])
     wts = tuple(weights[n] for n in ordered)
@@ -737,13 +720,13 @@ def _flip_at_point(gens, S: Ring, loc: Ring, point: dict[int, object], wall,
     hdeg = None
     hyp_pair = None
     if len(surv) == 5:
-        t_slot = S.index["t"]
+        t_slot = loc.index["t"]
         used_rows = set(pivots.values())
         for gi in range(len(gens)):
             if gi in used_rows:
                 continue
             for v in surv:
-                vs = S.index[v]
+                vs = loc.index[v]
                 if weights[v] >= 0 or vs == t_slot:
                     continue
                 corrected = _composed_quad_coeff(pd, gi, t_slot, vs, L, pivots)
@@ -756,51 +739,44 @@ def _flip_at_point(gens, S: Ring, loc: Ring, point: dict[int, object], wall,
         if hdeg is None:
             raise LinkError(f"no surviving t*(negative variable) monomial at {point_label}")
     return Flip(tuple(wall), tuple(ordered), wts, hdeg,
-                tuple(S.names[i] for i in sorted(pivots)), point_label, hyp_pair)
+                tuple(loc.names[i] for i in sorted(pivots)), point_label, hyp_pair)
 
 
 # ---------------------------------------------------------------------------
 # global (exact) elimination for endpoint operations
 
 def global_eliminate(gens: Sequence[Polynomial], ring: Ring,
-                     skip: Iterable[str] = (),
                      priority: Sequence[str] = _PRIORITY):
     """Repeatedly solve for variables occurring as a lone scalar linear term.
 
     A variable is eliminated only when its occurrences in the chosen
     equation are exactly the single monomial v (so the solve is polynomial,
     not merely local-analytic); the substitution is propagated and the scan
-    restarts.  Returns (surviving generators, eliminated names).
+    restarts at the first name of `priority`.  Returns (surviving nonzero
+    generators, eliminated names).
     """
     work = [g for g in gens if not g.is_zero()]
-    skip = set(skip)
     eliminated: list[str] = []
-    changed = True
-    while changed:
-        changed = False
+    while True:
         for name in priority:
-            if name in skip or name not in ring.index or name in eliminated:
+            if name in eliminated:
                 continue
             slot = ring.index[name]
             unit = tuple(1 if i == slot else 0 for i in range(ring.nvars))
-            for k, g in enumerate(work):
-                c = g.terms.get(unit)
-                if not c:
-                    continue
-                if any(m[slot] for m in g.terms if m != unit):
-                    continue  # solve would not be polynomial; try another equation
-                expr = Polynomial(
-                    ring, {m: Fraction(-cf, c) for m, cf in g.terms.items() if m != unit})
-                work = [substitute(h, {name: expr}, ring)
-                        if any(m[slot] for m in h.terms) else h
-                        for i, h in enumerate(work) if i != k]
-                work = [h for h in work if not h.is_zero()]
-                eliminated.append(name)
-                changed = True
+            # the cheap lookup first; then the solve must be polynomial
+            k = next((k for k, g in enumerate(work) if g.terms.get(unit)
+                      and not any(m[slot] for m in g.terms if m != unit)), None)
+            if k is not None:
                 break
-            if changed:
-                break
-    return work, tuple(eliminated)
+        else:
+            return work, tuple(eliminated)
+        g = work[k]
+        c = g.terms[unit]
+        expr = Polynomial(ring, {m: Fraction(-cf, c) for m, cf in g.terms.items() if m != unit})
+        work = [substitute(h, {name: expr}, ring) if any(m[slot] for m in h.terms) else h
+                for i, h in enumerate(work) if i != k]
+        work = [h for h in work if not h.is_zero()]
+        eliminated.append(name)
 
 
 @dataclass
@@ -830,25 +806,14 @@ def endpoint_fano(gens: Sequence[Polynomial], S: Ring,
         raise LinkError("contraction ray weight must exceed the contracted weight")
 
     at_one = [substitute(g, {contracted: 1}, S) for g in gens]
-    work, eliminated = global_eliminate(at_one, S, skip={contracted})
+    work, eliminated = global_eliminate(at_one, S)
 
     survivors = [n for n in S.names if n != contracted and n not in eliminated]
-    lam: dict[str, Fraction] = {}
-    fractional = False
-    for n in survivors:
-        i = S.index[n]
-        lam[n] = Fraction(S.top[i] + d4 * S.bottom[i], denom)
-        if lam[n].denominator != 1:
-            fractional = True
-    scale = 1
-    if fractional:
-        from math import lcm
-
-        scale = lcm(*(lam[n].denominator for n in survivors))
-    weights = tuple(int(lam[n] * scale) for n in survivors)
+    lam = [Fraction(S.top[S.index[n]] + d4 * S.bottom[S.index[n]], denom) for n in survivors]
+    scale = lcm(*(x.denominator for x in lam))
+    weights = tuple(int(x * scale) for x in lam)
     ring_new = Ring(tuple(survivors), (weights,))
     eqs = [substitute(g, {}, ring_new) for g in work]
-    eqs = [e for e in eqs if not e.is_zero()]
 
     codim = (len(survivors) - 1) - 3
     if codim >= 4:
@@ -863,7 +828,7 @@ def endpoint_fano(gens: Sequence[Polynomial], S: Ring,
         notes.append(f"minimality not certified: {e}")
     degrees = tuple(bidegree(e).top for e in eqs)
     gorenstein = (d4 - dhat) == -1
-    if fractional:
+    if scale > 1:
         notes.append(f"weights scaled by {scale} to clear denominators")
     return EndpointFano(
         names=tuple(survivors), weights=weights, ring=ring_new, equations=eqs,
@@ -879,24 +844,22 @@ def dp_degree(gens: Sequence[Polynomial], S: Ring, base: Sequence[str], seed: in
     loc = _localized_ring(S, d3)
     fiber = [n for n in S.names if n not in base]
     fw = {n: loc.top[loc.index[n]] for n in fiber}
+    fiber2 = [n for n in fiber if n != "s"]
+    if any(fw[n] != 1 for n in fiber2):
+        return DelPezzoFibration(tuple(base), None, "weighted fibre ambient; degree not computed")
+    F = Ring(tuple(fiber), (tuple(fw[n] for n in fiber),))
+    F2 = Ring(tuple(fiber2), (tuple(fw[n] for n in fiber2),))
     note = ""
     for attempt in range(5):
         rng_seed = mix_seed(seed, "dp_point", attempt)
         lam = Fraction(1 + rng_seed % 7)
         mu = Fraction(1 + (rng_seed // 7) % 7)
-        F = Ring(tuple(fiber), (tuple(fw[n] for n in fiber),))
-        subs = {base[0]: lam, base[1]: mu}
-        gens_f = [substitute(g, subs, F) for g in gens]
+        gens_f = [substitute(g, {base[0]: lam, base[1]: mu}, F) for g in gens]
         work, eliminated = global_eliminate(gens_f, F, priority=("s",))
         if "s" not in eliminated:
             note = "could not eliminate the unprojection variable; retrying"
             continue
-        fiber2 = [n for n in fiber if n != "s"]
-        F2 = Ring(tuple(fiber2), (tuple(fw[n] for n in fiber2),))
-        eqs = [substitute(g, {}, F2) for g in work if not g.is_zero()]
-        if any(fw[n] != 1 for n in fiber2):
-            return DelPezzoFibration(tuple(base), None,
-                                     "weighted fibre ambient; degree not computed")
+        eqs = [substitute(g, {}, F2) for g in work]
         try:
             dim, deg = projective_dim_degree(Ideal(eqs, F2), budget)
         except NotZeroDimensional as e:
@@ -930,9 +893,7 @@ def conic_discriminant(pf_gens: Sequence[Polynomial], S: Ring, base: Sequence[st
         P = Ring(tuple(fiber) + (free,), ((1,) * (len(fiber) + 1),))
         subs = {patch: 1, base[2]: 0}
         gens_p = [substitute(g, subs, P) for g in pf_gens]
-        work, eliminated = global_eliminate(
-            gens_p, P, skip={free}, priority=tuple(fiber))
-        work = [g for g in work if not g.is_zero()]
+        work, eliminated = global_eliminate(gens_p, P, priority=tuple(fiber))
         if not work:
             raise LinkError(f"no conic equation survives on patch {patch}")
         conic = None
@@ -1148,7 +1109,7 @@ def trace_link(case: FanoCase, seed: int = 0, budget: int = DEFAULT_BUDGET) -> L
     config = detect_weight_config(res.weights, case.d)
 
     steps: list = [KawamataBlowup((case.r, case.abc))]
-    nodes = count_flops(res, case, budget) if case.abc == (1, 1, 1) else None  # P^2 only
+    nodes = count_flops(res, case, budget)
     steps.append(Flop(nodes, case.declared_nodes))
 
     groups = wall_groups(case.d)

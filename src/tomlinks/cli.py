@@ -11,6 +11,7 @@ import sys
 import time
 
 from . import __version__
+from .acceptance import run_acceptance
 from .algebra import AlgebraError
 from .birational import kawamata_scroll, blowup_ideal, trace_link, verify_blowup_saturation
 from .casefile import CaseFileError, bundled_case_names, bundled_path, load_bundled, parse_case
@@ -26,12 +27,10 @@ EXIT_BUDGET = 3
 
 
 def _load_case(args):
-    if args.case.endswith(".case"):
-        return parse_case(args.case).to_fano_case()
-    try:
+    """The bundled case of that name, or else the case file at that path."""
+    if args.case in bundled_case_names():
         return load_bundled(args.case).to_fano_case()
-    except CaseFileError:
-        return parse_case(args.case).to_fano_case()
+    return parse_case(args.case).to_fano_case()
 
 
 def _budget(text: str) -> int:
@@ -112,8 +111,6 @@ def cmd_trace(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .acceptance import run_acceptance
-
     results = run_acceptance(budget=args.budget)
     worst = EXIT_OK
     for r in results:

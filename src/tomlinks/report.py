@@ -107,19 +107,17 @@ def step_dict(step) -> dict:
     return {"kind": type(step).__name__}
 
 
-def unprojection_dict(res: UnprojectionResult, verification: VerificationReport | None) -> dict:
-    out = {
+def unprojection_dict(res: UnprojectionResult, verification: VerificationReport) -> dict:
+    return {
         "g_degrees": [g.degree() for g in res.g],
         "equation_count": len(res.X_ideal.generators),
         "s_weight": res.s_weight,
         "g": [str(g) for g in res.g],
-    }
-    if verification is not None:
-        out["verification"] = {
+        "verification": {
             "degrees_ok": verification.degrees_ok,
             "consistency_ok": verification.consistency_ok,
-        }
-    return out
+        },
+    }
 
 
 def trace_dict(trace: LinkTrace, seed: int) -> dict:

@@ -400,6 +400,43 @@ class TestMirroredFlip:
         assert dataclasses.replace(mirror, point="P1") == first
 
 
+class TestRationalWallPoints:
+    """tag-iii's weights with the member seed in place of the file's pinned
+    one: seeds 10 and 13 give wall forms -15*y1^2 - 61*y1*y2 - 46*y2^2 and
+    12*y1^2 - 39*y1*y2 - 36*y2^2, whose discriminants 961 and 3249 are
+    squares, so each wall point is rational and analysed on its own."""
+
+    @pytest.mark.parametrize("seed", [10, 13])
+    def test_rational_roots_give_the_pinned_flips(self, seed, monkeypatch):
+        pinned = load_bundled("tag-iii").to_fano_case()
+        member = dataclasses.replace(pinned, matrix_seed=None)
+        real = birational._flip_at_point
+        points = []
+
+        def spy(gens, loc, point, *rest):
+            points.append(list(point.values()))
+            return real(gens, loc, point, *rest)
+
+        monkeypatch.setattr(birational, "_flip_at_point", spy)
+        got = trace_link(member, seed=seed)
+        S = kawamata_scroll(member)
+        A, B, C = birational._wall_quadratic(got.blowup.generators,
+                                             [S.index["y1"], S.index["y2"]])
+        assert A != 0 and birational._is_square(B * B - 4 * A * C) is not None
+        assert len(points) == 2
+        assert all(type(v) is Fraction for point in points for v in point)
+
+        want = trace_link(pinned)
+        flips = next(s for s in got.steps if isinstance(s, SimultaneousFlips)).flips
+        assert [f.point for f in flips] == ["P1", "P2"]
+        for flip in flips:
+            assert (flip.weights, flip.hypersurface_degree, flip.eliminated) == (
+                (3, 1, -1, -2), None, ("s", "x1", "x2"))
+        assert flips == next(s for s in want.steps if isinstance(s, SimultaneousFlips)).flips
+        assert got.baskets == want.baskets
+        assert got.template_ok and want.template_ok
+
+
 class TestConicBudget:
     @pytest.fixture
     def conic_input(self, case_24097):

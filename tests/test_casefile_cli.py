@@ -172,6 +172,50 @@ class TestCli:
         assert err.startswith(f"input error: line {line}: quotient index "), err
         assert f"is below 2: '{token}'" in err
 
+    def test_bundled_case_error_names_its_line(self, monkeypatch, capsys):
+        # a bundled name reports its own file's error, not a missing path
+        def broken(name):
+            raise CaseFileError(f"ambient of {name}: expected 8 integers, got 7", 2)
+
+        monkeypatch.setattr("tomlinks.cli.load_bundled", broken)
+        assert main(["trace", "--case", "10985"]) == 2
+        assert "line 2:" in capsys.readouterr().err
+
+    def test_valid_file_of_a_non_general_member_exits_1(self, tmp_path, capsys):
+        # m35 = 0 passes every case-file rule, but g_2 then has no
+        # y_2-free monomial: a failed trace, not an input error
+        bad = tmp_path / "bad.case"
+        bad.write_text(_replace_entry(CASES.joinpath("10985.case").read_text(), "m35", "0"))
+        assert parse_case(bad).to_fano_case().matrix is not None
+        assert main(["trace", "--case", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "error: g_2 has no y_2-free monomial; input is not a general Tom member\n")
+
+    def test_trace_saturation_oracle(self, monkeypatch, capsys):
+        assert main(["trace", "--case", "10985", "--json"]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        argv = ["trace", "--case", "10985", "--json", "--saturation-oracle"]
+        assert main(argv) == 0
+        checked = json.loads(capsys.readouterr().out)
+        assert checked.pop("saturation_oracle") is True
+        assert checked == plain
+        monkeypatch.setattr("tomlinks.cli.verify_blowup_saturation", lambda blow, budget: False)
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["saturation_oracle"] is False
+
+    @pytest.mark.parametrize("argv", [
+        ["unproject"], ["blowup", "--skip-saturation-oracle"], ["trace"]],
+        ids=["unproject", "blowup", "trace"])
+    def test_timings_add_only_the_seconds(self, capsys, argv):
+        argv = argv + ["--case", "10985", "--json"]
+        assert main(argv) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--timings"]) == 0
+        timed = json.loads(capsys.readouterr().out)
+        timings = timed.pop("timings")
+        assert list(timings) == ["seconds"] and isinstance(timings["seconds"], float)
+        assert timed == plain
+
     def test_budget_exceeded_exit_3(self, capsys):
         assert main(["blowup", "--case", "20652", "--budget", "5"]) == 3
         assert "reduction steps exceeded in buchberger" in capsys.readouterr().err

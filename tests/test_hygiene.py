@@ -1,9 +1,9 @@
 """Source hygiene: no module of the package or of `scripts/` imports a name
-it never uses, has a function that takes a parameter it never reads, or
-calls `eval` or `exec`; no module of the package imports a module outside
-the standard library and the package, and no module-level function or
-class goes unreferenced; every package attribute the benchmark's tracer
-and workloads name still exists.
+it never uses, imports inside a function, has a function that takes a
+parameter it never reads, or calls `eval` or `exec`; no module of the
+package imports a module outside the standard library and the package,
+and no module-level function or class goes unreferenced; every package
+attribute the benchmark's tracer and workloads name still exists.
 
 A name counts as used if it appears as a bare name anywhere in the module,
 including inside a string annotation such as "Polynomial | None".  The
@@ -308,6 +308,43 @@ def test_dynamic_code_scanner():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_eval_or_exec(path):
     assert dynamic_code_calls(path.read_text()) == []
+
+
+def function_imports(source: str) -> list[str]:
+    """`function (line n)` for every import statement inside a function or
+    method body, named by the innermost function that holds it."""
+    out = []
+
+    def scan(node, function: str | None):
+        for child in ast.iter_child_nodes(node):
+            if function and isinstance(child, (ast.Import, ast.ImportFrom)):
+                out.append(f"{function} (line {child.lineno})")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scan(child, child.name)
+            else:
+                scan(child, function)
+
+    scan(ast.parse(source), None)
+    return out
+
+
+def test_function_import_scanner():
+    source = (
+        "import os\n"
+        "from math import gcd\n"
+        "def f():\n    from math import lcm\n    return lcm\n"
+        "class C:\n    import json\n"
+        "    def method(self):\n        if self:\n            import re\n"
+        "async def g():\n    def inner():\n        import sys\n"
+    )
+    assert function_imports(source) == [
+        "f (line 4)", "method (line 10)", "inner (line 13)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_imports_sit_at_module_level(path):
+    assert function_imports(path.read_text()) == []
 
 
 def tracer_attributes(source: str) -> list[tuple[str, str]]:
