@@ -392,9 +392,9 @@ class Polynomial:
             n >>= 1
         return result
 
-    def degree(self, row: int = 0) -> int:
-        """Max weighted degree of the terms (0 for the zero polynomial)."""
-        return max((self.ring.mono_degree(m, row) for m in self.terms), default=0)
+    def degree(self) -> int:
+        """Max top-row degree of the terms (0 for the zero polynomial)."""
+        return max((self.ring.mono_degree(m) for m in self.terms), default=0)
 
     def __str__(self) -> str:
         return format_polynomial(self)

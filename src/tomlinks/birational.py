@@ -37,7 +37,6 @@ from .groebner import (
     BudgetExceeded,
     Ideal,
     MatrixOrder,
-    NotZeroDimensional,
     buchberger,
     is_saturated,
     minimal_generators,
@@ -567,42 +566,16 @@ class _PointData:
             self.consts.append(const)
 
 
-def _greedy_pivots(point: _PointData, ring: Ring, skip: set[int]):
-    """Gauss-Jordan elimination with the fixed variable priority.
-
-    Returns (pivots: var slot -> row index, L: eliminated slot -> {survivor
-    slot: coefficient}) where L gives the linear part of the local solution,
-    read off the reduced pivot rows: row[v]*x_v + sum row[k]*x_k = 0.
-    """
-    priority = [ring.index[n] for n in _PRIORITY if ring.index[n] not in skip]
-    rows = [dict(r) for r in point.rows]
-    pivots = _gauss_jordan(rows, priority)
-    surv = [v for v in priority if v not in pivots]
-    L: dict[int, dict[int, object]] = {}
-    for var in sorted(pivots):
-        row = rows[pivots[var]]
-        L[var] = {sv: -row[sv] / row[var] for sv in surv if row.get(sv)}
-    return pivots, L
-
-
-def _composed_quad_coeff(point: _PointData, gi: int, t_slot: int, v_slot: int,
-                         L: dict[int, dict[int, object]], pivots: dict[int, int]):
-    """Coefficient of x_t * x_v in generator gi after eliminating the pivots."""
-
-    def image(slot: int) -> dict[int, object]:
-        if slot in pivots:
-            return L.get(slot, {})
-        return {slot: 1}
-
-    # coefficient of the cross term x_t * x_v (t != v) in the composition
+def _composed_quad_coeff(quads: dict[tuple[int, int], object],
+                         image: dict[int, dict[int, object]], t_slot: int, v_slot: int):
+    """Coefficient of x_t * x_v (t != v) in a quadratic part once each slot
+    is replaced by its image, a linear form in the survivors.  A square
+    x_a^2 is the case a = b of the cross-term formula."""
     total = 0
-    for (al, be), c in point.quads[gi].items():
-        la, lb = image(al), image(be)
-        if al == be:
-            total = total + c * 2 * la.get(t_slot, 0) * la.get(v_slot, 0)
-        else:
-            total = total + c * (la.get(t_slot, 0) * lb.get(v_slot, 0)
-                                 + la.get(v_slot, 0) * lb.get(t_slot, 0))
+    for (al, be), c in quads.items():
+        la, lb = image[al], image[be]
+        total = total + c * (la.get(t_slot, 0) * lb.get(v_slot, 0)
+                             + la.get(v_slot, 0) * lb.get(t_slot, 0))
     return total
 
 
@@ -706,39 +679,38 @@ def _flip_at_point(gens, loc: Ring, point: dict[int, object], wall,
             raise LinkError(
                 f"generator {gi + 1} does not vanish at the wall point {point_label}"
             )
-    skip = set(point)
-    pivots, L = _greedy_pivots(pd, loc, skip)
-    surv = [n for n in _PRIORITY if loc.index[n] not in pivots and loc.index[n] not in skip]
-    weights = {n: loc.top[loc.index[n]] for n in surv}
-    ordered = sorted(surv, key=lambda n: -weights[n])
-    wts = tuple(weights[n] for n in ordered)
+    # Gauss-Jordan on the linear parts (reduced in place) with the fixed
+    # variable priority; each pivot row reads row[v]*x_v + sum row[k]*x_k = 0
+    priority = [loc.index[n] for n in _PRIORITY if loc.index[n] not in point]
+    rows = pd.rows
+    pivots = _gauss_jordan(rows, priority)
+    surv = [v for v in priority if v not in pivots]
     if len(surv) not in (4, 5):
         raise LinkError(
             f"{len(surv)} surviving variables at {point_label}; expected a toric or "
             f"hypersurface flip"
         )
+    ordered = sorted(surv, key=lambda v: -loc.top[v])
     hdeg = None
     hyp_pair = None
     if len(surv) == 5:
+        # the local solution: a pivot maps to its linear part, a survivor to itself
+        image = {v: {k: -rows[r][k] / rows[r][v] for k in surv if rows[r].get(k)}
+                 for v, r in pivots.items()}
+        image.update((k, {k: 1}) for k in surv)
         t_slot = loc.index["t"]
         used_rows = set(pivots.values())
-        for gi in range(len(gens)):
-            if gi in used_rows:
-                continue
-            for v in surv:
-                vs = loc.index[v]
-                if weights[v] >= 0 or vs == t_slot:
-                    continue
-                corrected = _composed_quad_coeff(pd, gi, t_slot, vs, L, pivots)
-                if corrected:
-                    hdeg = bidegree(Polynomial(loc, gens[gi].terms, _clean=True)).top
-                    hyp_pair = ("t", v)
-                    break
-            if hdeg is not None:
-                break
-        if hdeg is None:
+        negative = [v for v in surv if loc.top[v] < 0 and v != t_slot]
+        hit = next(((gi, v) for gi in range(len(gens)) if gi not in used_rows
+                    for v in negative
+                    if _composed_quad_coeff(pd.quads[gi], image, t_slot, v)), None)
+        if hit is None:
             raise LinkError(f"no surviving t*(negative variable) monomial at {point_label}")
-    return Flip(tuple(wall), tuple(ordered), wts, hdeg,
+        gi, v = hit
+        hdeg = bidegree(Polynomial(loc, gens[gi].terms, _clean=True)).top
+        hyp_pair = ("t", loc.names[v])
+    return Flip(tuple(wall), tuple(loc.names[v] for v in ordered),
+                tuple(loc.top[v] for v in ordered), hdeg,
                 tuple(loc.names[i] for i in sorted(pivots)), point_label, hyp_pair)
 
 
@@ -860,11 +832,7 @@ def dp_degree(gens: Sequence[Polynomial], S: Ring, base: Sequence[str], seed: in
             note = "could not eliminate the unprojection variable; retrying"
             continue
         eqs = [substitute(g, {}, F2) for g in work]
-        try:
-            dim, deg = projective_dim_degree(Ideal(eqs, F2), budget)
-        except NotZeroDimensional as e:
-            note = f"fibre ideal degenerate at attempt {attempt}: {e}"
-            continue
+        dim, deg = projective_dim_degree(Ideal(eqs, F2), budget)
         if dim != 2:
             note = f"fibre dimension {dim} != 2 at attempt {attempt}; retrying"
             continue
@@ -963,9 +931,8 @@ def _patch_overlap(f: Polynomial, g: Polynomial, budget: int) -> int:
     reversed_terms = {(dg - m[0],): c for m, c in g.terms.items()}
     g_rev = Polynomial(U, reversed_terms, _clean=True)
     order = MatrixOrder.grevlex(U, weights=(1,))
-    gb = buchberger(Ideal([f, g_rev], U), order, budget)
-    assert len(gb.elements) == 1
-    h = gb.elements[0]
+    # f and g_rev are nonzero, so the reduced basis is one element, their gcd
+    (h,) = buchberger(Ideal([f, g_rev], U), order, budget).elements
     deg = h.degree()
     val = min(m[0] for m in h.terms)
     return deg - val

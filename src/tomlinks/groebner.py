@@ -54,16 +54,18 @@ Exponents must stay below 2^31: every monomial the kernel makes by
 addition (S-polynomial and reduction terms) is checked against the guard
 mask, and a field that would overflow raises AlgebraError instead of
 wrapping.  Keys are made when a polynomial enters and unpacked when a
-result leaves; only the pair queue also keeps its leads as exponent
-tuples, for the lcms and sugars it computes once per pair.
+result leaves, so results, a `GroebnerBasis` too, leave as Polynomials
+only.  The pair queue alone also keeps its leads as exponent tuples, for
+the lcms and sugars it computes once per pair; a sugar is a degree in the
+order's first row, the grading that a graded order refines.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -126,10 +128,6 @@ class Ideal:
 class GroebnerBasis:
     elements: list[Polynomial]
     order: MatrixOrder
-    # the elements as the reducer reads them, in the same order: (lead key,
-    # positive lead coefficient, tail list of (key, coefficient)) of each
-    # primitive integer multiple; `order.unpack` reads a key's exponents
-    entries: list[tuple] = field(repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -145,32 +143,21 @@ def _content(terms: dict) -> int:
     return g or 1
 
 
-def _to_int(terms: dict, order: MatrixOrder):
-    """Rational term dict -> (primitive integer dict keyed by packed
-    monomials, with positive lead, scale).
-
-    The integer dict equals scale * (the input); reduction works over the
-    integers and results are rescaled at the boundary.
-    """
+def _to_int(terms: dict, order: MatrixOrder) -> dict:
+    """The primitive integer multiple, with positive lead, of a nonzero
+    rational term dict, keyed by packed monomials."""
     den = 1
     for c in terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
     key = order.key
-    out = {key(m): int(c * den) for m, c in terms.items()}
-    g = _content(out)
-    if g > 1:
-        out = {m: c // g for m, c in out.items()}
-    scale = Fraction(den, g)
-    if out and out[max(out)] < 0:
-        out = {m: -c for m, c in out.items()}
-        scale = -scale
-    return out, scale
+    return _normalize_int({key(m): int(c * den) for m, c in terms.items()})
 
 
 def _normalize_int(terms: dict) -> dict:
-    """Strip content and make the lead coefficient positive."""
+    """Strip content and make the lead coefficient positive; a nonzero input
+    that already is so comes back itself."""
     g = _content(terms)
-    out = {m: c // g for m, c in terms.items()} if g > 1 else dict(terms)
+    out = {m: c // g for m, c in terms.items()} if g > 1 else terms
     if out[max(out)] < 0:
         out = {m: -c for m, c in out.items()}
     return out
@@ -303,15 +290,17 @@ class _PairQueue:
 
     `add` is the Gebauer-Moeller update, which with the product criterion
     covers Buchberger's first and second criteria.  Pairs leave in normal
-    order of (sugar, lcm), the sugar measured by the weight row w.  Leads
-    are also kept as exponent tuples, for the lcms and sugars, which are
-    computed once per pair; pairs the update drops are skipped when they
-    reach the top of the heap.
+    order of (sugar, lcm), the sugar measured by w, the order's first row:
+    the grading that a graded order refines (Giovini-Mora-Niesi-Robbiano-
+    Traverso, "One sugar cube, please", ISSAC 1991).  Leads are also kept
+    as exponent tuples, for the lcms and sugars, which are computed once
+    per pair; pairs the update drops are skipped when they reach the top of
+    the heap.
     """
 
-    def __init__(self, order: MatrixOrder, w: Sequence[int]):
+    def __init__(self, order: MatrixOrder):
         self.order = order
-        self.w = tuple(w)
+        self.w = order.rows[0]
         self.basis: list[tuple] = []  # (lead, positive lead coeff, integer tail), packed
         self.leads: list[Mono] = []  # the basis leads as exponent tuples
         self.sugars: list[int] = []
@@ -419,15 +408,15 @@ def _polynomial(ring: Ring, order: MatrixOrder, terms: dict, factor) -> Polynomi
 def buchberger(ideal: Ideal, order: MatrixOrder, budget: int = DEFAULT_BUDGET) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal under the order.
 
-    Sugar is measured by the ring's top weight row.
+    Sugar is measured by the order's first row, the sugar of a generator
+    being the degree of its lead (see `_PairQueue`).
     """
     guard = order.guard
     red = _Reducer(order, budget, "buchberger")
     ring = ideal.ring
-    queue = _PairQueue(order, ring.top)
-    packed = [(_to_int(g.terms, order)[0], g.degree()) for g in ideal.generators]
-    for ig, deg in sorted(packed, key=lambda pd: max(pd[0])):
-        queue.add(ig, deg)
+    queue = _PairQueue(order)
+    for ig in sorted((_to_int(g.terms, order) for g in ideal.generators), key=max):
+        queue.add(ig, queue.wdeg(order.unpack(max(ig))))
     while queue.live:
         queue.reduce_next(red)
     basis = queue.basis
@@ -438,17 +427,16 @@ def buchberger(ideal: Ideal, order: MatrixOrder, budget: int = DEFAULT_BUDGET) -
             keep.append(i)
     minimal_basis = [basis[i] for i in keep]
 
-    reduced: list[tuple] = []
+    reduced: list[tuple[int, Polynomial]] = []
     for i, (lead, lc, tail) in enumerate(minimal_basis):
         others = [minimal_basis[k] for k in range(len(minimal_basis)) if k != i]
         full = dict(tail)
         full[lead] = lc
         # no other lead divides `lead`, so it stays the remainder's lead
-        rem = _normalize_int(red.reduce(full, others))
-        rl = rem[lead]
-        reduced.append((_polynomial(ring, order, rem, rl), _entry(rem)))
-    reduced.sort(key=lambda pe: pe[1][0])
-    return GroebnerBasis([p for p, _ in reduced], order, [e for _, e in reduced])
+        rem = red.reduce(full, others)
+        reduced.append((lead, _polynomial(ring, order, rem, rem[lead])))
+    reduced.sort(key=lambda lp: lp[0])
+    return GroebnerBasis([p for _, p in reduced], order)
 
 
 def minimal_generators(ideal: Ideal, order: MatrixOrder,
@@ -474,9 +462,9 @@ def minimal_generators(ideal: Ideal, order: MatrixOrder,
     generator degree is reduced.  Kept generators are returned unchanged,
     in entry order.
     """
-    w = _grading(ideal, order, "minimal_generators")
+    _grading(ideal, order, "minimal_generators")
     red = _Reducer(order, budget, "minimal_generators", lead_only=True)
-    queue = _PairQueue(order, w)
+    queue = _PairQueue(order)
 
     def degree(g: Polynomial) -> int:
         return queue.wdeg(next(iter(g.terms)))
@@ -484,7 +472,7 @@ def minimal_generators(ideal: Ideal, order: MatrixOrder,
     kept: list[Polynomial] = []
     for g in sorted(ideal.generators, key=lambda g: (degree(g), len(g))):
         d = degree(g)
-        rem = queue.settle(red, _to_int(g.terms, order)[0], d)
+        rem = queue.settle(red, _to_int(g.terms, order), d)
         if rem:
             kept.append(g)
             queue.add(_normalize_int(rem), d)
@@ -509,15 +497,16 @@ def contains(ideal: Ideal, polys: Sequence[Polynomial], order: MatrixOrder,
     """
     ring = ideal.ring
     red = _Reducer(order, budget, "contains", lead_only=True)
-    queue = _PairQueue(order, _grading(ideal, order, "contains"))
-    for ig in sorted((_to_int(g.terms, order)[0] for g in ideal.generators), key=max):
+    _grading(ideal, order, "contains")
+    queue = _PairQueue(order)
+    for ig in sorted((_to_int(g.terms, order) for g in ideal.generators), key=max):
         queue.add(ig, queue.wdeg(order.unpack(max(ig))))
     targets = []
     for k, p in enumerate(polys):
         if p.ring != ring:
             raise AlgebraError("a polynomial and the ideal live in different rings")
         if not p.is_zero():
-            t = _to_int(p.terms, order)[0]
+            t = _to_int(p.terms, order)
             targets.append((queue.wdeg(order.unpack(max(t))), k, t))
     verdicts = [True] * len(polys)
     for d, k, t in sorted(targets, key=lambda dkt: dkt[:2]):
@@ -536,17 +525,16 @@ def normal_form(p: Polynomial, basis, order: MatrixOrder | None = None,
     if p.is_zero():
         return p
     if isinstance(basis, GroebnerBasis):
-        order = basis.order
-        prepped = basis.entries
-    else:
-        if order is None:
-            order = MatrixOrder.grevlex(p.ring)
-        prepped = sorted((_entry(_to_int(g.terms, order)[0]) for g in basis if not g.is_zero()),
-                         key=lambda e: e[0])
+        order, basis = basis.order, basis.elements
+    elif order is None:
+        order = MatrixOrder.grevlex(p.ring)
+    prepped = sorted((_entry(_to_int(g.terms, order)) for g in basis if not g.is_zero()),
+                     key=lambda e: e[0])
     red = _Reducer(order, budget, "normal_form")
-    target, scale = _to_int(p.terms, order)
+    target = _to_int(p.terms, order)
     rem, lam = red.reduce_scaled(target, prepped)
-    return _polynomial(p.ring, order, rem, lam * scale)
+    k = next(iter(target))  # target is one rational multiple of p
+    return _polynomial(p.ring, order, rem, lam * Fraction(target[k], p.terms[order.unpack(k)]))
 
 
 # ---------------------------------------------------------------------------
@@ -594,23 +582,19 @@ def _saturation_order(ideal: Ideal, var: str, weights: Sequence[int] | None) -> 
     if var not in ring.index:
         raise AlgebraError(f"{var!r} is not a ring variable")
     w = tuple(weights) if weights is not None else ring.top
-    if len(w) != ring.nvars or any(x <= 0 for x in w):
+    if len(w) != ring.nvars:
         raise AlgebraError(f"saturation needs a positive grading, got weights {w}")
-    _require_homogeneous(ideal, w)
-    return MatrixOrder.grevlex(ring, w, last=var)
+    order = MatrixOrder.grevlex(ring, w, last=var)
+    _grading(ideal, order, "saturation")
+    return order
 
 
-def _grading(ideal: Ideal, order: MatrixOrder, routine: str) -> tuple[int, ...]:
-    """The order's first row, once it is a positive grading for which every
-    generator is homogeneous."""
+def _grading(ideal: Ideal, order: MatrixOrder, routine: str) -> None:
+    """Refuse the ideal unless the order's first row is a positive grading
+    for which every generator is homogeneous."""
     w = order.rows[0]
     if any(x <= 0 for x in w):
         raise AlgebraError(f"{routine} needs a positive grading, got weights {w}")
-    _require_homogeneous(ideal, w)
-    return w
-
-
-def _require_homogeneous(ideal: Ideal, w: Sequence[int]) -> None:
     for g in ideal.generators:
         if len({sum(a * e for a, e in zip(w, m)) for m in g.terms}) > 1:
             raise AlgebraError(f"generator is not homogeneous for weights {w}: {g}")
@@ -667,22 +651,15 @@ def projective_dim_degree(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> tuple[i
     order = MatrixOrder.grevlex(ring, weights=(1,) * ring.nvars)
     _grading(ideal, order, "projective_dim_degree")
     gb = buchberger(ideal, order, budget)
-    leads = [order.unpack(e[0]) for e in gb.entries]
-    num = hilbert_numerator(leads)
+    num = hilbert_numerator([max(g.terms, key=order.key) for g in gb.elements])
     if not num:
         return (-1, 0)  # unit ideal: empty
-    strips = 0
-    while sum(num) == 0:
-        acc = 0
-        out = []
-        for c in num:
-            acc += c
-            out.append(acc)
-        assert out[-1] == 0
-        out.pop()
-        num = out
-        strips += 1
-    return (ring.nvars - strips - 1, int(sum(num)))
+    # N(u) = (1-u)^k Q(u) with Q(1) != 0 gives dimension n - k - 1 and degree
+    # Q(1); S_j = N^(j)(1)/j! = sum_i c_i C(i, j) is 0 for j < k and
+    # (-1)^k Q(1) at j = k
+    taylor = (sum(c * comb(i, j) for i, c in enumerate(num)) for j in range(len(num)))
+    k, s = next((j, s) for j, s in enumerate(taylor) if s)
+    return (ring.nvars - k - 1, (-1) ** k * s)
 
 
 def zero_dim_degree(ideal: Ideal, budget: int = DEFAULT_BUDGET) -> int:

@@ -297,31 +297,54 @@ class TestFlops:
 
 
 class TestGreedyPivots:
-    # 10985's pivot rows have no survivor terms (L is empty); 24097's and
-    # 20652's have, over Q and over the quadratic wall field respectively
+    # `_flip_at_point` runs Gauss-Jordan on the linear parts at the wall
+    # point in the fixed variable priority and reads the local solution off
+    # the reduced pivot rows: row[v]*x_v + sum row[k]*x_k = 0 over the
+    # survivors k.  10985's pivot rows have no survivor terms; 24097's and
+    # 20652's have, over Q and over the quadratic wall field respectively.
+    # 10985's hypersurface flip also composes its quadratic parts with that
+    # solution, a survivor mapping to itself
     @pytest.mark.parametrize("name, field", [
         ("10985", Fraction), ("24097", Fraction), ("20652", QuadExt)])
     def test_linear_parts_solve_pivot_rows(self, name, field, monkeypatch):
         calls = []
-        real = birational._greedy_pivots
+        real = birational._gauss_jordan
 
-        def spy(point, ring, skip):
-            out = real(point, ring, skip)
-            calls.append((point, out))
-            return out
+        def spy(rows, columns):
+            original = [dict(r) for r in rows]
+            pivots = real(rows, columns)
+            if not isinstance(columns, range):  # rank_at_point passes a range
+                calls.append((original, rows, list(columns), pivots))
+            return pivots
 
-        monkeypatch.setattr(birational, "_greedy_pivots", spy)
+        images = []
+        real_quad = birational._composed_quad_coeff
+
+        def quad_spy(quads, image, t_slot, v_slot):
+            images.append((len(calls) - 1, image))
+            return real_quad(quads, image, t_slot, v_slot)
+
+        monkeypatch.setattr(birational, "_gauss_jordan", spy)
+        monkeypatch.setattr(birational, "_composed_quad_coeff", quad_spy)
         trace_link(load_bundled(name).to_fano_case(), seed=0)
-        assert field in {type(v) for point, _ in calls for row in point.rows for v in row.values()}
-        for point, (pivots, L) in calls:
+        assert bool(images) == (name == "10985")
+        assert field in {type(v) for original, *_ in calls for row in original
+                         for v in row.values()}
+        solutions = []
+        for original, reduced, columns, pivots in calls:
             assert pivots
+            surv = [k for k in columns if k not in pivots]
+            image = {v: {k: -reduced[r][k] / reduced[r][v] for k in surv if reduced[r].get(k)}
+                     for v, r in pivots.items()}
+            solutions.append(image | {k: {k: 1} for k in surv})
             for ri in pivots.values():
-                # substitute x_v = L[v] for every pivot v into the original row
+                # substitute x_v = image[v] for every pivot v into the original row
                 combo = {}
-                for k, c in point.rows[ri].items():
-                    for sv, coeff in (L[k].items() if k in pivots else [(k, 1)]):
+                for k, c in original[ri].items():
+                    for sv, coeff in (image[k].items() if k in pivots else [(k, 1)]):
                         combo[sv] = combo.get(sv, 0) + c * coeff
                 assert not any(combo.values())
+        assert all(image == solutions[i] for i, image in images)
 
 
 class TestQuadExt:

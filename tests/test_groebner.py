@@ -1,7 +1,7 @@
 import pickle
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -142,15 +142,10 @@ class TestNormalForm:
     @given(st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)
     def test_basis_entries_match_elements(self, seed):
-        # the packed integer entries a GroebnerBasis carries give the same
-        # remainder as the raw-list path, which rebuilds them from the elements
+        # a GroebnerBasis gives the same remainder, values and term order,
+        # as the raw-list path on its elements under its order
         gens = [random_general(2, P2, seed=seed + k) * Fraction(k + 1, 3) for k in range(2)]
         gb = buchberger(Ideal(gens), MatrixOrder.grevlex(P2))
-        unpack = gb.order.unpack
-        for g, (lead, lc, tail) in zip(gb.elements, gb.entries):
-            terms = {unpack(lead): lc, **{unpack(m): c for m, c in tail}}
-            assert g * lc == Polynomial(P2, terms)
-            assert all(m < lead for m, _ in tail)
         for k in range(3):
             p = random_general(3, P2, seed=seed + 7 + k) * Fraction(2, 5)
             nf = normal_form(p, gb)
@@ -627,6 +622,19 @@ class TestHilbert:
         P3 = Ring(("x1", "x2", "x3", "x4"), [(1, 1, 1, 1)])
         dim, deg = projective_dim_degree(Ideal([parse("x1*x4 - x2*x3", P3)]))
         assert (dim, deg) == (2, 2)
+
+    @pytest.mark.parametrize("exponents", [(), (2,), (2, 3), (1, 2, 3)])
+    def test_coordinate_powers(self, exponents):
+        # x1^a, x2^b, ... on the first k variables of P^3: a complete
+        # intersection of dimension 3 - k and degree a*b*..., so the
+        # numerator (1-u^a)(1-u^b)... vanishes to order exactly k at u = 1
+        P3 = Ring(("x1", "x2", "x3", "x4"), [(1, 1, 1, 1)])
+        gens = [x ** a for x, a in zip(P3.gens(), exponents)]
+        dim, deg = projective_dim_degree(Ideal(gens, P3))
+        assert (dim, deg) == (3 - len(exponents), prod(exponents))
+
+    def test_unit_ideal_is_empty(self):
+        assert projective_dim_degree(Ideal([P2.one()])) == (-1, 0)
 
     def test_rejects_inhomogeneous_generator(self):
         # the Hilbert series of this ideal's lead terms reads (0, 4), a

@@ -1,9 +1,10 @@
 """Source hygiene: no module of the package or of `scripts/` imports a name
 it never uses, imports inside a function, has a function that takes a
-parameter it never reads, or calls `eval` or `exec`; no module of the
-package imports a module outside the standard library and the package,
-and no module-level function or class goes unreferenced; every package
-attribute the benchmark's tracer and workloads name still exists.
+parameter it never reads, calls `eval` or `exec`, or holds an `assert`
+statement, which `python -O` strips; no module of the package imports a
+module outside the standard library and the package, and no module-level
+function or class goes unreferenced; every package attribute the
+benchmark's tracer and workloads name still exists.
 
 A name counts as used if it appears as a bare name anywhere in the module,
 including inside a string annotation such as "Polynomial | None".  The
@@ -308,6 +309,28 @@ def test_dynamic_code_scanner():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_eval_or_exec(path):
     assert dynamic_code_calls(path.read_text()) == []
+
+
+def assert_statements(source: str) -> list[str]:
+    """`line n` for every `assert` statement, at any depth."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_assert_scanner():
+    source = (
+        "assert True\n"
+        "def f(x):\n    if x:\n        assert x > 0, 'positive'\n    return x\n"
+        "class C:\n    def m(self):\n        self.assert_ok = 'assert'\n"
+        "        raise AssertionError('kept under -O')\n"
+    )
+    assert assert_statements(source) == ["line 1", "line 4"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text()) == []
 
 
 def function_imports(source: str) -> list[str]:
