@@ -326,12 +326,19 @@ def count_flops(res: UnprojectionResult, case: FanoCase,
     which `build_unprojection` certifies, and setting y = 0 is a ring map,
     so the 3x3 minors of A span the ideal of the sixteen products
     p_k * g_j at y = 0 (DECISIONS.md, "The flop locus from the cofactor
-    identity"), and the count is the length of that ideal.
+    identity"), and the count is the length of that ideal.  Once the p_k
+    have no common zero on the plane, some power of the irrelevant ideal
+    lies in (p), so the products and the four g_j span the same ideal in
+    high degree, and the count is the length of (g); otherwise it is
+    taken from the products.
     """
     if case.abc != (1, 1, 1):
         return None
     p, g = on_plane(res.p), on_plane(res.g)
-    return zero_dim_degree(Ideal([pk * gj for pk in p for gj in g], p[0].ring), budget)
+    P2 = p[0].ring
+    if projective_dim_degree(Ideal(p, P2), budget)[0] == -1:
+        return zero_dim_degree(Ideal(g, P2), budget)
+    return zero_dim_degree(Ideal([pk * gj for pk in p for gj in g], P2), budget)
 
 
 def rank_at_point(A2: list[list[Polynomial]], point: Sequence[Fraction]) -> int:
@@ -770,7 +777,14 @@ def endpoint_fano(gens: Sequence[Polynomial], S: Ring,
                   budget: int = DEFAULT_BUDGET) -> EndpointFano:
     """Contract the last divisor: set the contracted variable to 1, globally
     eliminate, and present the image Fano with its induced weights and a
-    minimal set of its equations."""
+    minimal set of its equations.
+
+    The minimal set is taken under grevlex with last the variable that
+    occurs in the most terms of the equations, the first such in ring
+    order: the kept set does not depend on the order, and this one reaches
+    it in fewer steps (DECISIONS.md, "The endpoint's minimal generators
+    under its busiest variable").
+    """
     dhat = S.top[S.index[contraction_group[0]]]
     d4 = S.top[S.index[contracted]]
     denom = dhat - d4
@@ -793,8 +807,11 @@ def endpoint_fano(gens: Sequence[Polynomial], S: Ring,
 
     notes: list[str] = []
     minimal_certified = True
+    busiest = max(survivors, key=lambda n: sum(
+        m[ring_new.index[n]] > 0 for e in eqs for m in e.terms))
+    order = MatrixOrder.grevlex(ring_new, last=busiest)
     try:
-        eqs = minimal_generators(Ideal(eqs, ring_new), MatrixOrder.grevlex(ring_new), budget)
+        eqs = minimal_generators(Ideal(eqs, ring_new), order, budget)
     except BudgetExceeded as e:  # reported, not fatal
         minimal_certified = False
         notes.append(f"minimality not certified: {e}")

@@ -583,7 +583,7 @@ def _saturation_order(ideal: Ideal, var: str, weights: Sequence[int] | None) -> 
         raise AlgebraError(f"{var!r} is not a ring variable")
     w = tuple(weights) if weights is not None else ring.top
     if len(w) != ring.nvars:
-        raise AlgebraError(f"saturation needs a positive grading, got weights {w}")
+        raise AlgebraError(f"saturation needs {ring.nvars} weights, one per variable, got {w}")
     order = MatrixOrder.grevlex(ring, w, last=var)
     _grading(ideal, order, "saturation")
     return order

@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +44,15 @@ from tomlinks.birational import (
 )
 from tomlinks.casefile import bundled_case_names, load_bundled
 from tomlinks.cli import main
-from tomlinks.groebner import BudgetExceeded, Ideal, MatrixOrder, buchberger, saturate
+from tomlinks.groebner import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    Ideal,
+    MatrixOrder,
+    buchberger,
+    projective_dim_degree,
+    saturate,
+)
 from tomlinks.pfaffian import IDEAL_VARS, TomFormat, WeightMatrix5, build_general_tom
 from tomlinks.report import step_dict
 from tomlinks.unprojection import build_unprojection
@@ -245,6 +254,35 @@ class TestFlops:
             return sorted(sorted((str(q), str(-q))) for q in polys if q)
 
         assert up_to_sign(minors_ideal(flop_matrix(res), P2, 3).generators) == up_to_sign(products)
+
+    @pytest.mark.parametrize("name", PLANE_CASES)
+    def test_p_has_no_zero_on_the_plane(self, name):
+        # count_flops then counts the four g_j alone
+        _, res, _ = plane_flops(name)
+        p = on_plane(res.p)
+        assert projective_dim_degree(Ideal(p, p[0].ring))[0] == -1
+
+    @pytest.mark.parametrize("name", PLANE_CASES)
+    def test_g_length_is_the_product_length(self, name):
+        _, res, count = plane_flops(name)
+        p, g = on_plane(res.p), on_plane(res.g)
+        products = Ideal([pk * gj for pk in p for gj in g], p[0].ring)
+        assert zero_dim_degree(Ideal(g, p[0].ring)) == zero_dim_degree(products) == count
+
+    def test_common_zero_of_p_counts_the_products(self):
+        # the p_k vanish at (0:0:1), off the four points of V(g), so the
+        # products carry one more point than (g)
+        R = Ring(("x1", "x2", "x3") + IDEAL_VARS, [(1,) * 7])
+        p = [parse(q, R) for q in ("x1", "x2", "x1 + x2", "x1 - x2 + y1")]
+        g = [parse(q, R) for q in ("x1^2 - x3^2", "x2^2 - x3^2", "x1^2 - x2^2 + x3*y2",
+                                   "x1^2 + x2^2 - 2*x3^2")]
+        res = SimpleNamespace(p=p, g=g)
+        pbar, gbar = on_plane(p), on_plane(g)
+        P2 = pbar[0].ring
+        assert projective_dim_degree(Ideal(pbar, P2))[0] == 0
+        products = zero_dim_degree(Ideal([pk * gj for pk in pbar for gj in gbar], P2))
+        assert count_flops(res, SimpleNamespace(abc=(1, 1, 1))) == products == 5
+        assert zero_dim_degree(Ideal(gbar, P2)) == 4
 
     def test_weighted_plane_records_no_count(self):
         # nodes are counted on P^2 only: a declared count stays a declaration
@@ -775,6 +813,32 @@ class TestEndpointMinimalGenerators:
     def test_equations_unchanged(self, name):
         text = "\n".join(str(e) for e in divisorial_endpoint(name).equations)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == CERTIFIED_BEFORE[name]
+
+
+class TestEndpointOrder:
+    # endpoint_fano takes the minimal generators under grevlex with last
+    # the variable in the most terms; membership does not depend on the
+    # order, so neither does the kept set
+    @pytest.mark.parametrize("name", ["10985", "1218", "tag-iii"])
+    def test_kept_set_under_every_last_variable(self, name, monkeypatch):
+        real, calls = birational.minimal_generators, []
+
+        def spy(ideal, order, budget):
+            calls.append((ideal, order))
+            return real(ideal, order, budget)
+
+        monkeypatch.setattr(birational, "minimal_generators", spy)
+        trace = trace_link(load_bundled(name).to_fano_case(), seed=0)
+        kept = [str(e) for e in trace.endpoint.endpoint.equations]
+        ((ideal, order),) = calls
+        ring = ideal.ring
+        occurs = [sum(m[i] > 0 for g in ideal.generators for m in g.terms)
+                  for i in range(ring.nvars)]
+        busiest = ring.names[occurs.index(max(occurs))]
+        assert order.rows == MatrixOrder.grevlex(ring, last=busiest).rows
+        for v in ring.names:
+            got = real(ideal, MatrixOrder.grevlex(ring, last=v), DEFAULT_BUDGET)
+            assert [str(e) for e in got] == kept, v
 
 
 class TestEndpointCanonicalClass:

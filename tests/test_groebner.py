@@ -255,11 +255,16 @@ class TestIsSaturated:
         with pytest.raises(AlgebraError, match="not homogeneous"):
             is_saturated(Ideal([parse("t*x1 - x1", R)]), "t")
 
-    @pytest.mark.parametrize("weights", [(0, 1), (1, -1), (1,)])
+    @pytest.mark.parametrize("weights", [(0, 1), (1, -1)])
     def test_rejects_non_positive_weights(self, weights):
         R = Ring(("t", "x1"), [(1, 1)])
         with pytest.raises(AlgebraError, match="positive grading"):
             is_saturated(Ideal([parse("t*x1", R)]), "t", weights=weights)
+
+    def test_rejects_weights_of_the_wrong_length(self):
+        R = Ring(("t", "x1"), [(1, 1)])
+        with pytest.raises(AlgebraError, match=r"needs 2 weights, one per variable, got \(1,\)"):
+            is_saturated(Ideal([parse("t*x1", R)]), "t", weights=(1,))
 
     def test_rejects_unknown_variable(self):
         R = Ring(("t", "x1"), [(1, 1)])
