@@ -9,12 +9,14 @@ count where available.  The basket written is the centre plus the points
 the link removes, so it agrees with the link by construction; ROADMAP
 item 3 replaces that circular choice.
 
-Run from the repository root:  python scripts/build_cases.py
+Run with no arguments:  python scripts/build_cases.py
+It rewrites every generated file in src/tomlinks/cases.
 """
 
 from __future__ import annotations
 
 import sys
+from itertools import islice
 from math import gcd
 from pathlib import Path
 
@@ -35,22 +37,13 @@ from tomlinks.unprojection import tom_normalising_permutation
 CASES_DIR = Path(__file__).resolve().parent.parent / "src" / "tomlinks" / "cases"
 
 
-def weight_matrix_from_u(v: tuple[int, ...]) -> WeightMatrix5 | None:
-    # v are doubled row weights; entries (v_i + v_j)/2 must be positive integers
-    m = {}
-    for (i, j) in PAIRS:
-        s = v[i - 1] + v[j - 1]
-        if s % 2 or s <= 0:
-            return None
-        m[(i, j)] = s // 2
-    return WeightMatrix5(m)
-
-
 def candidate_weight_matrices(d: tuple[int, ...], r: int):
     """All Tom_1-shaped gradings, best quasilinearity score first.
 
-    Doubled row weights v1 <= ... <= v5 with sum r + sum(d); v1 + v2 >= 2
-    (positive top-row entries) and v2 + v3 >= 2*d4 (fillable ideal block).
+    Doubled row weights v1 <= ... <= v5 of one parity with sum r + sum(d),
+    giving entries m_ij = (v_i + v_j)/2; v1 + v2 >= 2 makes every entry
+    positive and v2 + v3 >= 2*d4 puts the ideal block at weight >= d4.
+    Distinct v give distinct W, as v_i = m_ij + m_ik - m_jk.
     """
     total = r + sum(d)
     found = []
@@ -71,23 +64,16 @@ def candidate_weight_matrices(d: tuple[int, ...], r: int):
                         if v5 < v4 or (v5 - parity) % 2:
                             continue
                         v = (v1, v2, v3, v4, v5)
-                        W = weight_matrix_from_u(v)
-                        if W is None:
-                            continue
+                        W = WeightMatrix5({(i, j): (v[i - 1] + v[j - 1]) // 2
+                                           for (i, j) in PAIRS})
                         ideal = [W[p] for p in PAIRS if 1 not in p]
-                        if min(ideal) < d[3] or any(W[p] < 1 for p in PAIRS):
-                            continue
                         if any(all(w < dj for w in ideal) for dj in d):
                             continue
                         score = sum(1 for dj in set(d) for w in ideal if w == dj)
                         found.append((-score, v, W))
     found.sort(key=lambda t: (t[0], t[1]))
-    seen = set()
-    for _, v, W in found:
-        key = tuple(W.as_list())
-        if key not in seen:
-            seen.add(key)
-            yield W
+    for _, _, W in found:
+        yield W
 
 
 def wall_pivot_potential(W: WeightMatrix5, d, abc) -> list[int]:
@@ -193,6 +179,21 @@ def finalize(case_id: str, abc, d, r, tom_index, W: WeightMatrix5, seed: int,
     return "\n".join(lines) + "\n"
 
 
+def write_first(case_id: str, attempts):
+    """Finalize each attempt (abc, d, r, tom_index, W, comment) in turn and
+    write the first that passes as `case_id`.case; the attempt written, or
+    None after printing FAILED."""
+    for attempt in attempts:
+        abc, d, r, tom_index, W, comment = attempt
+        text = finalize(case_id, abc, d, r, tom_index, W, seed=0, comment=comment)
+        if text is not None:
+            (CASES_DIR / f"{case_id}.case").write_text(text)
+            print(f"wrote {case_id}.case  r={r} abc={abc} d={d} m={W.as_list()}", flush=True)
+            return attempt
+    print(f"FAILED to build {case_id}", flush=True)
+    return None
+
+
 FIXED = [
     # (id, abc, d, r, weight list m12..m45, comment)
     ("6865", (1, 1, 2), (3, 2, 2, 2), 3, [1, 1, 2, 2, 2, 3, 3, 3, 3, 4],
@@ -210,38 +211,31 @@ SKIP_DEMO_D_CHOICES = [
     (5, 3, 3, 2), (5, 4, 4, 3), (5, 4, 4, 2),
 ]
 
+TAG_IV_D_CHOICES = [(3, 2, 1, 1), (4, 3, 2, 2), (4, 2, 1, 1), (4, 3, 1, 1), (5, 4, 3, 3)]
 
-def build_skip_demos():
+
+def skip_demo_attempts(taken):
     """d1>d2=d3>d4 families with a square pairing at weight d1 (the first
-    wall crossing restricts to an isomorphism), one per demo id."""
-    todo = ["1218", "1413"]
-    used: set[tuple] = set()
-    for case_id in todo:
-        done = False
-        for d in SKIP_DEMO_D_CHOICES:
-            tried = 0
-            for W in candidate_weight_matrices(d, 2):
-                if not wall_skip_expected(W, d[0]):
-                    continue
-                key = (d, tuple(W.as_list()))
-                if key in used:
-                    continue
-                tried += 1
-                if tried > 20:
-                    break
-                text = finalize(case_id, (1, 1, 1), d, 2, 1, W, seed=0,
-                                comment="ideal-weight pattern d1>d2=d3>d4 with a square "
-                                        "pairing at weight d1: the first wall is skipped")
-                if text is not None:
-                    (CASES_DIR / f"{case_id}.case").write_text(text)
-                    used.add(key)
-                    print(f"wrote {case_id}.case  d={d} m={W.as_list()}", flush=True)
-                    done = True
-                    break
-            if done:
-                break
-        if not done:
-            print(f"FAILED to build skip demo {case_id}", flush=True)
+    wall crossing restricts to an isomorphism), at most 20 gradings per d,
+    leaving out `taken` so that each demo gets its own grading."""
+    comment = ("ideal-weight pattern d1>d2=d3>d4 with a square pairing at weight d1: "
+               "the first wall is skipped")
+    for d in SKIP_DEMO_D_CHOICES:
+        attempts = (((1, 1, 1), d, 2, 1, W, comment) for W in candidate_weight_matrices(d, 2)
+                    if wall_skip_expected(W, d[0]))
+        yield from islice((a for a in attempts if a != taken), 20)
+
+
+def tag_iv_attempts():
+    """d1>d2>d3=d4 families where neither flip wall is skipped, at most 20
+    gradings per d."""
+    comment = "synthetic d1>d2>d3=d4 demo: two flips then a del Pezzo fibration"
+    for d in TAG_IV_D_CHOICES:
+        fits = (W for W in candidate_weight_matrices(d, 2)
+                if not wall_skip_expected(W, d[0]) and not wall_skip_expected(W, d[1]))
+        for W in islice(fits, 20):
+            yield (1, 1, 1), d, 2, 1, W, comment
+
 
 TABLE1 = [
     # (file id, ambient weights, preferred centre index r or None, tom index)
@@ -261,6 +255,8 @@ TABLE1 = [
 
 
 def centre_candidates(weights: tuple[int, ...], prefer: int | None):
+    """(r, abc, d) for each centre 1/r(1, b, r - b) the ambient weights allow,
+    largest r first; each b is drawn once."""
     ws = list(weights)
     rs = sorted(set(ws), reverse=True)
     if prefer is not None:
@@ -272,7 +268,6 @@ def centre_candidates(weights: tuple[int, ...], prefer: int | None):
             continue
         pool = list(rest)
         pool.remove(1)
-        seen = set()
         for b in sorted(set(pool)):
             c = r - b
             if c < b:
@@ -281,9 +276,6 @@ def centre_candidates(weights: tuple[int, ...], prefer: int | None):
                 continue
             if gcd(b, r) != 1:
                 continue
-            if (b, c) in seen:
-                continue
-            seen.add((b, c))
             d_pool = list(pool)
             d_pool.remove(b)
             d_pool.remove(c)
@@ -292,82 +284,35 @@ def centre_candidates(weights: tuple[int, ...], prefer: int | None):
             yield r, abc, d
 
 
-def build_fixed():
-    for case_id, abc, d, r, mlist, comment in FIXED:
-        W = WeightMatrix5.from_list(mlist)
-        text = finalize(case_id, abc, d, r, 1, W, seed=0, comment=comment)
-        if text is None:
-            print(f"FAILED to drive fixed case {case_id}", flush=True)
-            continue
-        (CASES_DIR / f"{case_id}.case").write_text(text)
-        print(f"wrote {case_id}.case", flush=True)
+def table1_attempts(ambient: tuple[int, ...], prefer: int | None, tom_index: int):
+    """Per centre with a divisorial pattern, at most 40 gradings whose middle
+    walls all show at least three pivots, fewest surplus pivots first."""
+    for r, abc, d in centre_candidates(ambient, prefer):
+        tag = classify_case(d)
+        if tag not in ("i", "ii", "iii", "vii"):
+            continue  # the Picard chain needs a divisorial endpoint
+        ranked = []
+        for W in candidate_weight_matrices(d, r):
+            pots = wall_pivot_potential(W, d, abc)
+            if all(p >= 3 for p in pots):
+                ranked.append((sum(p - 3 for p in pots), W))
+        ranked.sort(key=lambda t: t[0])
+        comment = f"Picard-rank table row: divisorial link, pattern ({tag})"
+        for _, W in ranked[:40]:
+            yield abc, d, r, tom_index, W, comment
 
 
-def build_tag_iv():
-    """Search a d1>d2>d3=d4 family where neither flip wall is skipped."""
-    for d in [(3, 2, 1, 1), (4, 3, 2, 2), (4, 2, 1, 1), (4, 3, 1, 1), (5, 4, 3, 3)]:
-        tried = 0
-        for W in candidate_weight_matrices(d, 2):
-            if wall_skip_expected(W, d[0]) or wall_skip_expected(W, d[1]):
-                continue
-            tried += 1
-            if tried > 20:
-                break
-            text = finalize("tag-iv", (1, 1, 1), d, 2, 1, W, seed=0,
-                            comment="synthetic d1>d2>d3=d4 demo: two flips then a del Pezzo fibration")
-            if text is not None:
-                (CASES_DIR / "tag-iv.case").write_text(text)
-                print(f"wrote tag-iv.case  d={d} m={W.as_list()}", flush=True)
-                return
-        print(f"tag-iv: d={d} exhausted ({tried} tried)", flush=True)
-    print("FAILED to build tag-iv", flush=True)
-
-
-def build_table1(only: str | None = None):
+def build_all():
+    """Write every generated case file into CASES_DIR."""
+    CASES_DIR.mkdir(exist_ok=True)
+    for case_id, abc, d, r, weights, comment in FIXED:
+        write_first(case_id, [(abc, d, r, 1, WeightMatrix5.from_list(weights), comment)])
+    taken = write_first("1218", skip_demo_attempts(None))
+    write_first("1413", skip_demo_attempts(taken))
+    write_first("tag-iv", tag_iv_attempts())
     for case_id, ambient, prefer, tom_index in TABLE1:
-        if only is not None and case_id != only:
-            continue
-        done = False
-        for r, abc, d in centre_candidates(ambient, prefer):
-            tag = classify_case(d)
-            if tag not in ("i", "ii", "iii", "vii"):
-                continue  # the Picard chain needs a divisorial endpoint
-            ranked = []
-            for W in candidate_weight_matrices(d, r):
-                pots = wall_pivot_potential(W, d, abc)
-                if any(p < 3 for p in pots):
-                    continue
-                ranked.append((sum(abs(p - 3) for p in pots), W))
-            ranked.sort(key=lambda t: t[0])
-            tried = 0
-            for _, W in ranked:
-                tried += 1
-                if tried > 40:
-                    break
-                text = finalize(case_id, abc, d, r, tom_index, W, seed=0,
-                                comment=f"Picard-rank table row: divisorial link, pattern ({tag})")
-                if text is not None:
-                    (CASES_DIR / f"{case_id}.case").write_text(text)
-                    print(f"wrote {case_id}.case  r={r} abc={abc} d={d} tag={tag} "
-                          f"m={W.as_list()}", flush=True)
-                    done = True
-                    break
-            if done:
-                break
-        if not done:
-            print(f"FAILED to build table row {case_id}", flush=True)
+        write_first(case_id, table1_attempts(ambient, prefer, tom_index))
 
 
 if __name__ == "__main__":
-    CASES_DIR.mkdir(exist_ok=True)
-    which = sys.argv[1] if len(sys.argv) > 1 else "all"
-    if which in ("all", "fixed"):
-        build_fixed()
-    if which in ("all", "skips"):
-        build_skip_demos()
-    if which in ("all", "tag-iv"):
-        build_tag_iv()
-    if which in ("all", "table1"):
-        build_table1()
-    if which.startswith("row:"):
-        build_table1(only=which.split(":", 1)[1])
+    build_all()

@@ -283,14 +283,9 @@ def criterion_7(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
             total += 1
             _, res = _seeded_member(name, seed)
             try:
-                deltas = compute_deltas(res.g, case)
+                compute_deltas(res.g, case)  # raises unless delta_j = r + d_j
             except LinkError as e:
                 bad.append(f"{name}/{seed}: {e}")
-                continue
-            if any(dl < dj for dl, dj in zip(deltas, case.d)):
-                bad.append(f"{name}/{seed}: delta below ideal weight")
-            if deltas != tuple(case.r + dj for dj in case.d):
-                bad.append(f"{name}/{seed}: deltas {deltas}")
     return [AcceptanceResult(
         "7", f"delta lemma on {total} seeded members: d_j <= delta_j = r + d_j",
         not bad, "; ".join(bad[:3]))]

@@ -13,7 +13,8 @@ from pathlib import Path
 
 from .algebra import AlgebraError, bidegree, parse
 from .birational import Basket, FanoCase
-from .pfaffian import PAIRS, PfaffianError, SkewMatrix5, TomFormat, WeightMatrix5, check_tom
+from .pfaffian import PAIRS, PfaffianError, SkewMatrix5, TomFormat, WeightMatrix5
+from .unprojection import UnprojectionError, decompose_entries
 
 
 class CaseFileError(Exception):
@@ -23,6 +24,8 @@ class CaseFileError(Exception):
 
 
 ENTRY_KEYS = tuple(f"m{i}{j}" for (i, j) in PAIRS)
+KEYS = ("id", "ambient", "centre", "tom_index", "basket", "nodes", "matrix_weights",
+        "matrix") + ENTRY_KEYS
 
 
 @dataclass
@@ -73,10 +76,11 @@ class CaseFile:
                         f"entry m{i}{j} has degree {degree}, declared {weight}", line)
                 entries[(i, j)] = p
             matrix = SkewMatrix5(entries, self.matrix_weights, ring)
-            if not check_tom(matrix, TomFormat(self.tom_index)):
-                raise CaseFileError(
-                    f"matrix is not in Tom_{self.tom_index} format", self.tom_line
-                )
+            try:
+                decompose_entries(matrix, TomFormat(self.tom_index))
+            except UnprojectionError:
+                raise CaseFileError(f"matrix is not in Tom_{self.tom_index} format",
+                                    self.tom_line)
             case.matrix = matrix
         return case
 
@@ -108,6 +112,8 @@ def parse_case_text(text: str) -> CaseFile:
         if "=" not in line:
             raise CaseFileError(f"expected key = value, got {rawline!r}", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in KEYS:
+            raise CaseFileError(f"unknown key {key!r}", lineno)
         if key in fields:
             raise CaseFileError(f"duplicate key {key!r}", lineno)
         fields[key] = (value, lineno)

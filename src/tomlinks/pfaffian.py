@@ -147,11 +147,6 @@ def maximal_pfaffians(M: SkewMatrix5) -> list[Polynomial]:
     return [signed_pfaffian(M.entries, k) for k in range(1, 6)]
 
 
-def is_ideal_element(p: Polynomial, ideal_indices: tuple[int, ...]) -> bool:
-    """True iff every term is divisible by one of the ideal variables."""
-    return all(any(m[i] for i in ideal_indices) for m in p.terms)
-
-
 def _ideal_indices(ring: Ring) -> tuple[int, ...]:
     try:
         return tuple(ring.index[v] for v in IDEAL_VARS)
@@ -161,12 +156,6 @@ def _ideal_indices(ring: Ring) -> tuple[int, ...]:
 
 def constrained_pairs(fmt: TomFormat) -> list[tuple[int, int]]:
     return [(i, j) for (i, j) in PAIRS if i != fmt.k and j != fmt.k]
-
-
-def check_tom(M: SkewMatrix5, fmt: TomFormat) -> bool:
-    """True iff all six entries avoiding row/column k lie in (y1..y4)."""
-    idx = _ideal_indices(M.ring)
-    return all(is_ideal_element(M.entries[p], idx) for p in constrained_pairs(fmt))
 
 
 def build_general_tom(weights: WeightMatrix5, fmt: TomFormat, ambient: Ring,

@@ -27,10 +27,7 @@ def load_script():
 def test_rebuild_reproduces_the_bundled_cases(tmp_path):
     script = load_script()
     script.CASES_DIR = tmp_path
-    script.build_fixed()
-    script.build_skip_demos()
-    script.build_tag_iv()
-    script.build_table1()
+    script.build_all()
     written = sorted(p.name for p in tmp_path.iterdir())
     generated = sorted(p.name for p in CASES.glob("*.case") if p.name not in HAND_WRITTEN)
     assert written == generated

@@ -119,10 +119,11 @@ class TestCli:
         ("m12 = x1", "m12 = 0/0*x1", 9, "entry m12: zero denominator in '0/0'"),
         ("nodes = 24", "nodes = -3", 7, "nodes must be an integer >= 0"),
         ("nodes = 24", "nodes = 2.5", 7, "nodes must be an integer >= 0"),
+        ("nodes = 24", "node = 23", 7, "unknown key 'node'"),
     ], ids=["pfaffian-weights", "entry-degree", "entry-inhomogeneous", "orbinates",
             "ideal-weight-zero", "entry-unknown-variable", "entry-stray-star",
             "entry-zero-denominator", "entry-zero-over-zero",
-            "negative-nodes", "non-integer-nodes"])
+            "negative-nodes", "non-integer-nodes", "unknown-key"])
     def test_case_file_error_exits_2_naming_its_line(self, tmp_path, capsys, old, new, line,
                                                      message):
         text = CASES.joinpath("10985.case").read_text()

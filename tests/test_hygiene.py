@@ -3,8 +3,9 @@ it never uses, imports inside a function, has a function that takes a
 parameter it never reads, calls `eval` or `exec`, or holds an `assert`
 statement, which `python -O` strips; no module of the package imports a
 module outside the standard library and the package, and no module-level
-function or class goes unreferenced; every package attribute the
-benchmark's tracer and workloads name still exists.
+function or class of the package or of `scripts/` goes unreferenced;
+every package attribute the benchmark's tracer and workloads name still
+exists.
 
 A name counts as used if it appears as a bare name anywhere in the module,
 including inside a string annotation such as "Polynomial | None".  The
@@ -13,8 +14,8 @@ A module-level function or class counts as referenced if its name appears
 as a bare name, an attribute or a string that parses as a name (an entry
 of `__all__` or of the tracer's table) outside its own definition: a
 private (`_`-prefixed) one in the package, a public one in the package,
-`scripts/` or `perfbench/`.  Tests do not count, so a routine that only
-tests call belongs in the tests.
+`scripts/` or `perfbench/`; one of `scripts/` in `scripts/`.  Tests do not
+count, so a routine that only tests call belongs in the tests.
 """
 
 import ast
@@ -175,6 +176,11 @@ def test_no_unreferenced_public_definitions():
     referrers = {f"{p.parent.name}/{p.name}": p.read_text()
                  for p in sorted(SCRIPTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))}
     assert unreferenced(sources, referrers, private=False) == []
+
+
+def test_no_unreferenced_script_definitions():
+    sources = {f"scripts/{p.name}": p.read_text() for p in sorted(SCRIPTS.glob("*.py"))}
+    assert unreferenced(sources, {}, private=False) + unreferenced(sources, {}, private=True) == []
 
 
 def unused_parameters(source: str) -> list[str]:

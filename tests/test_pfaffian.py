@@ -10,9 +10,9 @@ from tomlinks.pfaffian import (
     TomFormat,
     WeightMatrix5,
     build_general_tom,
-    check_tom,
     maximal_pfaffians,
 )
+from tomlinks.unprojection import UnprojectionError, decompose_entries
 
 R7 = Ring(("x1", "x2", "x3", "y1", "y2", "y3", "y4"), [(1, 1, 1, 6, 5, 4, 3)])
 W10985 = WeightMatrix5.from_list([1, 2, 3, 4, 3, 4, 5, 5, 6, 7])
@@ -76,30 +76,34 @@ class TestMaximalPfaffians:
 
 
 class TestCheckTom:
+    """Tom_k membership: `decompose_entries` splits all six entries off
+    row and column k over (y1..y4), or raises."""
+
     def test_bundled_matrix(self):
-        assert check_tom(matrix_10985(), TomFormat(1))
+        assert len(decompose_entries(matrix_10985(), TomFormat(1))) == 6
 
     def test_wrong_index(self):
-        assert not check_tom(matrix_10985(), TomFormat(3))
+        with pytest.raises(UnprojectionError, match="no y factor"):
+            decompose_entries(matrix_10985(), TomFormat(3))
 
     def test_zero_matrix(self):
         entries = {p: R7.zero() for p in PAIRS}
         M = SkewMatrix5(entries, WeightMatrix5.from_list([1] * 10), R7)
         for k in range(1, 6):
-            assert check_tom(M, TomFormat(k))
+            assert len(decompose_entries(M, TomFormat(k))) == 6
 
     def test_monotone_under_ideal_addition(self):
         M = matrix_10985()
         entries = dict(M.entries)
         entries[(3, 4)] = entries[(3, 4)] + parse("x1^2*y4", R7)
         M2 = SkewMatrix5(entries, W10985, R7)
-        assert check_tom(M2, TomFormat(1))
+        assert len(decompose_entries(M2, TomFormat(1))) == 6
 
 
 class TestBuildGeneralTom:
     def test_bundled_weight_data(self):
         M = build_general_tom(W10985, TomFormat(1), R7, seed=0)
-        assert check_tom(M, TomFormat(1))
+        assert len(decompose_entries(M, TomFormat(1))) == 6
         # every admissible monomial appears, so y_j is linear in each
         # constrained entry of weight d_j
         for ij, y in (((2, 3), "y4"), ((2, 4), "y3"), ((2, 5), "y2"), ((3, 5), "y1")):
