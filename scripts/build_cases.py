@@ -10,7 +10,8 @@ the link removes, so it agrees with the link by construction; ROADMAP
 item 3 replaces that circular choice.
 
 Run with no arguments:  python scripts/build_cases.py
-It rewrites every generated file in src/tomlinks/cases.
+It rewrites every generated file in src/tomlinks/cases and exits 1 when
+some case could not be built.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from tomlinks.algebra import AlgebraError
 from tomlinks.birational import (
     Basket,
     FanoCase,
@@ -31,6 +33,7 @@ from tomlinks.birational import (
     wall_groups,
     wall_skip_expected,
 )
+from tomlinks.groebner import BudgetExceeded
 from tomlinks.pfaffian import PAIRS, WeightMatrix5
 from tomlinks.unprojection import tom_normalising_permutation
 
@@ -132,10 +135,12 @@ class _RecordingBasket(Basket):
 
 def drive(case: FanoCase, seed: int):
     """Trace once; the trace, or None if it fails or a single-variable wall
-    breaks its prediction.  `trace_link`'s Groebner budget bounds the work."""
+    breaks its prediction.  `trace_link`'s Groebner budget bounds the work;
+    any error other than a failed link or an exhausted budget is a bug and
+    propagates."""
     try:
         trace = trace_link(case, seed=seed)
-    except Exception:
+    except (AlgebraError, BudgetExceeded):
         return None
     return trace if trace.template_ok else None
 
@@ -302,17 +307,21 @@ def table1_attempts(ambient: tuple[int, ...], prefer: int | None, tom_index: int
             yield abc, d, r, tom_index, W, comment
 
 
-def build_all():
-    """Write every generated case file into CASES_DIR."""
+def build_all() -> list[str]:
+    """Write every generated case file into CASES_DIR; the ids of the cases
+    that could not be built."""
     CASES_DIR.mkdir(exist_ok=True)
+    written = {}
     for case_id, abc, d, r, weights, comment in FIXED:
-        write_first(case_id, [(abc, d, r, 1, WeightMatrix5.from_list(weights), comment)])
-    taken = write_first("1218", skip_demo_attempts(None))
-    write_first("1413", skip_demo_attempts(taken))
-    write_first("tag-iv", tag_iv_attempts())
+        written[case_id] = write_first(
+            case_id, [(abc, d, r, 1, WeightMatrix5.from_list(weights), comment)])
+    written["1218"] = write_first("1218", skip_demo_attempts(None))
+    written["1413"] = write_first("1413", skip_demo_attempts(written["1218"]))
+    written["tag-iv"] = write_first("tag-iv", tag_iv_attempts())
     for case_id, ambient, prefer, tom_index in TABLE1:
-        write_first(case_id, table1_attempts(ambient, prefer, tom_index))
+        written[case_id] = write_first(case_id, table1_attempts(ambient, prefer, tom_index))
+    return [case_id for case_id, attempt in written.items() if attempt is None]
 
 
 if __name__ == "__main__":
-    build_all()
+    raise SystemExit(1 if build_all() else 0)

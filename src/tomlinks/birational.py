@@ -513,8 +513,7 @@ class DelPezzoFibration:
 class ConicBundle:
     base: tuple[str, ...]
     discriminant_degree: int | None
-    patch_determinants: list[tuple[str, str]]   # (patch variable, determinant text)
-    patch_degrees: list[int]
+    patch_determinants: list[tuple[str, Polynomial]]   # (patch variable, Gram determinant)
     overlap: int
     note: str = ""
 
@@ -868,12 +867,10 @@ def conic_discriminant(pf_gens: Sequence[Polynomial], S: Ring, base: Sequence[st
     is the discriminant degree.
     """
     if len(base) != 3:
-        return ConicBundle(tuple(base), None, [], [], 0,
+        return ConicBundle(tuple(base), None, [], 0,
                            "conic bundle over a 3-space; patch analysis done on planes only")
     fiber = [n for n in S.names if n not in base and n != "s"]
-    dets: list[Polynomial] = []
-    det_texts: list[tuple[str, str]] = []
-    degrees: list[int] = []
+    dets: list[tuple[str, Polynomial]] = []
     for patch, free in ((base[0], base[1]), (base[1], base[0])):
         P = Ring(tuple(fiber) + (free,), ((1,) * (len(fiber) + 1),))
         subs = {patch: 1, base[2]: 0}
@@ -897,34 +894,23 @@ def conic_discriminant(pf_gens: Sequence[Polynomial], S: Ring, base: Sequence[st
             raise LinkError(f"{len(surv)} fibre variables survive on patch {patch}")
         vi = [P.index[n] for n in surv]
         fi = P.index[free]
-        for m in conic.terms:
-            if sum(m[i] for i in vi) != 2:
-                raise LinkError(f"patch {patch} equation is not a fibre conic")
-        gram: list[list[Polynomial]] = [[None] * 3 for _ in range(3)]
         U = Ring((free,), ((1,),))
-        for aa in range(3):
-            for bb in range(aa, 3):
-                picked = {}
-                for m, c in conic.terms.items():
-                    exps = [m[i] for i in vi]
-                    want = [0, 0, 0]
-                    want[aa] += 1
-                    want[bb] += 1
-                    if exps == want:
-                        picked[(m[fi],)] = c
-                coeff = Polynomial(U, picked, _clean=True)
-                if aa == bb:
-                    gram[aa][bb] = coeff
-                else:
-                    gram[aa][bb] = gram[bb][aa] = coeff * Fraction(1, 2)
-        gram_det = det(gram)
-        dets.append(gram_det)
-        det_texts.append((patch, str(gram_det)))
-        degrees.append(gram_det.degree())
+        # c*v_a*v_b*u^e puts c at (a, a), or c/2 at (a, b) and (b, a)
+        entries: list[list[dict]] = [[{} for _ in range(3)] for _ in range(3)]
+        for m, c in conic.terms.items():
+            pair = [a for a, i in enumerate(vi) for _ in range(m[i])]
+            if len(pair) != 2:
+                raise LinkError(f"patch {patch} equation is not a fibre conic")
+            a, b = pair
+            if a == b:
+                entries[a][a][(m[fi],)] = c
+            else:
+                entries[a][b][(m[fi],)] = entries[b][a][(m[fi],)] = Fraction(c, 2)
+        dets.append((patch, det([[Polynomial(U, e) for e in row] for row in entries])))
 
-    overlap = _patch_overlap(dets[0], dets[1], budget)
-    total = degrees[0] + degrees[1] - overlap
-    return ConicBundle(tuple(base), total, det_texts, degrees, overlap)
+    (_, f), (_, g) = dets
+    overlap = _patch_overlap(f, g, budget)
+    return ConicBundle(tuple(base), f.degree() + g.degree() - overlap, dets, overlap)
 
 
 def conic_discriminant_or_note(pf_gens, S: Ring, base,
@@ -935,7 +921,7 @@ def conic_discriminant_or_note(pf_gens, S: Ring, base,
     try:
         return conic_discriminant(pf_gens, S, base, budget)
     except LinkError as e:
-        return ConicBundle(tuple(base), None, [], [], 0, f"discriminant not computed: {e}")
+        return ConicBundle(tuple(base), None, [], 0, f"discriminant not computed: {e}")
 
 
 def _patch_overlap(f: Polynomial, g: Polynomial, budget: int) -> int:

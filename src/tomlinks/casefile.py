@@ -209,7 +209,12 @@ def parse_case(path: str | Path) -> CaseFile:
     path = Path(path)
     if not path.exists():
         raise CaseFileError(f"case file not found: {path}")
-    return parse_case_text(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        reason = e.strerror if isinstance(e, OSError) else e
+        raise CaseFileError(f"cannot read case file {path}: {reason}") from None
+    return parse_case_text(text)
 
 
 def bundled_case_names() -> list[str]:

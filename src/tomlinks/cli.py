@@ -53,6 +53,14 @@ def _common(parser):
                         help="append wall-clock timings (excluded from goldens)")
 
 
+def _finish(args, t0: float, data: dict, ok: bool) -> int:
+    """Attach the timings on request, print the report and give the exit code."""
+    if args.timings:
+        data["timings"] = {"seconds": round(time.perf_counter() - t0, 3)}
+    sys.stdout.write(emit(data, args.json))
+    return EXIT_OK if ok else EXIT_VERIFY
+
+
 def cmd_unproject(args) -> int:
     case = _load_case(args)
     t0 = time.perf_counter()
@@ -65,10 +73,7 @@ def cmd_unproject(args) -> int:
         "unprojection": unprojection_dict(res, rep),
         "equations": [str(e) for e in res.X_ideal.generators],
     }
-    if args.timings:
-        data["timings"] = {"seconds": round(time.perf_counter() - t0, 3)}
-    sys.stdout.write(emit(data, args.json))
-    return EXIT_OK if rep.ok() else EXIT_VERIFY
+    return _finish(args, t0, data, rep.ok())
 
 
 def cmd_blowup(args) -> int:
@@ -86,14 +91,9 @@ def cmd_blowup(args) -> int:
         "t_exponents": list(blow.t_exponents),
         "equations": [str(h) for h in blow.generators],
     }
-    oracle_ok = True
     if not args.skip_saturation_oracle:
-        oracle_ok = verify_blowup_saturation(blow, args.budget)
-        data["saturation_oracle"] = oracle_ok
-    if args.timings:
-        data["timings"] = {"seconds": round(time.perf_counter() - t0, 3)}
-    sys.stdout.write(emit(data, args.json))
-    return EXIT_OK if oracle_ok else EXIT_VERIFY
+        data["saturation_oracle"] = verify_blowup_saturation(blow, args.budget)
+    return _finish(args, t0, data, data.get("saturation_oracle", True))
 
 
 def cmd_trace(args) -> int:
@@ -103,26 +103,17 @@ def cmd_trace(args) -> int:
     data = trace_dict(trace, args.seed)
     if args.saturation_oracle:
         data["saturation_oracle"] = verify_blowup_saturation(trace.blowup, args.budget)
-    if args.timings:
-        data["timings"] = {"seconds": round(time.perf_counter() - t0, 3)}
-    sys.stdout.write(emit(data, args.json))
-    ok = trace.template_ok and data.get("saturation_oracle", True)
-    return EXIT_OK if ok else EXIT_VERIFY
+    return _finish(args, t0, data, trace.template_ok and data.get("saturation_oracle", True))
 
 
 def cmd_selftest(args) -> int:
     results = run_acceptance(budget=args.budget)
-    worst = EXIT_OK
     for r in results:
         status = "pass" if r.passed else ("known-defect" if r.known_defect else "FAIL")
         print(f"[{status:12s}] {r.criterion}: {r.name}")
-        if not r.passed and not r.known_defect:
-            worst = EXIT_VERIFY
-            if r.detail:
-                print(f"               {r.detail}")
-        elif r.known_defect and r.detail:
+        if r.detail and (r.known_defect or not r.passed):
             print(f"               {r.detail}")
-    return worst
+    return EXIT_OK if all(r.passed or r.known_defect for r in results) else EXIT_VERIFY
 
 
 def cmd_examples(args) -> int:
@@ -168,7 +159,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (CaseFileError, FileNotFoundError) as e:
+    except CaseFileError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except AlgebraError as e:

@@ -7,7 +7,6 @@ attached on request so golden files stay stable.
 from __future__ import annotations
 
 import json
-from typing import Any
 
 from . import __version__
 from .birational import (
@@ -24,14 +23,6 @@ from .birational import (
     quotient_token,
 )
 from .unprojection import UnprojectionResult, VerificationReport
-
-
-def _clean(value: Any) -> Any:
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _clean(v) for k, v in value.items()}
-    return value
 
 
 def render_tree(data: dict, indent: int = 0) -> str:
@@ -97,11 +88,12 @@ def step_dict(step) -> dict:
         return {"kind": "DelPezzoFibration", "base": list(step.base),
                 "degree": step.degree, "note": step.note}
     if isinstance(step, ConicBundle):
+        dets = step.patch_determinants
         return {
             "kind": "ConicBundle", "base": list(step.base),
             "discriminant_degree": step.discriminant_degree,
-            "patch_determinants": [{"patch": p, "det": d} for p, d in step.patch_determinants],
-            "patch_degrees": list(step.patch_degrees), "overlap": step.overlap,
+            "patch_determinants": [{"patch": p, "det": str(d)} for p, d in dets],
+            "patch_degrees": [d.degree() for _, d in dets], "overlap": step.overlap,
             "note": step.note,
         }
     return {"kind": type(step).__name__}
@@ -151,5 +143,5 @@ def trace_dict(trace: LinkTrace, seed: int) -> dict:
 
 def emit(data: dict, as_json: bool = False) -> str:
     if as_json:
-        return json.dumps(_clean(data), sort_keys=True, separators=(",", ":"))
-    return render_tree(_clean(data)) + "\n"
+        return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return render_tree(data) + "\n"

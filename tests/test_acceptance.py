@@ -110,6 +110,16 @@ class TestCriterion3:
     def test_3e_discriminant_6_with_overlap(self, c3):
         assert c3["3e"][0].passed, c3["3e"][0].detail
 
+    def test_conic_without_determinants_fails_its_lines(self, monkeypatch):
+        # a conic step that carries only a note fails 3c-3e; the battery goes on
+        def no_conic(*args, **kwargs):
+            raise birational.LinkError("no principal conic")
+
+        monkeypatch.setattr(birational, "conic_discriminant", no_conic)
+        got = _index(criterion_3())
+        assert [got[c][0].passed for c in ("3c", "3d", "3e")] == [False] * 3
+        assert got["3e"][0].detail == "discriminant not computed: no principal conic"
+
 
 class TestCriterion4:
     def test_saturation_oracle(self):

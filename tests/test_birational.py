@@ -519,10 +519,21 @@ class TestConicBudget:
 
         monkeypatch.setattr(birational, "det", fake_det)
         conic = birational.conic_discriminant(*conic_input)
-        assert (conic.patch_degrees, conic.overlap, conic.discriminant_degree) == ([2, 2], 1, 3)
+        degrees = [d.degree() for _, d in conic.patch_determinants]
+        assert (degrees, conic.overlap, conic.discriminant_degree) == ([2, 2], 1, 3)
         with pytest.raises(BudgetExceeded) as err:
             birational.conic_discriminant(*conic_input, budget=0)
         assert err.value.routine == "buchberger"
+
+    def test_term_off_the_fibre_conic_raises(self, conic_input, monkeypatch):
+        # a surviving equation with a cubic fibre term is no conic
+        def cubic(gens, P, priority):
+            u, v, w = (P.gen(n) for n in priority[:3])
+            return [u ** 3 + v * w], set(priority[3:])
+
+        monkeypatch.setattr(birational, "global_eliminate", cubic)
+        with pytest.raises(birational.LinkError, match="is not a fibre conic"):
+            birational.conic_discriminant(*conic_input)
 
 
 def basket_case(abc, r, points):
@@ -701,7 +712,7 @@ class TestTraces:
         assert trace.steps[2].weights == (2, 1, -1, -1)
         conic = trace.steps[3]
         assert conic.discriminant_degree == 6
-        assert sorted(conic.patch_degrees) == [2, 5]
+        assert sorted(d.degree() for _, d in conic.patch_determinants) == [2, 5]
         assert conic.overlap == 1
         assert trace.template_ok
 
@@ -712,9 +723,9 @@ class TestTraces:
         conic = trace.steps[3]
         U3 = Ring(("y3",), [(1,)])
         U2 = Ring(("y2",), [(1,)])
-        got = {p: t for p, t in conic.patch_determinants}
-        d_y2 = parse(got["y2"], U3)
-        d_y3 = parse(got["y3"], U2)
+        got = dict(conic.patch_determinants)
+        d_y2, d_y3 = got["y2"], got["y3"]
+        assert (d_y2.ring, d_y3.ring) == (U3, U2)
         t_y2 = parse("y3^5 - y3^4", U3)   # y3^4 (y3 - 1)
         t_y3 = parse("y2^2 - y2", U2)     # y2 (y2 - 1)
         for d, t in ((d_y2, t_y2), (d_y3, t_y3)):

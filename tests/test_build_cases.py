@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tomlinks.casefile import parse_case_text
+from tomlinks.casefile import load_bundled, parse_case_text
 from tomlinks.pfaffian import TomFormat, WeightMatrix5
 from tomlinks.unprojection import build_unprojection
 
@@ -33,6 +33,27 @@ def test_rebuild_reproduces_the_bundled_cases(tmp_path):
     assert written == generated
     assert len(written) == 19
     assert [n for n in written if (tmp_path / n).read_bytes() != (CASES / n).read_bytes()] == []
+
+
+def test_build_all_reports_the_cases_it_could_not_build(tmp_path, monkeypatch):
+    script = load_script()
+    script.CASES_DIR = tmp_path
+    monkeypatch.setattr(script, "finalize",
+                        lambda case_id, *args, **kwargs: None if case_id == "6865" else "-\n")
+    assert script.build_all() == ["6865"]
+    assert not (tmp_path / "6865.case").exists() and (tmp_path / "1218.case").exists()
+
+
+def test_drive_lets_a_program_error_through(monkeypatch):
+    # only a failed link or an exhausted budget rejects an attempt
+    script = load_script()
+
+    def broken(case, seed):
+        raise TypeError("bug in trace_link")
+
+    monkeypatch.setattr(script, "trace_link", broken)
+    with pytest.raises(TypeError, match="bug in trace_link"):
+        script.drive(load_bundled("10985").to_fano_case(), 0)
 
 
 

@@ -94,6 +94,16 @@ class TestCli:
     def test_input_error_exit_2(self, capsys):
         assert main(["trace", "--case", "/no/such/file.case"]) == 2
 
+    @pytest.mark.parametrize("make", [
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b"id = \xff\n"),
+    ], ids=["directory", "not-utf8"])
+    def test_unreadable_case_path_exits_2(self, tmp_path, capsys, make):
+        path = tmp_path / "bad.case"
+        make(path)
+        assert main(["trace", "--case", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: cannot read case file {path}: ")
+
     def test_absent_basket_point_exits_1_naming_it(self, tmp_path, capsys):
         text = CASES.joinpath("10985.case").read_text()
         old = "basket = 1/2(1,1,1) 1/6(1,1,5)"

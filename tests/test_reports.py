@@ -1,17 +1,24 @@
-"""Byte-level pins of the `--json` reports of every bundled case.
+"""Byte-level pins of the `--json` reports of every bundled case and of
+the `selftest` battery.
 
 `tomlinks trace --case <name> --json` (seed 0), `tomlinks unproject --case
 <name> --json` and `tomlinks blowup --case <name> --json
 --skip-saturation-oracle` must reproduce these sha256 digests of their
 standard output, with exit code 0.  A change to the arithmetic kernel that
 alters any equation, weight or step of a report fails here before it
-reaches a golden.
+reaches a golden.  `tomlinks selftest` must print its 47 lines unchanged.
+
+The reports hold only what JSON and the tree renderer print as given:
+dicts with string keys, lists, str, int, bool and None.  `json.dumps`
+prints a tuple as a list, so the digests alone would not see one.
 """
 
 import hashlib
 
 import pytest
 
+from tomlinks import cli
+from tomlinks.acceptance import AcceptanceResult
 from tomlinks.casefile import bundled_case_names
 from tomlinks.cli import main
 
@@ -119,3 +126,59 @@ def test_blowup_json(capsys, name):
     got = report_digest(
         capsys, ["blowup", "--case", name, "--json", "--skip-saturation-oracle"])
     assert got == BLOWUP_SHA256[name]
+
+
+SELFTEST_SHA256 = "91d8f49ee304a4b2178e1ab6a610a7d2c83b6841ff08e948bd2afb34e44eede5"
+
+
+def test_selftest_output(capsys):
+    capsys.readouterr()
+    assert main(["selftest"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 47
+    assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_SHA256
+
+
+def test_selftest_prints_details_and_exits_1_on_a_failure(monkeypatch, capsys):
+    # a detail shows under a known defect or a failure, not under a pass
+    results = [AcceptanceResult("1", "kept", True, "quiet"),
+               AcceptanceResult("2", "known", False, "why", known_defect=True),
+               AcceptanceResult("3", "broken", False, "what")]
+    monkeypatch.setattr(cli, "run_acceptance", lambda budget: results)
+    capsys.readouterr()
+    assert main(["selftest"]) == 1
+    pad = " " * 15
+    assert capsys.readouterr().out == (
+        f"[pass        ] 1: kept\n[known-defect] 2: known\n{pad}why\n"
+        f"[FAIL        ] 3: broken\n{pad}what\n")
+    monkeypatch.setattr(cli, "run_acceptance", lambda budget: results[:2])
+    assert main(["selftest"]) == 0
+
+
+def plain_value_errors(value, where="report") -> list[str]:
+    """The places in `value` that are not a str-keyed dict, a list, str,
+    int, bool or None."""
+    if type(value) is dict:
+        return [f"{where}: key {k!r}" for k in value if type(k) is not str] + [
+            e for k, v in value.items() for e in plain_value_errors(v, f"{where}.{k}")]
+    if type(value) is list:
+        return [e for i, v in enumerate(value) for e in plain_value_errors(v, f"{where}[{i}]")]
+    if type(value) in (str, int, bool, type(None)):
+        return []
+    return [f"{where}: {type(value).__name__}"]
+
+
+# between them these cases take every kind of link step
+PLAIN_CASES = ["10985", "20652", "24097", "6865", "tag-iv"]
+
+
+@pytest.mark.parametrize("command", [
+    ["trace"], ["unproject"], ["blowup", "--skip-saturation-oracle"]],
+    ids=["trace", "unproject", "blowup"])
+@pytest.mark.parametrize("name", PLAIN_CASES)
+def test_reports_hold_only_plain_values(monkeypatch, capsys, command, name):
+    emitted = []
+    monkeypatch.setattr(cli, "emit", lambda data, as_json: emitted.append(data) or "")
+    assert main(command + ["--case", name]) == 0
+    (data,) = emitted
+    assert plain_value_errors(data) == []
