@@ -96,6 +96,8 @@ class Basket:
         return "{" + ", ".join(quotient_token(e) for e in self.entries) + "}"
 
     def __eq__(self, other):
+        if not isinstance(other, Basket):
+            return NotImplemented
         return sorted(self.entries) == sorted(other.entries)
 
 
@@ -680,11 +682,6 @@ def _quad_text(A, B, C, wall) -> str:
 def _flip_at_point(gens, loc: Ring, point: dict[int, object], wall,
                    point_label: str) -> Flip:
     pd = _PointData(gens, point)
-    for gi, c in enumerate(pd.consts):
-        if c:
-            raise LinkError(
-                f"generator {gi + 1} does not vanish at the wall point {point_label}"
-            )
     # Gauss-Jordan on the linear parts (reduced in place) with the fixed
     # variable priority; each pivot row reads row[v]*x_v + sum row[k]*x_k = 0
     priority = [loc.index[n] for n in _PRIORITY if loc.index[n] not in point]
@@ -707,14 +704,15 @@ def _flip_at_point(gens, loc: Ring, point: dict[int, object], wall,
         t_slot = loc.index["t"]
         used_rows = set(pivots.values())
         negative = [v for v in surv if loc.top[v] < 0 and v != t_slot]
-        hit = next(((gi, v) for gi in range(len(gens)) if gi not in used_rows
-                    for v in negative
-                    if _composed_quad_coeff(pd.quads[gi], image, t_slot, v)), None)
-        if hit is None:
+        partner = next((v for gi in range(len(gens)) if gi not in used_rows
+                        for v in negative
+                        if _composed_quad_coeff(pd.quads[gi], image, t_slot, v)), None)
+        if partner is None:
             raise LinkError(f"no surviving t*(negative variable) monomial at {point_label}")
-        gi, v = hit
-        hdeg = bidegree(Polynomial(loc, gens[gi].terms, _clean=True)).top
-        hyp_pair = ("t", loc.names[v])
+        # a pivot's image holds survivors of its own weight only, so the
+        # cutting generator has the degree of its t*partner term
+        hdeg = loc.top[t_slot] + loc.top[partner]
+        hyp_pair = ("t", loc.names[partner])
     return Flip(tuple(wall), tuple(loc.names[v] for v in ordered),
                 tuple(loc.top[v] for v in ordered), hdeg,
                 tuple(loc.names[i] for i in sorted(pivots)), point_label, hyp_pair)
@@ -737,8 +735,6 @@ def global_eliminate(gens: Sequence[Polynomial], ring: Ring,
     eliminated: list[str] = []
     while True:
         for name in priority:
-            if name in eliminated:
-                continue
             slot = ring.index[name]
             unit = tuple(1 if i == slot else 0 for i in range(ring.nvars))
             # the cheap lookup first; then the solve must be polynomial
@@ -814,7 +810,7 @@ def endpoint_fano(gens: Sequence[Polynomial], S: Ring,
     except BudgetExceeded as e:  # reported, not fatal
         minimal_certified = False
         notes.append(f"minimality not certified: {e}")
-    degrees = tuple(bidegree(e).top for e in eqs)
+    degrees = tuple(e.degree() for e in eqs)
     gorenstein = (d4 - dhat) == -1
     if scale > 1:
         notes.append(f"weights scaled by {scale} to clear denominators")

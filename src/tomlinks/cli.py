@@ -46,7 +46,7 @@ def _common(parser):
                         help="path to a .case file, or the name of a bundled case")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
-                        help="cap on Groebner reduction steps")
+                        help="cap on the reduction steps of each Groebner computation")
     parser.add_argument("--json", action="store_true",
                         help="emit a single-line machine-readable report")
     parser.add_argument("--timings", action="store_true",

@@ -24,7 +24,7 @@ however few pairs have been reduced, while a nonzero remainder certifies
 g not in J only against a basis complete up to g's degree.
 
 `contains` decides membership in a fixed graded ideal by the same loop,
-`_PairQueue.settle`.  Once every pair of sugar <= d has been reduced the
+`_Run.settle`.  Once every pair of sugar <= d has been reduced the
 basis is d-truncated Groebner (Kreuzer-Robbiano, 4.5): a basis lead
 divides the lead of every ideal element of degree <= d.  So a target of
 top degree d is decided without any pair above d, and a member often
@@ -55,9 +55,11 @@ addition (S-polynomial and reduction terms) is checked against the guard
 mask, and a field that would overflow raises AlgebraError instead of
 wrapping.  Keys are made when a polynomial enters and unpacked when a
 result leaves, so results, a `GroebnerBasis` too, leave as Polynomials
-only.  The pair queue alone also keeps its leads as exponent tuples, for
-the lcms and sugars it computes once per pair; a sugar is a degree in the
-order's first row, the grading that a graded order refines.
+only.  A run also keeps its basis leads as exponent tuples, for the lcms
+and sugars it computes once per pair; a sugar is a degree in the order's
+first row, the grading that a graded order refines.  Each routine call is
+one run, `_Run`, with its own step counter: a budget caps one Groebner
+computation, not a chain of them.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -134,21 +136,10 @@ class GroebnerBasis:
 # reduction core (fraction-free over the integers, primitive basis elements,
 # monomials as packed order keys)
 
-def _content(terms: dict) -> int:
-    g = 0
-    for c in terms.values():
-        g = gcd(g, c)
-        if g == 1:
-            return 1
-    return g or 1
-
-
 def _to_int(terms: dict, order: MatrixOrder) -> dict:
     """The primitive integer multiple, with positive lead, of a nonzero
     rational term dict, keyed by packed monomials."""
-    den = 1
-    for c in terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in terms.values()))
     key = order.key
     return _normalize_int({key(m): int(c * den) for m, c in terms.items()})
 
@@ -156,7 +147,7 @@ def _to_int(terms: dict, order: MatrixOrder) -> dict:
 def _normalize_int(terms: dict) -> dict:
     """Strip content and make the lead coefficient positive; a nonzero input
     that already is so comes back itself."""
-    g = _content(terms)
+    g = gcd(*terms.values())
     out = {m: c // g for m, c in terms.items()} if g > 1 else terms
     if out[max(out)] < 0:
         out = {m: -c for m, c in out.items()}
@@ -173,42 +164,88 @@ def _overflow() -> AlgebraError:
     return AlgebraError("a product monomial has an exponent of 2^31 or more")
 
 
-class _Reducer:
-    """Shared reduction machinery with a step budget.
+def _spoly(f: tuple, g: tuple, joint: int, guard: int) -> dict:
+    """Integer S-polynomial of primitive (lead, lead coeff, tail) entries
+    whose leads have the packed lcm `joint`."""
+    lf, cf, tf = f
+    lg, cg, tg = g
+    d = gcd(cf, cg)
+    af, ag = cg // d, cf // d
+    sf, sg = joint - lf, joint - lg
+    out: dict = {}
+    for m, c in tf:
+        mm = sf + m
+        if mm & guard:
+            raise _overflow()
+        out[mm] = af * c
+    for m, c in tg:
+        mm = sg + m
+        if mm & guard:
+            raise _overflow()
+        s = out.get(mm, 0) - ag * c
+        if s:
+            out[mm] = s
+        else:
+            out.pop(mm, None)
+    return out
 
-    Works with integer coefficients: a reduction against a primitive basis
-    element of lead coefficient L scales the remainder by L/gcd instead of
-    introducing fractions, so the accumulated scale is a plain int.  The
-    remainder's content is left in until the caller's boundary strips it
-    (a new basis element is made primitive, a normal form is divided by
-    its scale): the primitive result is the same either way, and a strip
-    in mid-reduction costs a gcd over every pending term.  Monomials are
-    packed keys of one order, so a lead test is one subtraction and one
-    AND, and a step shifts each tail term by one addition.
 
-    A full reduction reduces every term.  With `lead_only` it stops at the
-    first term no basis lead divides, which is then the remainder's lead,
-    and the pending terms go out unreduced: enough for a caller that only
-    reads the lead or asks whether the remainder is zero.  `routine` names
-    the Groebner routine that owns the budget, for `BudgetExceeded`.
-    Reduction need not stop under an order that is not a well-order, so
-    such an order raises AlgebraError.
+class _Run:
+    """One Groebner computation: its order, step budget, basis and pairs.
+
+    Reduction works with integer coefficients: a step against a primitive
+    basis element of lead coefficient L scales the remainder by L/gcd
+    instead of introducing fractions, so the accumulated scale is a plain
+    int.  The remainder's content is left in until the caller's boundary
+    strips it (a new basis element is made primitive, a normal form is
+    divided by its scale): the primitive result is the same either way, and
+    a strip in mid-reduction costs a gcd over every pending term.
+    Monomials are packed keys of one order, so a lead test is one
+    subtraction and one AND, and a step shifts each tail term by one
+    addition.  A full reduction reduces every term.  With `lead_only` it
+    stops at the first term no basis lead divides, which is then the
+    remainder's lead, and the pending terms go out unreduced: enough for a
+    caller that only reads the lead or asks whether the remainder is zero.
+
+    `add` is the Gebauer-Moeller update, which with the product criterion
+    covers Buchberger's first and second criteria.  Pairs leave in normal
+    order of (sugar, lcm), the sugar measured by w, the order's first row:
+    the grading that a graded order refines (Giovini-Mora-Niesi-Robbiano-
+    Traverso, "One sugar cube, please", ISSAC 1991).  Leads are also kept
+    as exponent tuples, for the lcms and sugars, which are computed once
+    per pair; pairs the update drops are skipped when they reach the top of
+    the heap.
+
+    The constructor loads `generators` in increasing lead, each with the
+    degree of its lead as sugar.  `routine` names the Groebner routine that
+    owns the budget, for `BudgetExceeded`.  Reduction need not stop under an
+    order that is not a well-order, so such an order raises AlgebraError
+    before anything is loaded.
     """
 
-    def __init__(self, order: MatrixOrder, budget: int, routine: str, lead_only: bool = False):
+    def __init__(self, order: MatrixOrder, budget: int, routine: str,
+                 generators: Iterable[Polynomial] = (), lead_only: bool = False):
         if not order.well_ordered:
             raise AlgebraError(f"{routine} needs a well-order, got rows {order.rows}")
+        self.order = order
         self.guard = order.guard
+        self.w = order.rows[0]
         self.budget = budget
         self.routine = routine
         self.lead_only = lead_only
         self.steps = 0
+        self.basis: list[tuple] = []  # (lead, positive lead coeff, integer tail), packed
+        self.leads: list[Mono] = []  # the basis leads as exponent tuples
+        self.sugars: list[int] = []
+        self.live: set[tuple[int, int]] = set()
+        self.heap: list[tuple] = []
+        for terms in sorted((_to_int(g.terms, order) for g in generators), key=max):
+            self.add(terms, self.wdeg(order.unpack(max(terms))))
 
-    def reduce(self, target: dict, basis: list) -> dict:
-        rem, _ = self.reduce_scaled(target, basis)
-        return rem
+    def wdeg(self, m: Mono) -> int:
+        return sum(a * e for a, e in zip(self.w, m) if e)
 
-    def reduce_scaled(self, target: dict, basis: list) -> tuple[dict, int]:
+    def reduce(self, target: dict, basis: list) -> tuple[dict, int]:
         """(R, lam) with R = lam * (target mod basis), reduced lead-only or
         fully; basis entries are (lead, positive lead coeff, tail list), all
         monomials packed."""
@@ -258,58 +295,6 @@ class _Reducer:
                     work[mm] = old - mult * cg
         return out, lam
 
-
-def _spoly(f: tuple, g: tuple, lcm: int, guard: int) -> dict:
-    """Integer S-polynomial of primitive (lead, lead coeff, tail) entries
-    whose leads have the packed lcm `lcm`."""
-    lf, cf, tf = f
-    lg, cg, tg = g
-    d = gcd(cf, cg)
-    af, ag = cg // d, cf // d
-    sf, sg = lcm - lf, lcm - lg
-    out: dict = {}
-    for m, c in tf:
-        mm = sf + m
-        if mm & guard:
-            raise _overflow()
-        out[mm] = af * c
-    for m, c in tg:
-        mm = sg + m
-        if mm & guard:
-            raise _overflow()
-        s = out.get(mm, 0) - ag * c
-        if s:
-            out[mm] = s
-        else:
-            out.pop(mm, None)
-    return out
-
-
-class _PairQueue:
-    """A basis under construction and its critical pairs.
-
-    `add` is the Gebauer-Moeller update, which with the product criterion
-    covers Buchberger's first and second criteria.  Pairs leave in normal
-    order of (sugar, lcm), the sugar measured by w, the order's first row:
-    the grading that a graded order refines (Giovini-Mora-Niesi-Robbiano-
-    Traverso, "One sugar cube, please", ISSAC 1991).  Leads are also kept
-    as exponent tuples, for the lcms and sugars, which are computed once
-    per pair; pairs the update drops are skipped when they reach the top of
-    the heap.
-    """
-
-    def __init__(self, order: MatrixOrder):
-        self.order = order
-        self.w = order.rows[0]
-        self.basis: list[tuple] = []  # (lead, positive lead coeff, integer tail), packed
-        self.leads: list[Mono] = []  # the basis leads as exponent tuples
-        self.sugars: list[int] = []
-        self.live: set[tuple[int, int]] = set()
-        self.heap: list[tuple] = []
-
-    def wdeg(self, m: Mono) -> int:
-        return sum(a * e for a, e in zip(self.w, m) if e)
-
     def add(self, terms: dict, sugar: int) -> None:
         """Append a primitive packed integer dict with positive lead coefficient."""
         keyf, leads = self.order.key, self.leads
@@ -352,19 +337,19 @@ class _PairQueue:
             heapq.heappop(heap)
         return heap[0][0] if heap else None
 
-    def reduce_next(self, red: _Reducer) -> bool:
+    def reduce_next(self) -> bool:
         """Reduce the next pair's S-polynomial; a nonzero remainder joins the
         basis, and the return value says whether one did."""
         self.next_sugar()  # drops dead pairs from the top of the heap
-        sug, lcm, i, j = heapq.heappop(self.heap)
+        sug, joint, i, j = heapq.heappop(self.heap)
         self.live.discard((i, j))
-        s = _spoly(self.basis[i], self.basis[j], lcm, red.guard)
-        rem = red.reduce(s, self.basis) if s else None
+        s = _spoly(self.basis[i], self.basis[j], joint, self.guard)
+        rem = self.reduce(s, self.basis)[0] if s else None
         if rem:
             self.add(_normalize_int(rem), sug)
         return bool(rem)
 
-    def settle(self, red: _Reducer, target: dict, d: int) -> dict:
+    def settle(self, target: dict, d: int) -> dict:
         """The lead-only remainder of a packed integer target of top degree d
         against the basis, reducing the pending pairs of sugar <= d one at a
         time while it is nonzero and reducing it again after each pair that
@@ -388,10 +373,10 @@ class _PairQueue:
         tails (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, Ch. 2
         Sec. 6).
         """
-        rem = red.reduce(target, self.basis)
+        rem, _ = self.reduce(target, self.basis)
         while rem and (sug := self.next_sugar()) is not None and sug <= d:
-            if self.reduce_next(red):
-                rem = red.reduce(rem, self.basis)
+            if self.reduce_next():
+                rem, _ = self.reduce(rem, self.basis)
         return rem
 
 
@@ -409,17 +394,14 @@ def buchberger(ideal: Ideal, order: MatrixOrder, budget: int = DEFAULT_BUDGET) -
     """Reduced Groebner basis of the ideal under the order.
 
     Sugar is measured by the order's first row, the sugar of a generator
-    being the degree of its lead (see `_PairQueue`).
+    being the degree of its lead (see `_Run`).  The minimal basis is kept in
+    increasing lead, and interreduction keeps each lead, so the elements
+    come out in increasing lead.
     """
-    guard = order.guard
-    red = _Reducer(order, budget, "buchberger")
-    ring = ideal.ring
-    queue = _PairQueue(order)
-    for ig in sorted((_to_int(g.terms, order) for g in ideal.generators), key=max):
-        queue.add(ig, queue.wdeg(order.unpack(max(ig))))
-    while queue.live:
-        queue.reduce_next(red)
-    basis = queue.basis
+    run = _Run(order, budget, "buchberger", ideal.generators)
+    while run.live:
+        run.reduce_next()
+    basis, guard = run.basis, order.guard
 
     keep: list[int] = []
     for i in sorted(range(len(basis)), key=lambda i: basis[i][0]):
@@ -427,16 +409,15 @@ def buchberger(ideal: Ideal, order: MatrixOrder, budget: int = DEFAULT_BUDGET) -
             keep.append(i)
     minimal_basis = [basis[i] for i in keep]
 
-    reduced: list[tuple[int, Polynomial]] = []
+    elements: list[Polynomial] = []
     for i, (lead, lc, tail) in enumerate(minimal_basis):
         others = [minimal_basis[k] for k in range(len(minimal_basis)) if k != i]
         full = dict(tail)
         full[lead] = lc
         # no other lead divides `lead`, so it stays the remainder's lead
-        rem = red.reduce(full, others)
-        reduced.append((lead, _polynomial(ring, order, rem, rem[lead])))
-    reduced.sort(key=lambda lp: lp[0])
-    return GroebnerBasis([p for _, p in reduced], order)
+        rem, _ = run.reduce(full, others)
+        elements.append(_polynomial(ideal.ring, order, rem, rem[lead]))
+    return GroebnerBasis(elements, order)
 
 
 def minimal_generators(ideal: Ideal, order: MatrixOrder,
@@ -447,8 +428,8 @@ def minimal_generators(ideal: Ideal, order: MatrixOrder,
     generator is homogeneous (see the module docstring for the theorem);
     otherwise AlgebraError.  Generators enter in increasing (w-degree,
     length) order, input order breaking ties.  A generator g of degree d is
-    settled by `_PairQueue.settle` against the basis of the generators kept
-    so far, an ideal J that grows as generators are kept:
+    settled by `_Run.settle` against the basis of the generators kept so
+    far, an ideal J that grows as generators are kept:
 
     - a zero remainder proves g in J, and g is dropped with the remaining
       pairs still queued;
@@ -463,19 +444,18 @@ def minimal_generators(ideal: Ideal, order: MatrixOrder,
     in entry order.
     """
     _grading(ideal, order, "minimal_generators")
-    red = _Reducer(order, budget, "minimal_generators", lead_only=True)
-    queue = _PairQueue(order)
+    run = _Run(order, budget, "minimal_generators", lead_only=True)
 
     def degree(g: Polynomial) -> int:
-        return queue.wdeg(next(iter(g.terms)))
+        return run.wdeg(next(iter(g.terms)))
 
     kept: list[Polynomial] = []
     for g in sorted(ideal.generators, key=lambda g: (degree(g), len(g))):
         d = degree(g)
-        rem = queue.settle(red, _to_int(g.terms, order), d)
+        rem = run.settle(_to_int(g.terms, order), d)
         if rem:
             kept.append(g)
-            queue.add(_normalize_int(rem), d)
+            run.add(_normalize_int(rem), d)
     return kept
 
 
@@ -485,8 +465,8 @@ def contains(ideal: Ideal, polys: Sequence[Polynomial], order: MatrixOrder,
 
     Same hypotheses as `minimal_generators`: w, the order's first row, must
     be a positive grading for which every generator is homogeneous, else
-    AlgebraError.  All generators enter one pair queue, and the targets are
-    settled by `_PairQueue.settle` in increasing top w-degree d: a zero
+    AlgebraError.  All generators enter one run, and the targets are
+    settled by `_Run.settle` in increasing top w-degree d: a zero
     remainder proves membership however few pairs have been reduced, a
     nonzero one comes back only from a d-truncated basis and proves
     non-membership.  That holds for a target that is not homogeneous too:
@@ -496,21 +476,18 @@ def contains(ideal: Ideal, polys: Sequence[Polynomial], order: MatrixOrder,
     the top target degree is reduced.  The zero polynomial is a member.
     """
     ring = ideal.ring
-    red = _Reducer(order, budget, "contains", lead_only=True)
+    run = _Run(order, budget, "contains", ideal.generators, lead_only=True)
     _grading(ideal, order, "contains")
-    queue = _PairQueue(order)
-    for ig in sorted((_to_int(g.terms, order) for g in ideal.generators), key=max):
-        queue.add(ig, queue.wdeg(order.unpack(max(ig))))
     targets = []
     for k, p in enumerate(polys):
         if p.ring != ring:
             raise AlgebraError("a polynomial and the ideal live in different rings")
         if not p.is_zero():
             t = _to_int(p.terms, order)
-            targets.append((queue.wdeg(order.unpack(max(t))), k, t))
+            targets.append((run.wdeg(order.unpack(max(t))), k, t))
     verdicts = [True] * len(polys)
     for d, k, t in sorted(targets, key=lambda dkt: dkt[:2]):
-        verdicts[k] = not queue.settle(red, t, d)
+        verdicts[k] = not run.settle(t, d)
     return verdicts
 
 
@@ -530,9 +507,9 @@ def normal_form(p: Polynomial, basis, order: MatrixOrder | None = None,
         order = MatrixOrder.grevlex(p.ring)
     prepped = sorted((_entry(_to_int(g.terms, order)) for g in basis if not g.is_zero()),
                      key=lambda e: e[0])
-    red = _Reducer(order, budget, "normal_form")
+    run = _Run(order, budget, "normal_form")
     target = _to_int(p.terms, order)
-    rem, lam = red.reduce_scaled(target, prepped)
+    rem, lam = run.reduce(target, prepped)
     k = next(iter(target))  # target is one rational multiple of p
     return _polynomial(p.ring, order, rem, lam * Fraction(target[k], p.terms[order.unpack(k)]))
 

@@ -498,6 +498,85 @@ class TestRationalWallPoints:
         assert got.template_ok and want.template_ok
 
 
+@pytest.fixture(scope="module")
+def recorded_traces():
+    """The seed-0 trace of every bundled case, with each (generators, point)
+    that `_flip_at_point` analyses and each (ring, survivors, eliminated)
+    of `global_eliminate`."""
+    points, eliminations = [], []
+    real_flip, real_eliminate = birational._flip_at_point, birational.global_eliminate
+
+    def flip(gens, loc, point, *rest):
+        points.append((gens, point))
+        return real_flip(gens, loc, point, *rest)
+
+    def eliminate(gens, ring, *rest, **kwargs):
+        work, eliminated = real_eliminate(gens, ring, *rest, **kwargs)
+        eliminations.append((ring, work, eliminated))
+        return work, eliminated
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(birational, "_flip_at_point", flip)
+        mp.setattr(birational, "global_eliminate", eliminate)
+        traces = {name: trace_link(load_bundled(name).to_fano_case(), seed=0)
+                  for name in bundled_case_names()}
+    return traces, points, eliminations
+
+
+class TestSettledChecks:
+    """Facts an earlier step of the link engine settles, which the step
+    after it therefore does not check again (DECISIONS.md, "Each
+    link-engine quantity has one owner")."""
+
+    def test_every_generator_vanishes_at_each_bundled_wall_point(self, recorded_traces):
+        _, points, _ = recorded_traces
+        assert len(points) == 14
+        for gens, point in points:
+            assert not any(birational._PointData(gens, point).consts)
+
+    @pytest.mark.parametrize("seed", [10, 13])
+    def test_every_generator_vanishes_at_rational_wall_points(self, seed, monkeypatch):
+        # tag-iii's members at these seeds have two rational wall points
+        member = dataclasses.replace(load_bundled("tag-iii").to_fano_case(), matrix_seed=None)
+        real, consts = birational._flip_at_point, []
+
+        def spy(gens, loc, point, *rest):
+            consts.append(birational._PointData(gens, point).consts)
+            return real(gens, loc, point, *rest)
+
+        monkeypatch.setattr(birational, "_flip_at_point", spy)
+        trace_link(member, seed=seed)
+        assert len(consts) == 2
+        assert not any(c for point in consts for c in point)
+
+    def test_hypersurface_degree_from_the_weights(self, recorded_traces):
+        # t + the partner's localised weight: 6 - 3 on 10985, 3 - 1 on tag-iv
+        traces, _, _ = recorded_traces
+        degrees = {}
+        for name, trace in traces.items():
+            for step in trace.steps:
+                flips = step.flips if isinstance(step, SimultaneousFlips) else (step,)
+                for flip in flips:
+                    if isinstance(flip, Flip) and flip.hypersurface_degree is not None:
+                        degrees.setdefault(name, []).append(flip.hypersurface_degree)
+        assert degrees == {"10985": [3], "tag-iv": [2]}
+
+    def test_uncertified_endpoint_degrees(self, case_10985):
+        # with no budget the equations stay unminimised; each still has one degree
+        S, blow = blowup_of(case_10985)
+        groups = wall_groups(case_10985.d)
+        ep = birational.endpoint_fano(blow.generators, S, groups[-2], groups[-1][0], budget=0)
+        assert not ep.minimal_certified and len(ep.equations) > 2
+        assert ep.degrees == tuple(bidegree(e).top for e in ep.equations)
+
+    def test_no_eliminated_name_survives(self, recorded_traces):
+        _, _, eliminations = recorded_traces
+        assert any(eliminated for _, _, eliminated in eliminations)
+        for ring, work, eliminated in eliminations:
+            slots = [ring.index[name] for name in eliminated]
+            assert not any(m[i] for g in work for m in g.terms for i in slots)
+
+
 class TestConicBudget:
     @pytest.fixture
     def conic_input(self, case_24097):
@@ -555,6 +634,19 @@ TORIC = Flip(wall=("y1",), survivors=("t", "x1", "y3", "y4"), weights=(2, 1, -1,
 HYPERSURFACE = Flip(wall=("y1",), survivors=("t", "x2", "x3", "y2", "y4"),
                     weights=(6, 1, 1, -1, -3), hypersurface_degree=3,
                     eliminated=("s", "x1", "y3"), point="P_y1", hyp_pair=("t", "y4"))
+
+
+class TestBasketEquality:
+    def test_entry_order_does_not_matter(self):
+        assert Basket([(2, (1, 1, 1)), (3, (1, 1, 2))]) == Basket([(3, (1, 1, 2)), (2, (1, 1, 1))])
+        assert Basket([(2, (1, 1, 1))]) != Basket([(3, (1, 1, 2))])
+
+    @pytest.mark.parametrize("other", [None, 0, "{1/2(1,1,1)}", [(2, (1, 1, 1))]],
+                             ids=["None", "int", "str", "list"])
+    def test_a_non_basket_is_not_equal(self, other):
+        basket = Basket([(2, (1, 1, 1))])
+        assert basket.__eq__(other) is NotImplemented
+        assert basket != other and not basket == other
 
 
 class TestTrackBasket:
@@ -862,17 +954,25 @@ class TestEndpointCanonicalClass:
 
 def without_members(value):
     """A report value with the fields a general member may change dropped:
-    equations and witnesses."""
+    equations, witnesses and the wall's quadratic form, which is the
+    member's equation on the wall line."""
     if isinstance(value, dict):
         return {k: without_members(v) for k, v in value.items()
-                if k not in ("equations", "witness")}
+                if k not in ("equations", "witness", "quadratic_form")}
     if isinstance(value, list):
         return [without_members(v) for v in value]
     return value
 
 
+GENERAL = [n for n in bundled_case_names() if load_bundled(n).general_seed is not None]
+
+
 class TestSeedInvariance:
-    @pytest.mark.parametrize("name", ["5963", "tag-iv", "6865", "tag-viii"])
+    def test_general_cases(self):
+        assert len(GENERAL) == 19
+        assert not {"10985", "20652", "24097"} & set(GENERAL)
+
+    @pytest.mark.parametrize("name", GENERAL)
     def test_link_does_not_depend_on_the_general_member(self, name):
         # the case's pinned matrix is dropped, so each trace seed draws
         # another general member of the family

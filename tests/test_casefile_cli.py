@@ -238,6 +238,14 @@ class TestCli:
         assert exc.value.code == 2
         assert "--budget" in capsys.readouterr().err
 
+    def test_budget_caps_each_groebner_computation(self, capsys):
+        # 20652's trace runs three Groebner computations of 0, 20 and 196
+        # steps: 196 covers the largest one although together they take 216
+        assert main(["trace", "--case", "20652", "--budget", "196"]) == 0
+        capsys.readouterr()
+        assert main(["trace", "--case", "20652", "--budget", "195"]) == 3
+        assert "reduction steps exceeded in buchberger" in capsys.readouterr().err
+
     def test_zero_budget_allows_zero_steps(self, capsys):
         # 0 is a valid budget: the first reduction step exceeds it
         assert main(["trace", "--case", "10985", "--budget", "0"]) == 3

@@ -15,7 +15,9 @@ as a bare name, an attribute or a string that parses as a name (an entry
 of `__all__` or of the tracer's table) outside its own definition: a
 private (`_`-prefixed) one in the package, a public one in the package,
 `scripts/` or `perfbench/`; one of `scripts/` in `scripts/`.  Tests do not
-count, so a routine that only tests call belongs in the tests.
+count, so a routine that only tests call belongs in the tests.  Every
+method of a private class of the package, dunders aside, is referenced as
+an attribute somewhere in the package outside its own definition.
 """
 
 import ast
@@ -145,6 +147,51 @@ def test_private_scanner():
 def test_no_unreferenced_private_definitions():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced(sources, {}, private=True) == []
+
+
+def unreferenced_private_methods(sources: dict[str, str]) -> list[str]:
+    """`module: Class.method (line n)` for every method, dunders aside, of a
+    module-level `_`-prefixed class of `sources` whose name no attribute in
+    `sources` carries outside the method's own definition."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    attributes = [(id(node), node.attr) for tree in trees.values()
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    out = []
+    for name, tree in trees.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name.startswith("_")):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        or node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                inside = {id(n) for n in ast.walk(node)}
+                if not any(i not in inside and attr == node.name for i, attr in attributes):
+                    out.append(f"{name}: {cls.name}.{node.name} (line {node.lineno})")
+    return out
+
+
+def test_private_method_scanner():
+    sources = {
+        "a.py": (
+            "class _Run:\n"
+            "    def __init__(self):\n        self.step()\n"
+            "    def step(self):\n        return 1\n"
+            "    def unused(self):\n        return 2\n"
+            "    def recursive(self, n):\n        return self.recursive(n - 1) if n else 0\n"
+            "    def remote(self):\n        return 3\n"
+            "class Public:\n    def unused(self):\n        pass\n"
+            "def _helper():\n    def unused():\n        pass\n"
+        ),
+        "b.py": "from . import a\nvalue = a._Run().remote()\n",
+    }
+    assert unreferenced_private_methods(sources) == [
+        "a.py: _Run.unused (line 6)", "a.py: _Run.recursive (line 8)"]
+
+
+def test_no_unreferenced_private_methods():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_methods(sources) == []
 
 
 def test_public_scanner():
