@@ -32,10 +32,9 @@ from .birational import (
     rank_at_point,
     trace_link,
     verify_blowup_saturation,
-    zero_dim_degree,
 )
 from .casefile import load_bundled
-from .groebner import DEFAULT_BUDGET, BudgetExceeded, Ideal
+from .groebner import DEFAULT_BUDGET, BudgetExceeded, Ideal, zero_dim_degree
 from .pfaffian import TomFormat, build_general_tom, maximal_pfaffians
 from .unprojection import build_unprojection, verify_unprojection
 

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 from .algebra import (
     AlgebraError,
+    MatrixOrder,
     NotDivisible,
     Polynomial,
     Ring,
@@ -36,7 +37,6 @@ from .groebner import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     Ideal,
-    MatrixOrder,
     buchberger,
     is_saturated,
     minimal_generators,
@@ -143,7 +143,8 @@ class FanoCase:
 
 
 def kawamata_scroll(case: FanoCase) -> Ring:
-    """Rank-2 ambient of the blow-up: top (0,r,a,b,c,d), bottom (1,1,0,0,0,-1,...)."""
+    """Rank-2 ambient of the blow-up: top (0,r,a,b,c,d), bottom (1,1,0,0,0,-1,...);
+    the two rows fix both pull-backs of `blowup_ideal`."""
     a, b, c = case.abc
     top = (0, case.r, a, b, c) + case.d
     bottom = (1, 1, 0, 0, 0, -1, -1, -1, -1)
@@ -190,17 +191,6 @@ def compute_deltas(g: Sequence[Polynomial], case: FanoCase) -> tuple[int, int, i
     return tuple(deltas)
 
 
-def _pullback_maps(S: Ring, case: FanoCase):
-    """alpha_1 and the integer-exponent blow-up pull-back into the scroll ring."""
-    t = S.gen("t")
-    alpha = {n: S.gen(n) for n in X_NAMES}
-    alpha |= {n: t * S.gen(n) for n in Y_NAMES}
-    a, b, c = case.abc
-    phi = {n: (t ** w) * S.gen(n) for n, w in zip(X_NAMES, (a, b, c))}
-    phi |= {n: (t ** (case.d[k] + 1)) * S.gen(n) for k, n in enumerate(Y_NAMES)}
-    return alpha, phi
-
-
 @dataclass
 class BlowupData:
     generators: list[Polynomial]    # h_1..h_9 in the scroll ring
@@ -210,45 +200,31 @@ class BlowupData:
 
 
 def blowup_ideal(res: UnprojectionResult, S: Ring, case: FanoCase) -> BlowupData:
-    """The nine equations of the blow-up: pull back, then divide out all t factors.
+    """The nine equations of the blow-up: pull back the generators of
+    `res.X_ideal`, then divide out all t factors.
 
-    The pfaffian pull-backs lose t and t^2 (Tom format guarantees at least
-    one factor), the unprojection ones lose t^delta_j; by construction each
-    quotient is bihomogeneous in the scroll grading.
+    The scroll's two weight rows fix both pull-backs: phi = t^(top - bottom)
+    and alpha = t^(-bottom) on each variable but t.  The pfaffians, Tom slot
+    first, go by alpha and lose at least t^2, t, t, t, t; s*y_j - g_j go by
+    phi and lose t^delta_j (DECISIONS.md, "The blow-up is stated once").  By
+    construction each quotient is bihomogeneous in the scroll grading.
     """
     deltas = compute_deltas(res.g, case)
-    alpha, phi = _pullback_maps(S, case)
-    gens: list[Polynomial] = []
-    exps: list[int] = []
-    raw: list[Polynomial] = []
-
-    pf = res.pfaffians
-    # the y-quadratic pfaffian (slot tom_k) first, the rest in order
-    for pos, i in enumerate(tom_normalising_permutation(case.tom_k).values()):
-        pulled = substitute(pf[i - 1], alpha, S)
-        raw.append(pulled)
-        h, k = divide_out(pulled, "t")
-        expected = 2 if pos == 0 else 1
-        if k < expected:
-            raise LinkError(
-                f"pfaffian {i} pull-back lost t^{k}, expected at least t^{expected}: not Tom"
-            )
-        gens.append(h)
-        exps.append(k)
-    a = case.abc[0]
     t = S.gen("t")
-    for j in range(4):
-        f = substitute(res.g[j], phi, S)
-        sy_exp = (case.r - a) + case.d[j] + 1
-        pulled = (t ** sy_exp) * S.gen("s") * S.gen(Y_NAMES[j]) - f
-        raw.append(pulled)
-        h, k = divide_out(pulled, "t")
-        if k != deltas[j]:
+    weights = {n: (up, down) for n, up, down in zip(S.names, S.top, S.bottom) if n != "t"}
+    phi = {n: t ** (up - down) * S.gen(n) for n, (up, down) in weights.items()}
+    alpha = {n: t ** -down * S.gen(n) for n, (_, down) in weights.items() if n != "s"}
+    X = res.X_ideal.generators
+    slots = tom_normalising_permutation(case.tom_k).values()
+    raw = [substitute(X[i - 1], alpha, S) for i in slots] + [substitute(f, phi, S) for f in X[5:]]
+    gens, exps = (list(col) for col in zip(*(divide_out(f, "t") for f in raw)))
+    for i, k, least in zip(slots, exps, (2, 1, 1, 1, 1)):
+        if k < least:
             raise LinkError(
-                f"unprojection pull-back {j + 1} divided by t^{k}, deltas predicted {deltas[j]}"
-            )
-        gens.append(h)
-        exps.append(k)
+                f"pfaffian {i} pull-back lost t^{k}, expected at least t^{least}: not Tom")
+    if tuple(exps[5:]) != deltas:
+        raise LinkError(
+            f"unprojection pull-backs divided by t^{tuple(exps[5:])}, deltas predicted {deltas}")
     for h in gens:
         bidegree(h)  # raises if any generator fails bihomogeneity
     return BlowupData(gens, deltas, exps, Ideal(raw, S))
@@ -982,13 +958,12 @@ def track_basket(steps: Sequence, case: FanoCase) -> list[Basket]:
     """
     basket = case.basket.copy()
     out = [basket.copy()]
-    a, b, c = case.abc
     for step in steps:
         if isinstance(step, KawamataBlowup):
-            basket.remove(case.r, (a, b, c))
+            r, (a, b, c) = step.centre
+            basket.remove(r, (a, b, c))
             for w, others in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
-                if w > 1:
-                    basket.add(w, (others[0], others[1], -case.r))
+                basket.add(w, (others[0], others[1], -r))
         elif isinstance(step, (Flip, SimultaneousFlips)):
             flips = step.flips if isinstance(step, SimultaneousFlips) else (step,)
             for flip in flips:

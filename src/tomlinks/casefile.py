@@ -186,9 +186,11 @@ def parse_case_text(text: str) -> CaseFile:
         parts = value.split()
         if not parts or parts[0] != "GENERAL":
             raise CaseFileError("matrix key only takes the form: GENERAL <seed>", lineno)
-        if len(parts) != 2 or not parts[1].lstrip("-").isdigit():
+        try:
+            (seed_text,) = parts[1:]
+            seed = int(seed_text)
+        except ValueError:
             raise CaseFileError("GENERAL requires an integer seed", lineno)
-        seed = int(parts[1])
         entries = None
         for key in ENTRY_KEYS:
             if key in fields:
@@ -207,8 +209,6 @@ def parse_case_text(text: str) -> CaseFile:
 
 def parse_case(path: str | Path) -> CaseFile:
     path = Path(path)
-    if not path.exists():
-        raise CaseFileError(f"case file not found: {path}")
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:

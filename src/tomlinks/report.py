@@ -96,7 +96,7 @@ def step_dict(step) -> dict:
             "patch_degrees": [d.degree() for _, d in dets], "overlap": step.overlap,
             "note": step.note,
         }
-    return {"kind": type(step).__name__}
+    raise TypeError(f"no report for a step of type {type(step).__name__}")
 
 
 def unprojection_dict(res: UnprojectionResult, verification: VerificationReport) -> dict:

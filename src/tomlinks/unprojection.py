@@ -36,6 +36,7 @@ from typing import Sequence
 
 from .algebra import (
     AlgebraError,
+    MatrixOrder,
     NotDivisible,
     Polynomial,
     Ring,
@@ -43,7 +44,7 @@ from .algebra import (
     exact_divide,
     minors,
 )
-from .groebner import DEFAULT_BUDGET, Ideal, MatrixOrder, contains
+from .groebner import DEFAULT_BUDGET, Ideal, contains
 from .pfaffian import (
     IDEAL_VARS,
     SkewMatrix5,

@@ -157,6 +157,43 @@ class TestBlowup:
         assert blow.t_exponents[1:5] == [1, 1, 1, 1]
         assert tuple(blow.t_exponents[5:]) == blow.deltas
 
+    @pytest.mark.parametrize("name", bundled_case_names())
+    def test_unprojection_pullbacks_carry_the_blowup_weights(self, name):
+        # the scroll's weight rows agree with the Kawamata blow-up weights:
+        # x by a, b, c and y_k by d_k + 1, so s*y_j - g_j pulls back to
+        # t^(r + d_j)*s*y_j - phi_0(g_j)
+        case = load_bundled(name).to_fano_case()
+        res = build_unprojection(case.build_matrix(0), TomFormat(case.tom_k), case.r)
+        S = kawamata_scroll(case)
+        blow = blowup_ideal(res, S, case)
+        t = S.gen("t")
+        weights = case.abc + tuple(dk + 1 for dk in case.d)
+        phi_0 = {n: t ** w * S.gen(n) for n, w in zip(("x1", "x2", "x3") + IDEAL_VARS, weights)}
+        for j, (y, g) in enumerate(zip(IDEAL_VARS, res.g)):
+            want = t ** (case.r + case.d[j]) * S.gen("s") * S.gen(y) - substitute(g, phi_0, S)
+            assert blow.pullback_ideal.generators[5 + j] == want
+
+    @pytest.mark.parametrize("name", ["10985", "11125-t2"])
+    def test_a_y_free_term_in_the_tom_pfaffian_is_not_tom(self, name):
+        case = load_bundled(name).to_fano_case()
+        res = build_unprojection(case.build_matrix(0), TomFormat(case.tom_k), case.r)
+        gens, R = list(res.X_ideal.generators), res.X_ideal.ring
+        k = case.tom_k
+        gens[k - 1] = gens[k - 1] + R.gen("x1") ** gens[k - 1].degree()
+        broken = dataclasses.replace(res, X_ideal=Ideal(gens, R))
+        with pytest.raises(LinkError, match=re.escape(
+                f"pfaffian {k} pull-back lost t^0, expected at least t^2: not Tom")):
+            blowup_ideal(broken, kawamata_scroll(case), case)
+
+    def test_deltas_must_match_the_divided_powers(self, case_10985, monkeypatch):
+        res = build_unprojection(case_10985.build_matrix(0), TomFormat(1), 2)
+        real = birational.compute_deltas
+        monkeypatch.setattr(birational, "compute_deltas",
+                            lambda g, case: tuple(d + 1 for d in real(g, case)))
+        with pytest.raises(LinkError, match=re.escape(
+                "divided by t^(8, 7, 6, 5), deltas predicted (9, 8, 7, 6)")):
+            blowup_ideal(res, kawamata_scroll(case_10985), case_10985)
+
 
 class TestSaturationOracle:
     @pytest.fixture(scope="class", params=["case_10985", "case_20652"])
@@ -616,7 +653,7 @@ class TestConicBudget:
 
 
 def basket_case(abc, r, points):
-    """A case with only what track_basket reads: abc, r and the basket."""
+    """A case with the basket track_basket starts from; the steps name their centres."""
     basket = Basket()
     for q, weights in points:
         basket.add(q, weights)
@@ -656,6 +693,12 @@ class TestTrackBasket:
         # at P_c the local weights are (a, b, -r) = (1, 1, -4), i.e. 1/3(1,1,2)
         assert [str(b) for b in got] == ["{1/2(1,1,1), 1/4(1,1,3)}",
                                          "{1/2(1,1,1), 1/3(1,1,2)}"]
+
+    def test_blowup_reads_its_centre_off_the_step(self):
+        # the case says 1/2(1,1,1); the step's own centre is what moves
+        case = basket_case((1, 1, 1), 2, [(4, (1, 1, 3))])
+        got = track_basket([KawamataBlowup((4, (1, 1, 3)))], case)
+        assert [str(b) for b in got] == ["{1/4(1,1,3)}", "{1/3(1,1,2)}"]
 
     def test_toric_flip(self):
         assert birational._flip_basket_moves(TORIC) == (

@@ -56,7 +56,8 @@ class TestCaseFile:
             parse_case_text(text).to_fano_case()
 
     def test_missing_file(self):
-        with pytest.raises(CaseFileError):
+        with pytest.raises(CaseFileError, match=re.escape(
+                "cannot read case file /nonexistent/path.case: No such file or directory")):
             parse_case("/nonexistent/path.case")
 
     def test_all_bundled_parse(self):
@@ -103,6 +104,16 @@ class TestCli:
         make(path)
         assert main(["trace", "--case", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"input error: cannot read case file {path}: ")
+
+    @pytest.mark.parametrize("seed", ["--5", "\u00b2"], ids=["double-minus", "superscript"])
+    def test_malformed_general_seed_exits_2(self, tmp_path, capsys, seed):
+        text = CASES.joinpath("1218.case").read_text()
+        assert "matrix = GENERAL 0" in text
+        bad = tmp_path / "bad.case"
+        bad.write_text(text.replace("matrix = GENERAL 0", f"matrix = GENERAL {seed}"),
+                       encoding="utf-8")
+        assert main(["trace", "--case", str(bad)]) == 2
+        assert capsys.readouterr().err == "input error: line 9: GENERAL requires an integer seed\n"
 
     def test_absent_basket_point_exits_1_naming_it(self, tmp_path, capsys):
         text = CASES.joinpath("10985.case").read_text()
@@ -317,13 +328,14 @@ FUZZ_TOKENS = st.one_of(
     st.sampled_from(["", "none", "GENERAL", "GENERAL 3", "GENERAL x", "1/2(1,1,1)",
                      "1/3(1,1)", "1/0(1,1,1)", "x1", "y4", "x1^2*y4 - y3", "x1 +* x2",
                      "1 1 1 4 3 3 2 2", "1 2 3 4 3 4 5 5 6 7", "2.5", "=", "#",
-                     "1/0*x1"]))
+                     "1/0*x1", "GENERAL --5", "GENERAL \u00b2"]))
 
 
 @given(name=st.sampled_from(["10985", "1218"]), line=st.integers(0, 19),
        kind=st.sampled_from(["delete", "duplicate", "replace"]), token=FUZZ_TOKENS)
 @example(name="1218", line=4, kind="replace", token="3")  # tom_index = 3
 @example(name="10985", line=8, kind="replace", token="1/0*x1")  # m12 = 1/0*x1
+@example(name="1218", line=8, kind="replace", token="GENERAL --5")  # matrix = GENERAL --5
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_single_line_mutants_exit_cleanly(tmp_path, capsys, name, line, kind, token):

@@ -5,7 +5,9 @@ statement, which `python -O` strips; no module of the package imports a
 module outside the standard library and the package, and no module-level
 function or class of the package or of `scripts/` goes unreferenced;
 every package attribute the benchmark's tracer and workloads name still
-exists.
+exists; every `from .m import name` of the package and `from
+tomlinks.m import name` of `scripts/` takes name from the module m that
+defines it, not from one that imports it in turn.
 
 A name counts as used if it appears as a bare name anywhere in the module,
 including inside a string annotation such as "Polynomial | None".  The
@@ -228,6 +230,65 @@ def test_no_unreferenced_public_definitions():
 def test_no_unreferenced_script_definitions():
     sources = {f"scripts/{p.name}": p.read_text() for p in sorted(SCRIPTS.glob("*.py"))}
     assert unreferenced(sources, {}, private=False) + unreferenced(sources, {}, private=True) == []
+
+
+def module_definitions(source: str) -> set[str]:
+    """Names a module binds at its top level other than by an import."""
+    out = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return out
+
+
+def indirect_imports(source: str, package: dict[str, set[str]]) -> list[str]:
+    """`name from m (line n)` for every `from .m import name` or `from
+    tomlinks.m import name` where m is a module of `package` (module ->
+    the names it defines) that does not define name."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        if node.level == 1:
+            module = node.module
+        elif node.level == 0 and node.module.startswith("tomlinks."):
+            module = node.module.removeprefix("tomlinks.")
+        else:
+            continue
+        if module in package:
+            out += [f"{alias.name} from {module} (line {node.lineno})"
+                    for alias in node.names if alias.name not in package[module]]
+    return out
+
+
+def test_indirect_import_scanner():
+    package = {
+        "algebra": module_definitions(
+            "from math import gcd\nX: int = 1\nY = Z = 2\n"
+            "def f():\n    W = 3\nclass C:\n    V = 4\n"),
+        "groebner": module_definitions("from .algebra import C, f\ndef g():\n    pass\n"),
+    }
+    assert package == {"algebra": {"X", "Y", "Z", "f", "C"}, "groebner": {"g"}}
+    source = (
+        "from . import __version__\n"
+        "from .algebra import C, gcd\n"
+        "from .groebner import f, g\n"
+        "from tomlinks.groebner import C as D\n"
+        "from tomlinks import algebra\n"
+        "from fractions import Fraction\n"
+    )
+    assert indirect_imports(source, package) == [
+        "gcd from algebra (line 2)", "f from groebner (line 3)", "C from groebner (line 4)"]
+
+
+def test_imports_name_the_defining_module():
+    package = {p.stem: module_definitions(p.read_text()) for p in MODULES}
+    found = [f"{p.parent.name}/{p.name}: {entry}" for p in MODULES + sorted(SCRIPTS.glob("*.py"))
+             for entry in indirect_imports(p.read_text(), package)]
+    assert found == []
 
 
 def unused_parameters(source: str) -> list[str]:

@@ -21,6 +21,7 @@ from tomlinks import cli
 from tomlinks.acceptance import AcceptanceResult
 from tomlinks.casefile import bundled_case_names
 from tomlinks.cli import main
+from tomlinks.report import step_dict
 
 TRACE_SHA256 = {
     "10985": "2d29f0b784a5eda0178cafcca1f9a31f08c4b4735f4de5c62984338947f8b4d8",
@@ -182,3 +183,12 @@ def test_reports_hold_only_plain_values(monkeypatch, capsys, command, name):
     assert main(command + ["--case", name]) == 0
     (data,) = emitted
     assert plain_value_errors(data) == []
+
+
+def test_an_unknown_step_has_no_report():
+    # a step kind the report does not know fails loudly, not as its bare kind
+    class Stub:
+        pass
+
+    with pytest.raises(TypeError, match="no report for a step of type Stub"):
+        step_dict(Stub())
