@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import sys
 from itertools import islice
-from math import gcd
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -33,6 +32,7 @@ from tomlinks.birational import (
     wall_groups,
     wall_skip_expected,
 )
+from tomlinks.casefile import _type_i_centre
 from tomlinks.groebner import BudgetExceeded
 from tomlinks.pfaffian import PAIRS, WeightMatrix5
 from tomlinks.unprojection import tom_normalising_permutation
@@ -279,12 +279,12 @@ def centre_candidates(weights: tuple[int, ...], prefer: int | None):
                 break
             if c not in pool or (b == c and pool.count(b) < 2):
                 continue
-            if gcd(b, r) != 1:
+            abc = (1, b, c)
+            if not _type_i_centre(r, abc):
                 continue
             d_pool = list(pool)
             d_pool.remove(b)
             d_pool.remove(c)
-            abc = tuple(sorted((1, b, c)))
             d = tuple(sorted(d_pool, reverse=True))
             yield r, abc, d
 

@@ -30,7 +30,6 @@ from .algebra import (
     divide_out,
     exact_divide,
     minors,
-    mix_seed,
     substitute,
 )
 from .groebner import (
@@ -54,7 +53,6 @@ from .pfaffian import (
 from .unprojection import UnprojectionResult, build_unprojection, tom_normalising_permutation
 
 SCROLL_NAMES = ("t", "s", "x1", "x2", "x3", "y1", "y2", "y3", "y4")
-Y_NAMES = IDEAL_VARS
 X_NAMES = ("x1", "x2", "x3")
 
 
@@ -133,7 +131,7 @@ class FanoCase:
 
     @property
     def ambient6(self) -> Ring:
-        return Ring(X_NAMES + Y_NAMES, (self.abc + self.d,))
+        return Ring(X_NAMES + IDEAL_VARS, (self.abc + self.d,))
 
     def build_matrix(self, seed: int) -> SkewMatrix5:
         if self.matrix is not None:
@@ -166,7 +164,7 @@ def compute_deltas(g: Sequence[Polynomial], case: FanoCase) -> tuple[int, int, i
     ring = g[0].ring
     xw = [ring.top[ring.index[n]] for n in X_NAMES]
     xi = [ring.index[n] for n in X_NAMES]
-    yi = [ring.index[n] for n in Y_NAMES]
+    yi = [ring.index[n] for n in IDEAL_VARS]
     deltas = []
     for j, gj in enumerate(g):
         best = None
@@ -290,7 +288,7 @@ def minors_ideal(A: list[list[Polynomial]], ring: Ring, size: int = 3) -> Ideal:
 def on_plane(polys: Iterable[Polynomial]) -> list[Polynomial]:
     """The polynomials at y = 0, in the ring of the plane P^2(1,1,1)."""
     P2 = Ring(X_NAMES, ((1, 1, 1),))
-    into = {n: P2.gen(n) for n in X_NAMES} | {n: 0 for n in Y_NAMES}
+    into = {n: P2.gen(n) for n in X_NAMES} | {n: 0 for n in IDEAL_VARS}
     return [substitute(q, into, P2) for q in polys]
 
 
@@ -499,7 +497,7 @@ class ConicBundle:
 def wall_groups(d: Sequence[int]) -> list[list[str]]:
     """Ideal variables grouped by equal weight, in decreasing weight order."""
     groups: list[list[str]] = []
-    for k, name in enumerate(Y_NAMES):
+    for k, name in enumerate(IDEAL_VARS):
         if groups and d[k] == d[k - 1]:
             groups[-1].append(name)
         else:
@@ -616,8 +614,9 @@ def _is_square(f: Fraction) -> Fraction | None:
 
 def _simultaneous_flips(gens, loc: Ring, wall, widx) -> SimultaneousFlips:
     A, B, C = _wall_quadratic(gens, widx)
+    # a binary quadratic form has rank < 2 exactly when its discriminant is 0
     disc = B * B - 4 * A * C
-    if A == 0 and B == 0:
+    if disc == 0:
         raise LinkError("wall quadratic form has rank < 2")
     qtext = _quad_text(A, B, C, wall)
 
@@ -628,8 +627,6 @@ def _simultaneous_flips(gens, loc: Ring, wall, widx) -> SimultaneousFlips:
         points.append(({widx[0]: -C / B, widx[1]: Fraction(1)}, "P2"))
     else:
         root = _is_square(disc)
-        if disc == 0:
-            raise LinkError("wall quadratic form is a perfect square (rank 1)")
         if root is not None:
             r1 = (-B + root) / (2 * A)
             r2 = (-B - root) / (2 * A)
@@ -748,7 +745,9 @@ def endpoint_fano(gens: Sequence[Polynomial], S: Ring,
                   budget: int = DEFAULT_BUDGET) -> EndpointFano:
     """Contract the last divisor: set the contracted variable to 1, globally
     eliminate, and present the image Fano with its induced weights and a
-    minimal set of its equations.
+    minimal set of its equations.  On y_c = 1 the generator s*y_c - G_c
+    reads s - G_c, so s is always eliminated and the codimension is at most
+    3 (DECISIONS.md, "The unprojection variable is solved on every chart").
 
     The minimal set is taken under grevlex with last the variable that
     occurs in the most terms of the equations, the first such in ring
@@ -766,15 +765,12 @@ def endpoint_fano(gens: Sequence[Polynomial], S: Ring,
     work, eliminated = global_eliminate(at_one, S)
 
     survivors = [n for n in S.names if n != contracted and n not in eliminated]
-    lam = [Fraction(S.top[S.index[n]] + d4 * S.bottom[S.index[n]], denom) for n in survivors]
+    loc = _localized_ring(S, d4)
+    lam = [Fraction(loc.top[loc.index[n]], denom) for n in survivors]
     scale = lcm(*(x.denominator for x in lam))
     weights = tuple(int(x * scale) for x in lam)
     ring_new = Ring(tuple(survivors), (weights,))
     eqs = [substitute(g, {}, ring_new) for g in work]
-
-    codim = (len(survivors) - 1) - 3
-    if codim >= 4:
-        raise LinkError(f"endpoint codimension {codim} did not drop below 4")
 
     notes: list[str] = []
     minimal_certified = True
@@ -787,21 +783,22 @@ def endpoint_fano(gens: Sequence[Polynomial], S: Ring,
         minimal_certified = False
         notes.append(f"minimality not certified: {e}")
     degrees = tuple(e.degree() for e in eqs)
-    gorenstein = (d4 - dhat) == -1
     if scale > 1:
         notes.append(f"weights scaled by {scale} to clear denominators")
     return EndpointFano(
         names=tuple(survivors), weights=weights, ring=ring_new, equations=eqs,
-        degrees=degrees, gorenstein=gorenstein, codim=codim,
+        degrees=degrees, gorenstein=denom == 1, codim=len(survivors) - 4,
         eliminated=eliminated, minimal_certified=minimal_certified, notes=notes,
     )
 
 
-def dp_degree(gens: Sequence[Polynomial], S: Ring, base: Sequence[str], seed: int = 0,
+def dp_degree(gens: Sequence[Polynomial], S: Ring, base: Sequence[str],
               budget: int = DEFAULT_BUDGET) -> DelPezzoFibration:
-    """Degree of the general fibre over the base line, by Hilbert series."""
-    d3 = S.top[S.index[base[0]]]
-    loc = _localized_ring(S, d3)
+    """Degree of the general fibre over the base line, by Hilbert series, read
+    at the first of five fixed points (y_a : y_b) = (lam : mu) where the fibre
+    is a surface.  With lam != 0 the generator s*y_a - G_a reads lam*s - G_a,
+    so s is always eliminated."""
+    loc = _localized_ring(S, S.top[S.index[base[0]]])
     fiber = [n for n in S.names if n not in base]
     fw = {n: loc.top[loc.index[n]] for n in fiber}
     fiber2 = [n for n in fiber if n != "s"]
@@ -809,23 +806,14 @@ def dp_degree(gens: Sequence[Polynomial], S: Ring, base: Sequence[str], seed: in
         return DelPezzoFibration(tuple(base), None, "weighted fibre ambient; degree not computed")
     F = Ring(tuple(fiber), (tuple(fw[n] for n in fiber),))
     F2 = Ring(tuple(fiber2), (tuple(fw[n] for n in fiber2),))
-    note = ""
-    for attempt in range(5):
-        rng_seed = mix_seed(seed, "dp_point", attempt)
-        lam = Fraction(1 + rng_seed % 7)
-        mu = Fraction(1 + (rng_seed // 7) % 7)
+    for lam, mu in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1)):
         gens_f = [substitute(g, {base[0]: lam, base[1]: mu}, F) for g in gens]
-        work, eliminated = global_eliminate(gens_f, F, priority=("s",))
-        if "s" not in eliminated:
-            note = "could not eliminate the unprojection variable; retrying"
-            continue
+        work, _ = global_eliminate(gens_f, F, priority=("s",))
         eqs = [substitute(g, {}, F2) for g in work]
         dim, deg = projective_dim_degree(Ideal(eqs, F2), budget)
-        if dim != 2:
-            note = f"fibre dimension {dim} != 2 at attempt {attempt}; retrying"
-            continue
-        return DelPezzoFibration(tuple(base), deg, "")
-    raise LinkError(f"no good del Pezzo fibre found in 5 seeded attempts: {note}")
+        if dim == 2:
+            return DelPezzoFibration(tuple(base), deg, "")
+    raise LinkError("no fibre over five points of the base line is a surface")
 
 
 def conic_discriminant(pf_gens: Sequence[Polynomial], S: Ring, base: Sequence[str],
@@ -1072,7 +1060,7 @@ def trace_link(case: FanoCase, seed: int = 0, budget: int = DEFAULT_BUDGET) -> L
         ep = endpoint_fano(blow.generators, S, groups[-2], groups[-1][0], budget)
         steps.append(DivisorialContractionToFano(kind, tuple(groups[-2]), ep))
     elif len(groups[-1]) == 2:
-        steps.append(dp_degree(blow.generators, S, groups[-1], seed, budget))
+        steps.append(dp_degree(blow.generators, S, groups[-1], budget))
     else:
         pf_part = blow.generators[:5]
         steps.append(conic_discriminant_or_note(pf_part, S, groups[-1], budget))

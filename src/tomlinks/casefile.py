@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from math import gcd
 from pathlib import Path
 
 from .algebra import AlgebraError, bidegree, parse
@@ -103,6 +104,12 @@ def _parse_quotient(tok: str, line: int) -> tuple[int, tuple[int, int, int]]:
     return (r, weights)
 
 
+def _type_i_centre(r: int, abc: tuple[int, int, int]) -> bool:
+    """Whether 1/r(1, b, c), with b <= c, is a Type I Tom centre 1/r(1, b, r - b)."""
+    _, b, c = abc
+    return b + c == r and gcd(b, r) == 1
+
+
 def parse_case_text(text: str) -> CaseFile:
     fields: dict[str, tuple[str, int]] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -148,6 +155,9 @@ def parse_case_text(text: str) -> CaseFile:
         raise CaseFileError(f"centre index {centre[0]} != ambient r = {r}", centre_line)
     if tuple(sorted(centre[1])) != tuple(sorted((a, b, c))):
         raise CaseFileError("centre weights differ from the orbinate weights", centre_line)
+    if not _type_i_centre(r, (a, b, c)):
+        raise CaseFileError(f"{centre_text.strip()} is not a Type I centre 1/r(1,b,r-b) "
+                            "with gcd(b,r) = 1", centre_line)
 
     tom_value, tom_line = need("tom_index")
     try:

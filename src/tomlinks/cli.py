@@ -44,7 +44,8 @@ def _budget(text: str) -> int:
 def _common(parser):
     parser.add_argument("--case", required=True,
                         help="path to a .case file, or the name of a bundled case")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="echoed in the report; a case file pins its member")
     parser.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                         help="cap on the reduction steps of each Groebner computation")
     parser.add_argument("--json", action="store_true",

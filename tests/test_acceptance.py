@@ -26,8 +26,12 @@ from tomlinks.acceptance import (
     criterion_8,
     criterion_9,
 )
-from tomlinks.algebra import Ring, parse
-from tomlinks.groebner import BudgetExceeded
+from tomlinks.algebra import MatrixOrder, Ring, parse
+from tomlinks.birational import minors_ideal, on_plane
+from tomlinks.casefile import load_bundled
+from tomlinks.groebner import BudgetExceeded, Ideal, buchberger
+from tomlinks.pfaffian import TomFormat
+from tomlinks.unprojection import build_unprojection
 
 
 def _index(results):
@@ -158,6 +162,18 @@ class TestCriterion8:
     def test_rank_profile(self):
         for r in criterion_8():
             assert r.passed, r.name
+
+    @pytest.mark.parametrize("name", ["10985", "20652", "24097"])
+    def test_3x3_minors_add_nothing_to_the_2x2_minors(self, name):
+        # Laplace expansion along a row puts every 3x3 minor in the 2x2 ideal
+        case = load_bundled(name).to_fano_case()
+        res = build_unprojection(case.build_matrix(0), TomFormat(case.tom_k), case.r)
+        A = [on_plane(column) for column in zip(*res.Q)]
+        P2 = A[0][0].ring
+        two = minors_ideal(A, P2, 2)
+        both = Ideal(two.generators + minors_ideal(A, P2, 3).generators, P2)
+        order = MatrixOrder.grevlex(P2)
+        assert buchberger(two, order).elements == buchberger(both, order).elements
 
 
 class TestCriterion9:

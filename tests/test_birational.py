@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -463,6 +464,28 @@ class TestExactDivisionSites:
         assert type(work[0].terms[(0, 1, 0)]) is int
 
 
+@pytest.mark.parametrize("form", ["a^2 + 2*a*b + b^2", "b^2"])
+def test_degenerate_wall_form_has_rank_below_2(form):
+    # B^2 - 4AC = 0 exactly when the form has rank < 2; A = B = 0 is one case
+    R = Ring(("a", "b", "c"), [(1, 1, 1)])
+    with pytest.raises(LinkError, match="rank < 2"):
+        birational._simultaneous_flips([parse(form, R)], R, ("a", "b"), [0, 1])
+
+
+def test_a_trace_reads_no_seed_beyond_its_member(monkeypatch):
+    # 20652 pins its matrix, so no stage of its link may draw a seed
+    def refuse(*args):
+        raise RuntimeError("a seed was drawn")
+
+    bindings = [m for name, m in sys.modules.items()
+                if name.split(".")[0] == "tomlinks" and hasattr(m, "mix_seed")]
+    assert bindings
+    for module in bindings:
+        monkeypatch.setattr(module, "mix_seed", refuse)
+    trace = trace_link(load_bundled("20652").to_fano_case(), seed=3)
+    assert trace.endpoint == DelPezzoFibration(("y3", "y4"), 5, "")
+
+
 def test_global_eliminate_keeps_equations_without_the_variable():
     # solving a = b^2 substitutes only into the equation that contains a
     R = Ring(("a", "b", "c"), [(1, 1, 1)])
@@ -605,6 +628,17 @@ class TestSettledChecks:
         ep = birational.endpoint_fano(blow.generators, S, groups[-2], groups[-1][0], budget=0)
         assert not ep.minimal_certified and len(ep.equations) > 2
         assert ep.degrees == tuple(bidegree(e).top for e in ep.equations)
+
+    def test_every_chart_solves_s_first(self, recorded_traces):
+        # on y_c = 1, and on a fibre (y_a, y_b) = (lam, mu) with lam != 0, the
+        # generator s*y_c - G_c has s as a lone linear term
+        traces, _, eliminations = recorded_traces
+        charts = [eliminated for ring, _, eliminated in eliminations if "s" in ring.names]
+        contractions = sum(isinstance(t.endpoint, DivisorialContractionToFano)
+                           for t in traces.values())
+        # one fibre chart, 20652's: tag-iv's fibre is weighted and not read
+        assert len(charts) == contractions + 1 == 18
+        assert all(eliminated[:1] == ("s",) for eliminated in charts)
 
     def test_no_eliminated_name_survives(self, recorded_traces):
         _, _, eliminations = recorded_traces

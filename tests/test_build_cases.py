@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tomlinks.casefile import load_bundled, parse_case_text
+from tomlinks.casefile import _type_i_centre, load_bundled, parse_case_text
 from tomlinks.pfaffian import TomFormat, WeightMatrix5
 from tomlinks.unprojection import build_unprojection
 
@@ -68,3 +68,14 @@ def test_finalize_writes_weights_that_normalise_back(k):
     assert case.tom_k == k
     res = build_unprojection(case.build_matrix(0), TomFormat(k), case.r)
     assert res.weights == W
+
+
+def test_generated_centres_are_the_readers_type_i_centres():
+    # the generator and the reader share one definition of 1/r(1, b, r - b)
+    script = load_script()
+    for _, ambient, _, _ in script.TABLE1:
+        found = [(r, abc) for r, abc, _ in script.centre_candidates(ambient, None)]
+        assert found and all(_type_i_centre(r, abc) for r, abc in found)
+    # b + c != r, and gcd(b, r) > 1
+    for r, abc in ((3, (1, 1, 1)), (4, (1, 1, 2)), (4, (1, 2, 2)), (6, (1, 3, 3))):
+        assert not _type_i_centre(r, abc)

@@ -194,6 +194,23 @@ class TestCli:
         assert err.startswith(f"input error: line {line}: quotient index "), err
         assert f"is below 2: '{token}'" in err
 
+    @pytest.mark.parametrize("ambient, centre, basket, weights", [
+        ("1 1 1 4 3 3 2 3", "1/3(1,1,1)", "1/3(1,1,1)", "1 1 2 2 3 4 4 4 4 5"),
+        ("1 1 2 3 2 2 1 4", "1/4(1,1,2)", "1/4(1,1,2)", "1 1 2 2 2 3 3 3 3 4"),
+        ("1 2 2 3 2 2 1 4", "1/4(1,2,2)", "1/4(1,2,2) 1/3(1,1,2)", "2 2 2 3 2 2 3 2 3 3"),
+    ], ids=["b+c-below-r", "b+c-below-r-weighted", "gcd-b-r-2"])
+    def test_centre_that_is_not_type_i_exits_2(self, tmp_path, capsys, ambient, centre,
+                                               basket, weights):
+        # read, each would trace with template_ok True, and the last two would
+        # gain basket points with a zero weight, such as 1/2(0,1,1)
+        bad = tmp_path / "bad.case"
+        bad.write_text(f"id = bad\nambient = {ambient}\ncentre = {centre}\ntom_index = 1\n"
+                       f"basket = {basket}\nmatrix_weights = {weights}\nmatrix = GENERAL 0\n")
+        assert main(["trace", "--case", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: line 3: "), err
+        assert centre in err
+
     def test_bundled_case_error_names_its_line(self, monkeypatch, capsys):
         # a bundled name reports its own file's error, not a missing path
         def broken(name):
