@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -155,25 +156,21 @@ def kawamata_scroll(case: FanoCase) -> Ring:
 def compute_deltas(g: Sequence[Polynomial], case: FanoCase) -> tuple[int, int, int, int]:
     """Least t-exponent picked up by each unprojection equation under pull-back.
 
-    Scanning the monomials of g_j that avoid y_j, the t-exponent of a
-    monomial is its x-weighted degree plus (r + d_k) per y_k factor; for a
-    general Tom member the minimum is realised by a pure-orbinate monomial
-    and equals r + d_j, which the standard scroll shape depends on, so any
-    other minimum raises LinkError.
+    The pull-back phi of `blowup_ideal` gives each variable the exponent
+    top - bottom of its scroll weight rows, d_k + 1 for y_k, so a monomial
+    of g_j (degree r + d_j) with E factors y picks up r + d_j + E.  Over the
+    monomials that avoid y_j the minimum is r + d_j exactly when g_j has a
+    pure-orbinate monomial, as a general Tom member does and the standard
+    scroll shape needs; any other minimum raises LinkError.
     """
+    S = kawamata_scroll(case)
+    exps = {n: up - down for n, up, down in zip(S.names, S.top, S.bottom)}
     ring = g[0].ring
-    xw = [ring.top[ring.index[n]] for n in X_NAMES]
-    xi = [ring.index[n] for n in X_NAMES]
+    phi = [exps[n] for n in ring.names]
     yi = [ring.index[n] for n in IDEAL_VARS]
     deltas = []
     for j, gj in enumerate(g):
-        best = None
-        for m in gj.terms:
-            if m[yi[j]]:
-                continue  # the h_j part: stays with s*y_j
-            val = sum(w * m[i] for w, i in zip(xw, xi))
-            val += sum(m[yi[k]] * (case.r + case.d[k]) for k in range(4))
-            best = val if best is None else min(best, val)
+        best = min((sum(map(mul, phi, m)) for m in gj.terms if not m[yi[j]]), default=None)
         if best is None:
             raise LinkError(
                 f"g_{j + 1} has no y_{j + 1}-free monomial; input is not a general Tom member"
@@ -315,44 +312,6 @@ def count_flops(res: UnprojectionResult, case: FanoCase,
     if projective_dim_degree(Ideal(p, P2), budget)[0] == -1:
         return zero_dim_degree(Ideal(g, P2), budget)
     return zero_dim_degree(Ideal([pk * gj for pk in p for gj in g], P2), budget)
-
-
-def rank_at_point(A2: list[list[Polynomial]], point: Sequence[Fraction]) -> int:
-    at = dict(enumerate(point))
-    rows = [{j: v for j, v in enumerate(_PointData(row, at).consts) if v} for row in A2]
-    return len(_gauss_jordan(rows, range(len(A2[0]))))
-
-
-def _gauss_jordan(rows: list[dict], columns: Iterable) -> dict:
-    """Reduce sparse rows (column -> nonzero field element) in place.
-
-    Pivots are taken in `columns` order, each in the first row not yet used
-    that has the column, and cleared from every other row.  Returns pivot
-    column -> row index; each pivot row is then an invertible combination of
-    the original pivot rows with no other pivot column.  Works over any
-    field whose elements support + - * / and truth testing (Fraction,
-    QuadExt).
-    """
-    pivots: dict = {}
-    used: set[int] = set()
-    for col in columns:
-        hit = next((i for i, row in enumerate(rows) if i not in used and row.get(col)), None)
-        if hit is None:
-            continue
-        used.add(hit)
-        pivots[col] = hit
-        prow = rows[hit]
-        for i, row in enumerate(rows):
-            if i == hit or not row.get(col):
-                continue
-            f = row[col] / prow[col]
-            for k, v in prow.items():
-                nv = row.get(k, 0) - f * v
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
-    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -513,39 +472,65 @@ def _localized_ring(S: Ring, weight: int) -> Ring:
 _PRIORITY = ("s", "x1", "x2", "x3", "y1", "y2", "y3", "y4", "t")
 
 
-class _PointData:
-    """Constant, linear and quadratic coefficients of the generators at a
-    point; with every variable fixed, `consts` are their values there."""
+def _gauss_jordan(rows: list[dict], columns: Iterable) -> dict:
+    """Reduce sparse rows (column -> nonzero field element) in place.
 
-    def __init__(self, gens: Sequence[Polynomial], wall_idx: dict[int, object]):
-        # wall_idx: variable slot -> point value, a Fraction or a QuadExt
-        self.rows: list[dict[int, object]] = []
-        self.consts: list = []
-        self.quads: list[dict[tuple[int, int], object]] = []
-        for g in gens:
-            lin: dict[int, object] = {}
-            quad: dict[tuple[int, int], object] = {}
-            const = 0
-            for m, c in g.terms.items():
-                supp = [(i, e) for i, e in enumerate(m) if e and i not in wall_idx]
-                scale = Fraction(c)
-                for i, v in wall_idx.items():
-                    if m[i]:
-                        scale = scale * v ** m[i]
-                if not supp:
-                    const = const + scale
-                elif len(supp) == 1 and supp[0][1] == 1:
-                    i = supp[0][0]
-                    lin[i] = lin.get(i, 0) + scale
-                elif len(supp) == 1 and supp[0][1] == 2:
-                    key = (supp[0][0], supp[0][0])
-                    quad[key] = quad.get(key, 0) + scale
-                elif len(supp) == 2 and supp[0][1] == 1 and supp[1][1] == 1:
-                    key = (supp[0][0], supp[1][0])
-                    quad[key] = quad.get(key, 0) + scale
-            self.rows.append({i: v for i, v in lin.items() if v})
-            self.quads.append({k: v for k, v in quad.items() if v})
-            self.consts.append(const)
+    Pivots are taken in `columns` order, each in the first row not yet used
+    that has the column, and cleared from every other row.  Returns pivot
+    column -> row index; each pivot row is then an invertible combination of
+    the original pivot rows with no other pivot column.  Works over any
+    field whose elements support + - * / and truth testing (Fraction,
+    QuadExt).
+    """
+    pivots: dict = {}
+    used: set[int] = set()
+    for col in columns:
+        hit = next((i for i, row in enumerate(rows) if i not in used and row.get(col)), None)
+        if hit is None:
+            continue
+        used.add(hit)
+        pivots[col] = hit
+        prow = rows[hit]
+        for i, row in enumerate(rows):
+            if i == hit or not row.get(col):
+                continue
+            f = row[col] / prow[col]
+            for k, v in prow.items():
+                nv = row.get(k, 0) - f * v
+                if nv:
+                    row[k] = nv
+                else:
+                    row.pop(k, None)
+    return pivots
+
+
+def _local_parts(gens: Sequence[Polynomial], point: dict[int, object]) -> tuple[list, list]:
+    """Linear and quadratic coefficients of the generators at a point, one
+    slot -> coefficient and one (slot, slot) -> coefficient dict each."""
+    # point: variable slot -> point value, a Fraction or a QuadExt
+    rows: list[dict[int, object]] = []
+    quads: list[dict[tuple[int, int], object]] = []
+    for g in gens:
+        lin: dict[int, object] = {}
+        quad: dict[tuple[int, int], object] = {}
+        for m, c in g.terms.items():
+            supp = [(i, e) for i, e in enumerate(m) if e and i not in point]
+            scale = Fraction(c)
+            for i, v in point.items():
+                if m[i]:
+                    scale = scale * v ** m[i]
+            if len(supp) == 1 and supp[0][1] == 1:
+                i = supp[0][0]
+                lin[i] = lin.get(i, 0) + scale
+            elif len(supp) == 1 and supp[0][1] == 2:
+                key = (supp[0][0], supp[0][0])
+                quad[key] = quad.get(key, 0) + scale
+            elif len(supp) == 2 and supp[0][1] == 1 and supp[1][1] == 1:
+                key = (supp[0][0], supp[1][0])
+                quad[key] = quad.get(key, 0) + scale
+        rows.append({i: v for i, v in lin.items() if v})
+        quads.append({k: v for k, v in quad.items() if v})
+    return rows, quads
 
 
 def _composed_quad_coeff(quads: dict[tuple[int, int], object],
@@ -654,11 +639,10 @@ def _quad_text(A, B, C, wall) -> str:
 
 def _flip_at_point(gens, loc: Ring, point: dict[int, object], wall,
                    point_label: str) -> Flip:
-    pd = _PointData(gens, point)
+    rows, quads = _local_parts(gens, point)
     # Gauss-Jordan on the linear parts (reduced in place) with the fixed
     # variable priority; each pivot row reads row[v]*x_v + sum row[k]*x_k = 0
     priority = [loc.index[n] for n in _PRIORITY if loc.index[n] not in point]
-    rows = pd.rows
     pivots = _gauss_jordan(rows, priority)
     surv = [v for v in priority if v not in pivots]
     if len(surv) not in (4, 5):
@@ -679,7 +663,7 @@ def _flip_at_point(gens, loc: Ring, point: dict[int, object], wall,
         negative = [v for v in surv if loc.top[v] < 0 and v != t_slot]
         partner = next((v for gi in range(len(gens)) if gi not in used_rows
                         for v in negative
-                        if _composed_quad_coeff(pd.quads[gi], image, t_slot, v)), None)
+                        if _composed_quad_coeff(quads[gi], image, t_slot, v)), None)
         if partner is None:
             raise LinkError(f"no surviving t*(negative variable) monomial at {point_label}")
         # a pivot's image holds survivors of its own weight only, so the
@@ -1004,6 +988,7 @@ class LinkTrace:
     config: WeightConfig
     steps: list
     baskets: list[Basket]
+    unprojection: UnprojectionResult
     blowup: BlowupData
     template_ok: bool
     template_notes: list[str]
@@ -1069,7 +1054,7 @@ def trace_link(case: FanoCase, seed: int = 0, budget: int = DEFAULT_BUDGET) -> L
     if nodes is not None and case.declared_nodes is not None and nodes != case.declared_nodes:
         notes.append(f"computed {nodes} nodes, declared {case.declared_nodes}")
 
-    return LinkTrace(case, tag, config, steps, baskets, blow, template_ok, notes)
+    return LinkTrace(case, tag, config, steps, baskets, res, blow, template_ok, notes)
 
 
 def verify_blowup_saturation(blow: BlowupData, budget: int = DEFAULT_BUDGET) -> bool:

@@ -11,6 +11,7 @@ Run `tomlinks selftest` for the same battery with one printed line per item.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -158,10 +159,45 @@ class TestCriterion7:
             criterion_7()
 
 
+def _identity_x1(Q):
+    x1, zero = Q[0][0].ring.gen("x1"), Q[0][0].ring.zero()
+    return [[x1 if i == j else zero for j in range(4)] for i in range(4)]
+
+
+def _two_zero_rows(Q):
+    zero = Q[0][0].ring.zero()
+    return [[zero] * 4, [zero] * 4] + [list(row) for row in Q[2:]]
+
+
 class TestCriterion8:
     def test_rank_profile(self):
         for r in criterion_8():
             assert r.passed, r.name
+
+    @pytest.mark.parametrize("doctor", [_identity_x1, _two_zero_rows],
+                             ids=["det-nonzero", "every-3x3-minor-zero"])
+    def test_a_doctored_trace_fails(self, doctor, monkeypatch):
+        # det x1^4 != 0, or rank <= 2 everywhere: either way Q is no
+        # unprojection's, and each of the three lines fails
+        def doctored(case, seed, budget):
+            res = build_unprojection(case.build_matrix(seed), TomFormat(case.tom_k), case.r)
+            return SimpleNamespace(unprojection=SimpleNamespace(Q=doctor(res.Q)))
+
+        monkeypatch.setattr(acceptance, "trace_link", doctored)
+        acceptance._seed0_trace.cache_clear()
+        try:
+            results = criterion_8()
+        finally:
+            acceptance._seed0_trace.cache_clear()
+        assert [r.passed for r in results] == [False] * 3
+
+    def test_reads_the_traced_unprojection(self, monkeypatch):
+        # the Q it certifies is the seed-0 trace's own; it builds none
+        def refuse(*args):
+            raise AssertionError("criterion 8 built an unprojection")
+
+        monkeypatch.setattr(acceptance, "build_unprojection", refuse)
+        assert [r.passed for r in criterion_8()] == [True] * 3
 
     @pytest.mark.parametrize("name", ["10985", "20652", "24097"])
     def test_3x3_minors_add_nothing_to_the_2x2_minors(self, name):

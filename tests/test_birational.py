@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tomlinks import birational
-from tomlinks.algebra import Ring, bidegree, parse, substitute
+from tomlinks.algebra import Ring, bidegree, det, parse, substitute
 from tomlinks.birational import (
     Basket,
     ConicBundle,
@@ -35,7 +35,6 @@ from tomlinks.birational import (
     minors_ideal,
     on_plane,
     picard_report,
-    rank_at_point,
     trace_link,
     track_basket,
     verify_blowup_saturation,
@@ -355,19 +354,15 @@ class TestFlops:
         assert zero_dim_degree(cut) == 0
 
     def test_rank_profile(self, case_10985):
-        import random
-
         res = build_unprojection(case_10985.build_matrix(0), TomFormat(1), 2)
         A = flop_matrix(res)
-        rng = random.Random(11)
-        for _ in range(20):
-            point = [Fraction(rng.randint(-30, 30)) for _ in range(3)]
-            if all(v == 0 for v in point):
-                point[0] = Fraction(1)
-            assert rank_at_point(A, point) == 3
+        P2 = Ring(("x1", "x2", "x3"), [(1, 1, 1)])
+        # rank 3 off the nodes: det A vanishes identically (p^T Q = 0) and a
+        # 3x3 minor does not, so the rank drops only on V(3x3 minors)
+        assert det(A).is_zero()
+        assert minors_ideal(A, P2, 3).generators
         # rank never drops below 2 anywhere on the node locus: the combined
         # 2x2 + 3x3 minor scheme is empty
-        P2 = Ring(("x1", "x2", "x3"), [(1, 1, 1)])
         both = Ideal(minors_ideal(A, P2, 2).generators + minors_ideal(A, P2, 3).generators, P2)
         assert zero_dim_degree(both) == 0
 
@@ -389,8 +384,7 @@ class TestGreedyPivots:
         def spy(rows, columns):
             original = [dict(r) for r in rows]
             pivots = real(rows, columns)
-            if not isinstance(columns, range):  # rank_at_point passes a range
-                calls.append((original, rows, list(columns), pivots))
+            calls.append((original, rows, list(columns), pivots))
             return pivots
 
         images = []
@@ -583,6 +577,19 @@ def recorded_traces():
     return traces, points, eliminations
 
 
+def value_at_wall_point(g, point):
+    """g at the wall point: the slots of `point` (slot -> Fraction or
+    QuadExt) at their values, every other variable 0."""
+    total = 0
+    for m, c in g.terms.items():
+        if all(i in point for i, e in enumerate(m) if e):
+            term = Fraction(c)
+            for i, v in point.items():
+                term = term * v ** m[i]
+            total = total + term
+    return total
+
+
 class TestSettledChecks:
     """Facts an earlier step of the link engine settles, which the step
     after it therefore does not check again (DECISIONS.md, "Each
@@ -592,22 +599,22 @@ class TestSettledChecks:
         _, points, _ = recorded_traces
         assert len(points) == 14
         for gens, point in points:
-            assert not any(birational._PointData(gens, point).consts)
+            assert not any(value_at_wall_point(g, point) for g in gens)
 
     @pytest.mark.parametrize("seed", [10, 13])
     def test_every_generator_vanishes_at_rational_wall_points(self, seed, monkeypatch):
         # tag-iii's members at these seeds have two rational wall points
         member = dataclasses.replace(load_bundled("tag-iii").to_fano_case(), matrix_seed=None)
-        real, consts = birational._flip_at_point, []
+        real, values = birational._flip_at_point, []
 
         def spy(gens, loc, point, *rest):
-            consts.append(birational._PointData(gens, point).consts)
+            values.append([value_at_wall_point(g, point) for g in gens])
             return real(gens, loc, point, *rest)
 
         monkeypatch.setattr(birational, "_flip_at_point", spy)
         trace_link(member, seed=seed)
-        assert len(consts) == 2
-        assert not any(c for point in consts for c in point)
+        assert len(values) == 2
+        assert not any(v for point in values for v in point)
 
     def test_hypersurface_degree_from_the_weights(self, recorded_traces):
         # t + the partner's localised weight: 6 - 3 on 10985, 3 - 1 on tag-iv

@@ -2,12 +2,13 @@
 it never uses, imports inside a function, has a function that takes a
 parameter it never reads, calls `eval` or `exec`, or holds an `assert`
 statement, which `python -O` strips; no module of the package imports a
-module outside the standard library and the package, and no module-level
-function or class of the package or of `scripts/` goes unreferenced;
-every package attribute the benchmark's tracer and workloads name still
-exists; every `from .m import name` of the package and `from
-tomlinks.m import name` of `scripts/` takes name from the module m that
-defines it, not from one that imports it in turn.
+module outside the standard library and the package, no module of the
+package but `algebra` (which seeds the general members) imports `random`,
+and no module-level function or class of the package or of `scripts/`
+goes unreferenced; every package attribute the benchmark's tracer and
+workloads name still exists; every `from .m import name` of the package
+and `from tomlinks.m import name` of `scripts/` takes name from the
+module m that defines it, not from one that imports it in turn.
 
 A name counts as used if it appears as a bare name anywhere in the module,
 including inside a string annotation such as "Polynomial | None".  The
@@ -360,21 +361,22 @@ def test_no_unused_parameters():
     assert sorted(set(UNUSED_ALLOWED) - set(found)) == []
 
 
-def foreign_imports(source: str) -> list[str]:
-    """Modules imported from outside the standard library and the package."""
+def absolute_imports(source: str) -> list[tuple[str, int]]:
+    """(module, line) of every absolute import, at any depth."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            out += [(alias.name, node.lineno) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        for name in names:
-            top = name.split(".")[0]
-            if top not in sys.stdlib_module_names and top not in ("__future__", "tomlinks"):
-                out.append(f"{name} (line {node.lineno})")
+            out.append((node.module, node.lineno))
     return out
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Modules imported from outside the standard library and the package."""
+    return [f"{name} (line {line})" for name, line in absolute_imports(source)
+            if name.split(".")[0] not in sys.stdlib_module_names
+            and name.split(".")[0] not in ("__future__", "tomlinks")]
 
 
 def test_foreign_import_scanner():
@@ -393,6 +395,31 @@ def test_foreign_import_scanner():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_runtime_is_stdlib_only(path):
     assert foreign_imports(path.read_text()) == []
+
+
+def random_imports(source: str) -> list[str]:
+    """`line n` for every import of the standard `random` module, at any depth."""
+    return [f"line {line}" for name, line in absolute_imports(source)
+            if name.split(".")[0] == "random"]
+
+
+def test_random_import_scanner():
+    source = (
+        "import random\n"
+        "from random import Random\n"
+        "import os, random as rnd\n"
+        "from . import random_general\n"
+        "from .algebra import random_general\n"
+        "random_seed = 'import random'\n"
+        "def f():\n    import random\n"
+    )
+    assert random_imports(source) == ["line 1", "line 2", "line 3", "line 8"]
+
+
+def test_only_the_seeded_members_draw_at_random():
+    # `algebra.random_general` draws the coefficients of a general member,
+    # seeded by `mix_seed`; every other check is exact, not sampled
+    assert [p.name for p in MODULES if random_imports(p.read_text())] == ["algebra.py"]
 
 
 def dynamic_code_calls(source: str) -> list[str]:

@@ -129,7 +129,7 @@ def test_blowup_json(capsys, name):
     assert got == BLOWUP_SHA256[name]
 
 
-SELFTEST_SHA256 = "91d8f49ee304a4b2178e1ab6a610a7d2c83b6841ff08e948bd2afb34e44eede5"
+SELFTEST_SHA256 = "be35798abf73c0e12bc43c450c0029ef8f117bfb0e9d9a9d36e3769ee4e7f6a9"
 
 
 def test_selftest_output(capsys):
