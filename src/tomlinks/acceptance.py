@@ -12,10 +12,9 @@ the repository root, for the full analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import AlgebraError, Polynomial, det, dot, parse
+from .algebra import AlgebraError, NotDivisible, det, dot, exact_divide, parse
 from .birational import (
     DelPezzoFibration,
     DivisorialContractionToFano,
@@ -32,7 +31,7 @@ from .birational import (
     verify_blowup_saturation,
 )
 from .casefile import load_bundled
-from .groebner import DEFAULT_BUDGET, BudgetExceeded, zero_dim_degree
+from .groebner import DEFAULT_BUDGET, BudgetExceeded, projective_dim_degree
 from .pfaffian import TomFormat, build_general_tom, maximal_pfaffians
 from .unprojection import build_unprojection, verify_unprojection
 
@@ -129,15 +128,6 @@ def criterion_2(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
     return out
 
 
-def _scale(d: Polynomial, t: Polynomial) -> Fraction | None:
-    """The c with d = c*t for a nonzero t, or None when there is none."""
-    lead = max(t.terms)
-    if lead not in d.terms:
-        return None
-    c = Fraction(d.terms[lead], t.terms[lead])
-    return c if d == t * c else None
-
-
 def criterion_3(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
     out = []
     trace = trace_link(_case("24097"), seed=0, budget=budget)
@@ -158,7 +148,10 @@ def criterion_3(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
 
     def proportional(patch, target) -> bool:
         d = dets.get(patch)
-        return d is not None and _scale(d, parse(target, d.ring)) is not None
+        try:  # d = c*target, c a nonzero constant, exactly when d/target has degree 0
+            return bool(d) and exact_divide(d, parse(target, d.ring)).degree() == 0
+        except NotDivisible:
+            return False
 
     recorded = proportional("y2", "y3^4 + y3^5") and proportional("y3", "y2 + y2^2")
     out.append(AcceptanceResult(
@@ -279,13 +272,14 @@ def criterion_8(budget: int = DEFAULT_BUDGET) -> list[AcceptanceResult]:
     # p^T Q = 0 at y = 0, with p != 0 there, makes det A identically 0, so
     # rank A <= 3 everywhere; the node locus is V(3x3 minors), so A has
     # rank exactly 3 off it once a 3x3 minor is a nonzero polynomial, and
-    # every 3x3 minor lies in the ideal of the 2x2 minors (Laplace expansion)
+    # every 3x3 minor lies in the ideal of the 2x2 minors (Laplace expansion);
+    # rank >= 2 everywhere is an empty zero set of the 2x2 minors, dimension -1
     out = []
     for name in ("10985", "20652", "24097"):
         A = [on_plane(column) for column in zip(*_seed0_trace(name, budget).unprojection.Q)]
         P2 = A[0][0].ring
         ok = (det(A).is_zero() and bool(minors_ideal(A, P2, 3).generators)
-              and zero_dim_degree(minors_ideal(A, P2, 2), budget) == 0)
+              and projective_dim_degree(minors_ideal(A, P2, 2), budget)[0] == -1)
         out.append(AcceptanceResult(
             "8", f"{name}: rank 3 off the nodes (det 0, a nonzero 3x3 minor), rank exactly 2 "
             "on the whole node locus", ok))

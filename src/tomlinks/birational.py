@@ -229,22 +229,14 @@ def blowup_ideal(res: UnprojectionResult, S: Ring, case: FanoCase) -> BlowupData
 # classification
 
 def classify_case(d: Sequence[int]) -> str:
-    """Equality pattern tag (i)..(viii) of the sorted ideal weights."""
+    """Equality pattern tag (i)..(viii) of the sorted ideal weights, read off
+    the sizes of its groups of equal weights."""
     d1, d2, d3, d4 = d
     if not (d1 >= d2 >= d3 >= d4 >= 1):
         raise LinkError("ideal weights must be sorted descending and positive")
-    pattern = (d1 > d2, d2 > d3, d3 > d4)
-    table = {
-        (True, True, True): "i",
-        (True, False, True): "ii",
-        (False, True, True): "iii",
-        (True, True, False): "iv",
-        (False, True, False): "v",
-        (True, False, False): "vi",
-        (False, False, True): "vii",
-        (False, False, False): "viii",
-    }
-    return table[pattern]
+    sizes = tuple(len(g) for g in wall_groups(d))
+    return {(1, 1, 1, 1): "i", (1, 2, 1): "ii", (2, 1, 1): "iii", (1, 1, 2): "iv",
+            (2, 2): "v", (1, 3): "vi", (3, 1): "vii", (4,): "viii"}[sizes]
 
 
 @dataclass
@@ -381,16 +373,6 @@ class QuadExt:
     def __repr__(self):
         return f"({self.a} + {self.b}w)"
 
-    def __pow__(self, e: int) -> "QuadExt":
-        out = QuadExt(1, 0, self.P, self.Q0)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
 
 # ---------------------------------------------------------------------------
 # wall analysis
@@ -517,8 +499,8 @@ def _local_parts(gens: Sequence[Polynomial], point: dict[int, object]) -> tuple[
             supp = [(i, e) for i, e in enumerate(m) if e and i not in point]
             scale = Fraction(c)
             for i, v in point.items():
-                if m[i]:
-                    scale = scale * v ** m[i]
+                for _ in range(m[i]):
+                    scale = scale * v
             if len(supp) == 1 and supp[0][1] == 1:
                 i = supp[0][0]
                 lin[i] = lin.get(i, 0) + scale
@@ -822,16 +804,12 @@ def conic_discriminant(pf_gens: Sequence[Polynomial], S: Ring, base: Sequence[st
         work, eliminated = global_eliminate(gens_p, P, priority=tuple(fiber))
         if not work:
             raise LinkError(f"no conic equation survives on patch {patch}")
-        conic = None
-        for cand in sorted(work, key=lambda g: (g.degree(), len(g))):
-            try:
-                for other in work:
-                    exact_divide(other, cand)
-            except NotDivisible:
-                continue
-            conic = cand
-            break
-        if conic is None:
+        # a divisor of every equation is the least one, up to a constant
+        conic = min(work, key=lambda g: (g.degree(), len(g)))
+        try:
+            for other in work:
+                exact_divide(other, conic)
+        except NotDivisible:
             raise LinkError(f"surviving equations on patch {patch} are not principal")
         surv = [n for n in fiber if n not in eliminated]
         if len(surv) != 3:

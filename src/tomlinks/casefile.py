@@ -7,6 +7,7 @@ explicit polynomial entries or the token GENERAL with a seed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from importlib import resources
 from math import gcd
@@ -86,16 +87,16 @@ class CaseFile:
         return case
 
 
+_QUOTIENT = re.compile(r"1/([^()]*)\(([^()]*)\)")
+
+
 def _parse_quotient(tok: str, line: int) -> tuple[int, tuple[int, int, int]]:
-    # 1/r(a,b,c)
     tok = tok.strip()
-    if not tok.startswith("1/"):
-        raise CaseFileError(f"bad quotient singularity {tok!r}", line)
+    match = _QUOTIENT.fullmatch(tok)
     try:
-        r_part, rest = tok[2:].split("(", 1)
-        r = int(r_part)
-        weights = tuple(int(w) for w in rest.rstrip(")").split(","))
-    except ValueError:
+        r = int(match[1])
+        weights = tuple(int(w) for w in match[2].split(","))
+    except (TypeError, ValueError):  # no match, or a part that int() rejects
         raise CaseFileError(f"bad quotient singularity {tok!r}", line)
     if len(weights) != 3:
         raise CaseFileError(f"quotient needs three weights: {tok!r}", line)
@@ -227,19 +228,19 @@ def parse_case(path: str | Path) -> CaseFile:
     return parse_case_text(text)
 
 
+_CASES = resources.files("tomlinks").joinpath("cases")
+
+
 def bundled_case_names() -> list[str]:
-    files = resources.files("tomlinks").joinpath("cases")
-    return sorted(p.name[:-5] for p in files.iterdir() if p.name.endswith(".case"))
+    return sorted(p.name[:-5] for p in _CASES.iterdir() if p.name.endswith(".case"))
 
 
 def load_bundled(name: str) -> CaseFile:
-    files = resources.files("tomlinks").joinpath("cases")
-    target = files.joinpath(f"{name}.case")
+    target = _CASES.joinpath(f"{name}.case")
     if not target.is_file():
         raise CaseFileError(f"no bundled case named {name!r}")
     return parse_case_text(target.read_text(encoding="utf-8"))
 
 
 def bundled_path(name: str) -> Path:
-    files = resources.files("tomlinks").joinpath("cases")
-    return Path(str(files.joinpath(f"{name}.case")))
+    return Path(str(_CASES.joinpath(f"{name}.case")))

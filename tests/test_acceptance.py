@@ -10,7 +10,6 @@ DECISIONS.md at the repository root.
 Run `tomlinks selftest` for the same battery with one printed line per item.
 """
 
-from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -27,7 +26,7 @@ from tomlinks.acceptance import (
     criterion_8,
     criterion_9,
 )
-from tomlinks.algebra import MatrixOrder, Ring, parse
+from tomlinks.algebra import MatrixOrder, NotDivisible, Ring, exact_divide, parse
 from tomlinks.birational import minors_ideal, on_plane
 from tomlinks.casefile import load_bundled
 from tomlinks.groebner import BudgetExceeded, Ideal, buchberger
@@ -169,16 +168,22 @@ def _two_zero_rows(Q):
     return [[zero] * 4, [zero] * 4] + [list(row) for row in Q[2:]]
 
 
+def _rank_one_on_a_line(Q):
+    x1, zero = Q[0][0].ring.gen("x1"), Q[0][0].ring.zero()
+    return [[x1 if i == j < 3 else zero for j in range(4)] for i in range(4)]
+
+
 class TestCriterion8:
     def test_rank_profile(self):
         for r in criterion_8():
             assert r.passed, r.name
 
-    @pytest.mark.parametrize("doctor", [_identity_x1, _two_zero_rows],
-                             ids=["det-nonzero", "every-3x3-minor-zero"])
+    @pytest.mark.parametrize("doctor", [_identity_x1, _two_zero_rows, _rank_one_on_a_line],
+                             ids=["det-nonzero", "every-3x3-minor-zero", "rank-one-on-a-line"])
     def test_a_doctored_trace_fails(self, doctor, monkeypatch):
-        # det x1^4 != 0, or rank <= 2 everywhere: either way Q is no
-        # unprojection's, and each of the three lines fails
+        # det x1^4 != 0, or rank <= 2 everywhere, or rank <= 1 on the line
+        # x1 = 0: each way Q is no unprojection's, and each of the three
+        # lines fails, the last without raising
         def doctored(case, seed, budget):
             res = build_unprojection(case.build_matrix(seed), TomFormat(case.tom_k), case.r)
             return SimpleNamespace(unprojection=SimpleNamespace(Q=doctor(res.Q)))
@@ -235,12 +240,17 @@ class TestCriterion9:
 
 
 class TestScale:
+    # criterion 3 reads d proportional to t as d/t being a constant
     U = Ring(("y",), [(1,)])
 
     def test_rational_scale_of_integer_polynomials(self):
-        c = acceptance._scale(parse("3*y^4 + 3*y^5", self.U), parse("2*y^4 + 2*y^5", self.U))
-        assert type(c) is Fraction and c == Fraction(3, 2)
+        c = exact_divide(parse("3*y^4 + 3*y^5", self.U), parse("2*y^4 + 2*y^5", self.U))
+        assert c.degree() == 0 and c == parse("3/2", self.U)
 
     def test_not_proportional(self):
-        assert acceptance._scale(parse("3*y^4 + y^5", self.U), parse("2*y^4 + 2*y^5", self.U)) is None
-        assert acceptance._scale(parse("y^3", self.U), parse("y^4", self.U)) is None
+        for d, t in (("3*y^4 + y^5", "2*y^4 + 2*y^5"), ("y^3", "y^4"), ("y^5", "y^4")):
+            try:
+                q = exact_divide(parse(d, self.U), parse(t, self.U))
+            except NotDivisible:
+                continue
+            assert q.degree() > 0, (d, t)

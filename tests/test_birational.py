@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tomlinks import birational
+from tomlinks import birational, groebner
 from tomlinks.algebra import Ring, bidegree, det, parse, substitute
 from tomlinks.birational import (
     Basket,
@@ -553,11 +553,11 @@ class TestRationalWallPoints:
 
 
 @pytest.fixture(scope="module")
-def recorded_traces():
+def recorded_pass():
     """The seed-0 trace of every bundled case, with each (generators, point)
-    that `_flip_at_point` analyses and each (ring, survivors, eliminated)
-    of `global_eliminate`."""
-    points, eliminations = [], []
+    that `_flip_at_point` analyses, each (ring, survivors, eliminated)
+    of `global_eliminate` and each `groebner._Run` the traces construct."""
+    points, eliminations, runs = [], [], []
     real_flip, real_eliminate = birational._flip_at_point, birational.global_eliminate
 
     def flip(gens, loc, point, *rest):
@@ -569,12 +569,31 @@ def recorded_traces():
         eliminations.append((ring, work, eliminated))
         return work, eliminated
 
+    class CountedRun(groebner._Run):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runs.append(self)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(birational, "_flip_at_point", flip)
         mp.setattr(birational, "global_eliminate", eliminate)
+        mp.setattr(groebner, "_Run", CountedRun)
         traces = {name: trace_link(load_bundled(name).to_fano_case(), seed=0)
                   for name in bundled_case_names()}
-    return traces, points, eliminations
+    return traces, points, eliminations, runs
+
+
+@pytest.fixture(scope="module")
+def recorded_traces(recorded_pass):
+    """(traces, points, eliminations) of the recorded pass."""
+    return recorded_pass[:3]
+
+
+def test_groebner_work_of_the_bundled_traces(recorded_pass):
+    # the Groebner runs and reduction steps of the 22 seed-0 traces; a change
+    # that alters the Groebner work re-pins these with a CHANGES.md line
+    runs = recorded_pass[3]
+    assert (len(runs), sum(run.steps for run in runs)) == (41, 6988)
 
 
 def value_at_wall_point(g, point):
@@ -585,7 +604,8 @@ def value_at_wall_point(g, point):
         if all(i in point for i, e in enumerate(m) if e):
             term = Fraction(c)
             for i, v in point.items():
-                term = term * v ** m[i]
+                for _ in range(m[i]):
+                    term = term * v
             total = total + term
     return total
 
@@ -681,6 +701,34 @@ class TestConicBudget:
         with pytest.raises(BudgetExceeded) as err:
             birational.conic_discriminant(*conic_input, budget=0)
         assert err.value.routine == "buchberger"
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_the_least_equation_is_the_conic(self, conic_input, monkeypatch, at):
+        # the conic u^2 + z*v^2 + w^2, z the free base variable, divides the
+        # two other surviving equations, and wherever it sits it is chosen:
+        # its Gram matrix diag(1, z, 1) has determinant z on both patches
+        def principal(gens, P, priority):
+            u, v, w = (P.gen(n) for n in priority[:3])
+            q = u * u + P.gen(P.names[-1]) * v * v + w * w
+            work = [u * q, (v + w) * q]
+            work.insert(at, q)
+            return work, set(priority[3:])
+
+        monkeypatch.setattr(birational, "global_eliminate", principal)
+        conic = birational.conic_discriminant(*conic_input)
+        assert [str(d) for _, d in conic.patch_determinants] == ["y3", "y2"]
+
+    def test_a_least_equation_that_divides_not_all_raises(self, conic_input, monkeypatch):
+        # u*q + w^4 leaves the remainder w^4 on division by the least, q
+        def not_principal(gens, P, priority):
+            u, v, w = (P.gen(n) for n in priority[:3])
+            q = u * u + P.gen(P.names[-1]) * v * v + w * w
+            return [u * q + w ** 4, q], set(priority[3:])
+
+        monkeypatch.setattr(birational, "global_eliminate", not_principal)
+        with pytest.raises(birational.LinkError,
+                           match="surviving equations on patch y2 are not principal"):
+            birational.conic_discriminant(*conic_input)
 
     def test_term_off_the_fibre_conic_raises(self, conic_input, monkeypatch):
         # a surviving equation with a cubic fibre term is no conic
@@ -805,7 +853,19 @@ ENDPOINT_KIND = {
 PATTERNS = [d for d in product(range(5, 0, -1), repeat=4) if list(d) == sorted(d, reverse=True)]
 
 
+# the paper's tag of each equality pattern (d1 > d2, d2 > d3, d3 > d4)
+PATTERN_TAG = {
+    (True, True, True): "i", (True, False, True): "ii", (False, True, True): "iii",
+    (True, True, False): "iv", (False, True, False): "v", (True, False, False): "vi",
+    (False, False, True): "vii", (False, False, False): "viii",
+}
+
+
 class TestLinkTemplate:
+    def test_tag_is_the_equality_pattern(self):
+        for d in PATTERNS:
+            assert classify_case(d) == PATTERN_TAG[(d[0] > d[1], d[1] > d[2], d[2] > d[3])], d
+
     @pytest.mark.parametrize("name", bundled_case_names())
     def test_endpoint_matches_the_tag(self, name):
         trace = bundled_trace(name)

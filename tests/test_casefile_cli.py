@@ -141,10 +141,18 @@ class TestCli:
         ("nodes = 24", "nodes = -3", 7, "nodes must be an integer >= 0"),
         ("nodes = 24", "nodes = 2.5", 7, "nodes must be an integer >= 0"),
         ("nodes = 24", "node = 23", 7, "unknown key 'node'"),
+        # a quotient token is exactly 1/r(a,b,c): one closing parenthesis
+        ("1/6(1,1,5)", "1/6(1,1,5", 6, r"bad quotient singularity '1/6\(1,1,5'$"),
+        ("1/6(1,1,5)", "1/6(1,1,5))", 6, r"bad quotient singularity '1/6\(1,1,5\)\)'$"),
+        ("1/6(1,1,5)", "1/6(1,1,5)))", 6, r"bad quotient singularity '1/6\(1,1,5\)\)\)'$"),
+        ("centre = 1/2(1,1,1)", "centre = 1/2(1,1,1))", 4,
+         r"bad quotient singularity '1/2\(1,1,1\)\)'$"),
     ], ids=["pfaffian-weights", "entry-degree", "entry-inhomogeneous", "orbinates",
             "ideal-weight-zero", "entry-unknown-variable", "entry-stray-star",
             "entry-zero-denominator", "entry-zero-over-zero",
-            "negative-nodes", "non-integer-nodes", "unknown-key"])
+            "negative-nodes", "non-integer-nodes", "unknown-key",
+            "basket-unclosed", "basket-two-closing", "basket-three-closing",
+            "centre-two-closing"])
     def test_case_file_error_exits_2_naming_its_line(self, tmp_path, capsys, old, new, line,
                                                      message):
         text = CASES.joinpath("10985.case").read_text()
@@ -345,7 +353,8 @@ FUZZ_TOKENS = st.one_of(
     st.sampled_from(["", "none", "GENERAL", "GENERAL 3", "GENERAL x", "1/2(1,1,1)",
                      "1/3(1,1)", "1/0(1,1,1)", "x1", "y4", "x1^2*y4 - y3", "x1 +* x2",
                      "1 1 1 4 3 3 2 2", "1 2 3 4 3 4 5 5 6 7", "2.5", "=", "#",
-                     "1/0*x1", "GENERAL --5", "GENERAL \u00b2"]))
+                     "1/0*x1", "GENERAL --5", "GENERAL \u00b2", "1/2(1,1,1",
+                     "1/2(1,1,1))", "1/2(1,1,1)))"]))
 
 
 @given(name=st.sampled_from(["10985", "1218"]), line=st.integers(0, 19),
