@@ -486,42 +486,36 @@ def _gauss_jordan(rows: list[dict], columns: Iterable) -> dict:
     return pivots
 
 
-def _local_parts(gens: Sequence[Polynomial], point: dict[int, object]) -> tuple[list, list]:
+def _local_parts(gens: Sequence[Polynomial], point: dict[int, object]) -> list[dict]:
     """Linear and quadratic coefficients of the generators at a point, one
-    slot -> coefficient and one (slot, slot) -> coefficient dict each."""
+    dict per generator: slot -> coefficient for a linear term and
+    (slot, slot) -> coefficient for a quadratic one."""
     # point: variable slot -> point value, a Fraction or a QuadExt
-    rows: list[dict[int, object]] = []
-    quads: list[dict[tuple[int, int], object]] = []
+    rows: list[dict] = []
     for g in gens:
-        lin: dict[int, object] = {}
-        quad: dict[tuple[int, int], object] = {}
+        row: dict = {}
         for m, c in g.terms.items():
-            supp = [(i, e) for i, e in enumerate(m) if e and i not in point]
+            supp = [i for i, e in enumerate(m) if i not in point for _ in range(e)]
+            if len(supp) not in (1, 2):
+                continue
             scale = Fraction(c)
             for i, v in point.items():
                 for _ in range(m[i]):
                     scale = scale * v
-            if len(supp) == 1 and supp[0][1] == 1:
-                i = supp[0][0]
-                lin[i] = lin.get(i, 0) + scale
-            elif len(supp) == 1 and supp[0][1] == 2:
-                key = (supp[0][0], supp[0][0])
-                quad[key] = quad.get(key, 0) + scale
-            elif len(supp) == 2 and supp[0][1] == 1 and supp[1][1] == 1:
-                key = (supp[0][0], supp[1][0])
-                quad[key] = quad.get(key, 0) + scale
-        rows.append({i: v for i, v in lin.items() if v})
-        quads.append({k: v for k, v in quad.items() if v})
-    return rows, quads
+            key = supp[0] if len(supp) == 1 else tuple(supp)
+            row[key] = row.get(key, 0) + scale
+        rows.append({k: v for k, v in row.items() if v})
+    return rows
 
 
-def _composed_quad_coeff(quads: dict[tuple[int, int], object],
+def _composed_quad_coeff(row: dict[tuple[int, int], object],
                          image: dict[int, dict[int, object]], t_slot: int, v_slot: int):
-    """Coefficient of x_t * x_v (t != v) in a quadratic part once each slot
-    is replaced by its image, a linear form in the survivors.  A square
-    x_a^2 is the case a = b of the cross-term formula."""
+    """Coefficient of x_t * x_v (t != v) in a reduced row no pivot used
+    (any linear term left would have been a pivot, so every key is a pair)
+    once each slot is replaced by its image, a linear form in the
+    survivors.  A square x_a^2 is the case a = b of the cross-term formula."""
     total = 0
-    for (al, be), c in quads.items():
+    for (al, be), c in row.items():
         la, lb = image[al], image[be]
         total = total + c * (la.get(t_slot, 0) * lb.get(v_slot, 0)
                              + la.get(v_slot, 0) * lb.get(t_slot, 0))
@@ -621,9 +615,10 @@ def _quad_text(A, B, C, wall) -> str:
 
 def _flip_at_point(gens, loc: Ring, point: dict[int, object], wall,
                    point_label: str) -> Flip:
-    rows, quads = _local_parts(gens, point)
-    # Gauss-Jordan on the linear parts (reduced in place) with the fixed
-    # variable priority; each pivot row reads row[v]*x_v + sum row[k]*x_k = 0
+    rows = _local_parts(gens, point)
+    # Gauss-Jordan on whole rows (reduced in place), pivots on the linear
+    # parts in the fixed variable priority; each pivot row reads
+    # row[v]*x_v + sum row[k]*x_k = 0 to first order, any other row is quadratic
     priority = [loc.index[n] for n in _PRIORITY if loc.index[n] not in point]
     pivots = _gauss_jordan(rows, priority)
     surv = [v for v in priority if v not in pivots]
@@ -643,13 +638,13 @@ def _flip_at_point(gens, loc: Ring, point: dict[int, object], wall,
         t_slot = loc.index["t"]
         used_rows = set(pivots.values())
         negative = [v for v in surv if loc.top[v] < 0 and v != t_slot]
-        partner = next((v for gi in range(len(gens)) if gi not in used_rows
+        partner = next((v for gi, row in enumerate(rows) if gi not in used_rows
                         for v in negative
-                        if _composed_quad_coeff(quads[gi], image, t_slot, v)), None)
+                        if _composed_quad_coeff(row, image, t_slot, v)), None)
         if partner is None:
             raise LinkError(f"no surviving t*(negative variable) monomial at {point_label}")
         # a pivot's image holds survivors of its own weight only, so the
-        # cutting generator has the degree of its t*partner term
+        # cutting row has the degree of its t*partner term
         hdeg = loc.top[t_slot] + loc.top[partner]
         hyp_pair = ("t", loc.names[partner])
     return Flip(tuple(wall), tuple(loc.names[v] for v in ordered),
@@ -931,7 +926,6 @@ def track_basket(steps: Sequence, case: FanoCase) -> list[Basket]:
 
 @dataclass
 class PicardReport:
-    determined: bool
     rho: int | None
     chain: list[str]
 
@@ -941,19 +935,19 @@ def picard_report(trace: "LinkTrace", endpoint_quasismooth: bool) -> PicardRepor
     quasi-smooth Fano of codimension <= 3 (flag supplied, not computed)."""
     last = trace.steps[-1] if trace.steps else None
     if not isinstance(last, DivisorialContractionToFano):
-        return PicardReport(False, None, ["link does not end in a divisorial contraction"])
+        return PicardReport(None, ["link does not end in a divisorial contraction"])
     ep = last.endpoint
     if ep.codim > 3:
-        return PicardReport(False, None, [f"endpoint codimension {ep.codim} > 3"])
+        return PicardReport(None, [f"endpoint codimension {ep.codim} > 3"])
     if not endpoint_quasismooth:
-        return PicardReport(False, None, ["endpoint quasi-smoothness not asserted"])
+        return PicardReport(None, ["endpoint quasi-smoothness not asserted"])
     chain = [
         f"endpoint X' is Fano of codimension {ep.codim} <= 3",
         "X' quasi-smooth (input flag) and Q-factorial, so rho(X') = 1",
         "the link is an isomorphism in codimension 1 apart from one divisor "
         "extracted and one contracted, so rho(X) = rho(X') = 1",
     ]
-    return PicardReport(True, 1, chain)
+    return PicardReport(1, chain)
 
 
 # ---------------------------------------------------------------------------

@@ -475,9 +475,9 @@ def contains(ideal: Ideal, polys: Sequence[Polynomial], order: MatrixOrder,
     part.  A remainder never joins the basis, and no pair of sugar above
     the top target degree is reduced.  The zero polynomial is a member.
     """
+    _grading(ideal, order, "contains")
     ring = ideal.ring
     run = _Run(order, budget, "contains", ideal.generators, lead_only=True)
-    _grading(ideal, order, "contains")
     targets = []
     for k, p in enumerate(polys):
         if p.ring != ring:

@@ -390,9 +390,9 @@ class TestGreedyPivots:
         images = []
         real_quad = birational._composed_quad_coeff
 
-        def quad_spy(quads, image, t_slot, v_slot):
+        def quad_spy(row, image, t_slot, v_slot):
             images.append((len(calls) - 1, image))
-            return real_quad(quads, image, t_slot, v_slot)
+            return real_quad(row, image, t_slot, v_slot)
 
         monkeypatch.setattr(birational, "_gauss_jordan", spy)
         monkeypatch.setattr(birational, "_composed_quad_coeff", quad_spy)
@@ -408,13 +408,44 @@ class TestGreedyPivots:
                      for v, r in pivots.items()}
             solutions.append(image | {k: {k: 1} for k in surv})
             for ri in pivots.values():
-                # substitute x_v = image[v] for every pivot v into the original row
+                # substitute x_v = image[v] for every pivot v into the
+                # original row's linear (int) keys
                 combo = {}
                 for k, c in original[ri].items():
+                    if not isinstance(k, int):
+                        continue
                     for sv, coeff in (image[k].items() if k in pivots else [(k, 1)]):
                         combo[sv] = combo.get(sv, 0) + c * coeff
                 assert not any(combo.values())
         assert all(image == solutions[i] for i, image in images)
+
+
+class TestReducedRowCutsTheFlip:
+    """A hypersurface flip is cut by the row Gauss-Jordan reduced, not by
+    the generator that row started from.  Scroll names, localised top
+    weights (t, s, x1, x2, x3, y1..y4) = (3, 4, 2, 1, 1, 0, 1, 1, -1), the
+    point y1 = 1; every generator is bihomogeneous.  Row 4 minus row 2 is
+    the cutting equation."""
+
+    loc = Ring(("t", "s", "x1", "x2", "x3", "y1", "y2", "y3", "y4"),
+               [(3, 4, 2, 1, 1, 0, 1, 1, -1), (1, 1, 0, 0, 0, -1, -1, -1, -1)])
+
+    def flip(self, last):
+        gens = [parse(g, self.loc) for g in ("s*y1", "x1*y1 + t*y1*y4", "x2*y1", last)]
+        return birational._flip_at_point(gens, self.loc, {self.loc.index["y1"]: Fraction(1)},
+                                         ("y1",), "P_y1")
+
+    def test_cleared_linear_part_leaves_the_cutting_equation(self):
+        # the fourth generator has no quadratic part; its reduced row is -t*y4
+        flip = self.flip("x1*y1")
+        assert (flip.weights, flip.hypersurface_degree, flip.hyp_pair) == (
+            (3, 1, 1, 1, -1), 2, ("t", "y4"))
+        assert flip.eliminated == ("s", "x1", "x2")
+
+    def test_a_row_that_reduces_to_zero_cuts_nothing(self):
+        # the fourth generator is twice the second: its t*y4 term cancels
+        with pytest.raises(LinkError, match=r"no surviving t\*\(negative variable\)"):
+            self.flip("2*x1*y1 + 2*t*y1*y4")
 
 
 class TestQuadExt:
@@ -464,6 +495,26 @@ def test_degenerate_wall_form_has_rank_below_2(form):
     R = Ring(("a", "b", "c"), [(1, 1, 1)])
     with pytest.raises(LinkError, match="rank < 2"):
         birational._simultaneous_flips([parse(form, R)], R, ("a", "b"), [0, 1])
+
+
+def test_a_wall_form_without_first_square_has_the_point_at_infinity(monkeypatch):
+    # A = 0: the roots of y1*y2 + 3*y2^2 are [1 : 0] and [-3 : 1], both rational
+    R = Ring(("y1", "y2", "y3"), [(1, 1, 1)])
+    form = parse("y1*y2 + 3*y2^2", R)
+    points = []
+
+    def spy(gens, loc, point, wall, label):
+        points.append((point, label))
+        return label
+
+    monkeypatch.setattr(birational, "_flip_at_point", spy)
+    step = birational._simultaneous_flips([form], R, ("y1", "y2"), [0, 1])
+    assert step.flips == ("P1", "P2")
+    assert [(list(point.values()), label) for point, label in points] == [
+        ([1, 0], "P1"), ([-3, 1], "P2")]
+    for point, _ in points:
+        assert all(type(v) is Fraction for v in point.values())
+        assert sum(c * point[0] ** m[0] * point[1] ** m[1] for m, c in form.terms.items()) == 0
 
 
 def test_a_trace_reads_no_seed_beyond_its_member(monkeypatch):
@@ -996,17 +1047,17 @@ class TestPicard:
     def test_divisorial_with_flag(self, case_10985):
         trace = trace_link(case_10985, seed=0)
         rep = picard_report(trace, endpoint_quasismooth=True)
-        assert rep.determined and rep.rho == 1
+        assert rep.rho == 1
 
     def test_flag_gate(self, case_10985):
         trace = trace_link(case_10985, seed=0)
         rep = picard_report(trace, endpoint_quasismooth=False)
-        assert not rep.determined
+        assert rep.rho is None
 
     def test_fibration_unreachable(self, case_20652):
         trace = trace_link(case_20652, seed=0)
         rep = picard_report(trace, endpoint_quasismooth=True)
-        assert not rep.determined
+        assert rep.rho is None
 
 
 # the bundled cases whose link ends in a divisorial contraction to a Fano

@@ -523,9 +523,20 @@ class TestContains:
     @pytest.mark.parametrize("order", [MatrixOrder.grevlex(SCROLL), MatrixOrder(P2, [(-1, 1, 1)])],
                              ids=["scroll-grevlex", "negative-row"])
     def test_refuses_a_non_well_order(self, order):
+        # neither first row is a positive grading, which is refused first
         x = order.ring.gens()
-        with pytest.raises(AlgebraError, match="contains needs a well-order"):
+        with pytest.raises(AlgebraError, match="contains needs a positive grading"):
             contains(Ideal([x[0] * x[1] - x[2] ** 2]), [x[0]], order)
+
+    def test_refuses_before_it_loads_as_minimal_generators_does(self):
+        # an inhomogeneous ideal under a non-well-order: the grading is
+        # checked before any generator enters a run, in both routines
+        order = MatrixOrder(R2, [(-1, 1), (0, 1)])
+        ideal = Ideal([parse("x1^2 - y1", R2)])
+        with pytest.raises(AlgebraError, match="contains needs a positive grading"):
+            contains(ideal, [parse("x1", R2)], order)
+        with pytest.raises(AlgebraError, match="minimal_generators needs a positive grading"):
+            minimal_generators(ideal, order)
 
     def test_rejects_a_target_of_another_ring(self):
         with pytest.raises(AlgebraError, match="different rings"):
